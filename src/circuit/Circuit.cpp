@@ -84,7 +84,7 @@ Circuit Circuit::withoutNonUnitary() const {
 std::string Circuit::str() const {
   std::string Out;
   for (const Gate &G : Gates) {
-    Out += G.str();
+    appendGate(Out, G);
     Out += '\n';
   }
   return Out;

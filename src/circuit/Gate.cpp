@@ -130,20 +130,18 @@ bool circuit::parseGateName(std::string_view Name, GateKind &Kind) {
   return false;
 }
 
+void circuit::appendGate(std::string &Out, const Gate &G) {
+  Out += gateName(G.kind());
+  for (unsigned I = 0, E = G.numParams(); I < E; ++I)
+    appendAll(Out, I ? ", " : "(", G.param(I));
+  if (G.numParams() > 0)
+    Out += ')';
+  for (unsigned I = 0, E = G.numQubits(); I < E; ++I)
+    appendAll(Out, I ? ", q[" : " q[", G.qubit(I), ']');
+}
+
 std::string Gate::str() const {
-  std::string Out(gateName(Kind));
-  if (numParams() > 0) {
-    Out += "(";
-    for (unsigned I = 0, E = numParams(); I < E; ++I) {
-      if (I)
-        Out += ", ";
-      Out += formatDouble(ParamStorage[I]);
-    }
-    Out += ")";
-  }
-  for (unsigned I = 0, E = numQubits(); I < E; ++I) {
-    Out += I ? ", " : " ";
-    Out += "q[" + std::to_string(QubitStorage[I]) + "]";
-  }
+  std::string Out;
+  appendGate(Out, *this);
   return Out;
 }

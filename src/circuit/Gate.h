@@ -145,7 +145,7 @@ public:
     return false;
   }
 
-  /// Renders "cz q[0], q[1]"-style text for diagnostics.
+  /// Renders "cz q[0], q[1]"-style text for diagnostics (appendGate).
   std::string str() const;
 
 private:
@@ -153,6 +153,11 @@ private:
   std::array<int, 3> QubitStorage = {0, 0, 0};
   std::array<double, 3> ParamStorage = {0.0, 0.0, 0.0};
 };
+
+/// Appends \p G as "rz(0.5) q[3]" / "cz q[0], q[1]" / "measure q[2]" /
+/// "barrier", with no terminator. The one gate renderer: Gate::str() and
+/// every OpenQASM 3 / wQASM statement line (this text plus ";\n") use it.
+void appendGate(std::string &Out, const Gate &G);
 
 } // namespace circuit
 } // namespace weaver

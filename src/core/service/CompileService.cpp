@@ -547,7 +547,7 @@ void CompileService::armWatchdog(const std::shared_ptr<Job> &J,
   std::lock_guard<std::mutex> Lock(WatchdogMutex);
   if (WatchdogStop)
     return; // tearing down; Pool.shutdown is already reaping the workers
-  WatchdogQueue.emplace_back(Deadline, J);
+  WatchdogQueue.emplace(Deadline, J);
   if (!WatchdogThread.joinable())
     WatchdogThread = std::thread([this]() { watchdogLoop(); });
   WatchdogCV.notify_all();
@@ -560,20 +560,17 @@ void CompileService::watchdogLoop() {
       WatchdogCV.wait(Lock);
       continue;
     }
-    auto Earliest = std::min_element(
-        WatchdogQueue.begin(), WatchdogQueue.end(),
-        [](const auto &A, const auto &B) { return A.first < B.first; });
-    if (Earliest->first > std::chrono::steady_clock::now()) {
-      WatchdogCV.wait_until(Lock, Earliest->first);
-      continue; // re-scan: the queue (or WatchdogStop) may have changed
+    // A copy, not a reference into the queue: wait_until reads the
+    // deadline again after it reacquires the lock, and an armWatchdog in
+    // between may have reallocated the queue's storage.
+    auto Earliest = WatchdogQueue.top().first;
+    if (Earliest > std::chrono::steady_clock::now()) {
+      WatchdogCV.wait_until(Lock, Earliest);
+      continue; // re-check: the queue (or WatchdogStop) may have changed
     }
-    std::shared_ptr<Job> J = std::move(Earliest->second);
-    WatchdogQueue.erase(Earliest);
+    std::shared_ptr<Job> J = WatchdogQueue.top().second;
+    WatchdogQueue.pop();
     Lock.unlock();
-    // Cancel first: a cooperatively hung compile (fault::hangUntilCancelled
-    // or a between-pass checkpoint) observes the token and releases its
-    // worker even though the job below is already resolved.
-    J->Cancel.requestCancel();
     JobOutcome Out;
     Out.State = JobState::Failed;
     Out.WatchdogTimedOut = true;
@@ -589,6 +586,11 @@ void CompileService::watchdogLoop() {
     // A job that resolved while we raced here makes this a no-op — the
     // exactly-once guarantee is resolveJob's, not ours.
     resolveJob(J, std::move(Out));
+    // Cancel only after resolving: the token releases a cooperatively hung
+    // compile (fault::hangUntilCancelled or a between-pass checkpoint),
+    // and a worker released first would resolve the job Cancelled before
+    // the watchdog's Failed outcome.
+    J->Cancel.requestCancel();
     Lock.lock();
   }
 }
@@ -681,7 +683,7 @@ void CompileService::shutdown(bool Drain) {
   {
     std::lock_guard<std::mutex> Lock(WatchdogMutex);
     WatchdogStop = true;
-    WatchdogQueue.clear();
+    WatchdogQueue = {};
     WatchdogCV.notify_all();
   }
   if (WatchdogThread.joinable())

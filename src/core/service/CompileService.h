@@ -51,6 +51,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -357,8 +358,11 @@ private:
   std::mutex WatchdogMutex;
   std::condition_variable WatchdogCV;
   bool WatchdogStop = false;
-  std::vector<std::pair<std::chrono::steady_clock::time_point,
-                        std::shared_ptr<Job>>>
+  /// Armed deadlines, earliest on top.
+  using WatchdogEntry =
+      std::pair<std::chrono::steady_clock::time_point, std::shared_ptr<Job>>;
+  std::priority_queue<WatchdogEntry, std::vector<WatchdogEntry>,
+                      std::greater<WatchdogEntry>>
       WatchdogQueue;
   std::thread WatchdogThread;
 

@@ -15,33 +15,25 @@ std::string oq2::printOpenQasm2(const Circuit &C) {
   std::string Out;
   Out += "OPENQASM 2.0;\n";
   Out += "include \"qelib1.inc\";\n";
-  Out += "qreg q[" + std::to_string(C.numQubits()) + "];\n";
+  appendAll(Out, "qreg q[", C.numQubits(), "];\n");
   if (C.count(GateKind::Measure) > 0)
-    Out += "creg c[" + std::to_string(C.numQubits()) + "];\n";
+    appendAll(Out, "creg c[", C.numQubits(), "];\n");
   for (const Gate &G : C) {
     if (G.kind() == GateKind::Barrier) {
       Out += "barrier q;\n";
       continue;
     }
     if (G.kind() == GateKind::Measure) {
-      std::string Q = std::to_string(G.qubit(0));
-      Out += "measure q[" + Q + "] -> c[" + Q + "];\n";
+      appendAll(Out, "measure q[", G.qubit(0), "] -> c[", G.qubit(0), "];\n");
       continue;
     }
     Out += gateName(G.kind());
-    if (G.numParams() > 0) {
-      Out += "(";
-      for (unsigned I = 0, E = G.numParams(); I < E; ++I) {
-        if (I)
-          Out += ",";
-        Out += formatDouble(G.param(I));
-      }
-      Out += ")";
-    }
-    for (unsigned I = 0, E = G.numQubits(); I < E; ++I) {
-      Out += I ? "," : " ";
-      Out += "q[" + std::to_string(G.qubit(I)) + "]";
-    }
+    for (unsigned I = 0, E = G.numParams(); I < E; ++I)
+      appendAll(Out, I ? "," : "(", G.param(I));
+    if (G.numParams() > 0)
+      Out += ')';
+    for (unsigned I = 0, E = G.numQubits(); I < E; ++I)
+      appendAll(Out, I ? ",q[" : " q[", G.qubit(I), ']');
     Out += ";\n";
   }
   return Out;

@@ -33,76 +33,66 @@ const char *qasm::annotationKindName(AnnotationKind Kind) {
   return "";
 }
 
-std::string Annotation::str() const {
-  std::string Out = "@";
-  Out += annotationKindName(Kind);
-  switch (Kind) {
-  case AnnotationKind::Slm: {
+namespace {
+
+/// Appends " [v0, v1, ...]".
+template <typename T>
+void appendList(std::string &Out, const std::vector<T> &Vals) {
+  Out += " [";
+  for (size_t I = 0; I < Vals.size(); ++I)
+    appendAll(Out, I ? ", " : "", Vals[I]);
+  Out += ']';
+}
+
+} // namespace
+
+void qasm::appendAnnotation(std::string &Out, const Annotation &A) {
+  appendAll(Out, '@', annotationKindName(A.Kind));
+  switch (A.Kind) {
+  case AnnotationKind::Slm:
     Out += " [";
-    for (size_t I = 0; I < TrapPositions.size(); ++I) {
-      if (I)
-        Out += ", ";
-      Out += "(" + formatDouble(TrapPositions[I].X) + ", " +
-             formatDouble(TrapPositions[I].Y) + ")";
-    }
-    Out += "]";
+    for (size_t I = 0; I < A.TrapPositions.size(); ++I)
+      appendAll(Out, I ? ", (" : "(", A.TrapPositions[I].X, ", ",
+                A.TrapPositions[I].Y, ')');
+    Out += ']';
     break;
-  }
-  case AnnotationKind::Aod: {
-    auto RenderList = [](const std::vector<double> &Vals) {
-      std::string S = "[";
-      for (size_t I = 0; I < Vals.size(); ++I) {
-        if (I)
-          S += ", ";
-        S += formatDouble(Vals[I]);
-      }
-      return S + "]";
-    };
-    Out += " " + RenderList(AodXs) + " " + RenderList(AodYs);
+  case AnnotationKind::Aod:
+    appendList(Out, A.AodXs);
+    appendList(Out, A.AodYs);
     break;
-  }
   case AnnotationKind::Bind:
-    Out += " q[" + std::to_string(Qubit) + "]";
-    if (BindToSlm)
-      Out += " slm " + std::to_string(SlmIndex);
+    if (A.BindToSlm)
+      appendAll(Out, " q[", A.Qubit, "] slm ", A.SlmIndex);
     else
-      Out += " aod " + std::to_string(AodCol) + " " + std::to_string(AodRow);
+      appendAll(Out, " q[", A.Qubit, "] aod ", A.AodCol, ' ', A.AodRow);
     break;
   case AnnotationKind::Transfer:
-    Out += " " + std::to_string(SlmIndex) + " (" + std::to_string(AodCol) +
-           ", " + std::to_string(AodRow) + ")";
+    appendAll(Out, ' ', A.SlmIndex, " (", A.AodCol, ", ", A.AodRow, ')');
     break;
   case AnnotationKind::Shuttle:
-    Out += std::string(" ") + (ShuttleRow ? "row" : "column") + " " +
-           std::to_string(ShuttleIndex) + " " + formatDouble(Offset);
+    appendAll(Out, A.ShuttleRow ? " row " : " column ", A.ShuttleIndex, ' ',
+              A.Offset);
     break;
-  case AnnotationKind::ShuttleParallel: {
-    Out += std::string(" ") + (ShuttleRow ? "rows" : "columns") + " [";
-    for (size_t I = 0; I < ShuttleIndices.size(); ++I) {
-      if (I)
-        Out += ", ";
-      Out += std::to_string(ShuttleIndices[I]);
-    }
-    Out += "] [";
-    for (size_t I = 0; I < ShuttleOffsets.size(); ++I) {
-      if (I)
-        Out += ", ";
-      Out += formatDouble(ShuttleOffsets[I]);
-    }
-    Out += "]";
+  case AnnotationKind::ShuttleParallel:
+    Out += A.ShuttleRow ? " rows" : " columns";
+    appendList(Out, A.ShuttleIndices);
+    appendList(Out, A.ShuttleOffsets);
     break;
-  }
   case AnnotationKind::RamanGlobal:
-    Out += " global " + formatDouble(AngleX) + " " + formatDouble(AngleY) +
-           " " + formatDouble(AngleZ);
+    appendAll(Out, " global ", A.AngleX, ' ', A.AngleY, ' ', A.AngleZ);
     break;
   case AnnotationKind::RamanLocal:
-    Out += " local q[" + std::to_string(Qubit) + "] " + formatDouble(AngleX) +
-           " " + formatDouble(AngleY) + " " + formatDouble(AngleZ);
+    appendAll(Out, " local q[", A.Qubit, "] ", A.AngleX, ' ', A.AngleY, ' ',
+              A.AngleZ);
     break;
   case AnnotationKind::Rydberg:
     break;
   }
+}
+
+std::string Annotation::str() const {
+  std::string Out;
+  appendAnnotation(Out, *this);
   return Out;
 }
 

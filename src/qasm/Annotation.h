@@ -104,7 +104,7 @@ struct Annotation {
   double AngleY = 0;
   double AngleZ = 0;
 
-  /// Renders the annotation in the concrete syntax above.
+  /// Renders the annotation in the concrete syntax above (appendAnnotation).
   std::string str() const;
 
   // --- Named constructors for each form -------------------------------
@@ -121,6 +121,10 @@ struct Annotation {
   static Annotation ramanLocal(int Qubit, double X, double Y, double Z);
   static Annotation rydberg();
 };
+
+/// Appends \p A in the concrete syntax above, with no line terminator. The
+/// one annotation renderer: Annotation::str() and printWqasm use it.
+void appendAnnotation(std::string &Out, const Annotation &A);
 
 } // namespace qasm
 } // namespace weaver

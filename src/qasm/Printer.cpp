@@ -16,39 +16,13 @@ using circuit::GateKind;
 
 namespace {
 
-void printStatementLine(std::string &Out, const Gate &G) {
-  if (G.kind() == GateKind::Barrier) {
-    Out += "barrier;\n";
-    return;
-  }
-  if (G.kind() == GateKind::Measure) {
-    Out += "measure q[" + std::to_string(G.qubit(0)) + "];\n";
-    return;
-  }
-  Out += std::string(circuit::gateName(G.kind()));
-  if (G.numParams() > 0) {
-    Out += "(";
-    for (unsigned I = 0, E = G.numParams(); I < E; ++I) {
-      if (I)
-        Out += ", ";
-      Out += formatDouble(G.param(I));
-    }
-    Out += ")";
-  }
-  for (unsigned I = 0, E = G.numQubits(); I < E; ++I) {
-    Out += I ? ", " : " ";
-    Out += "q[" + std::to_string(G.qubit(I)) + "]";
-  }
-  Out += ";\n";
-}
-
 void printHeader(std::string &Out, const std::string &Version, int NumQubits,
                  int NumBits) {
-  Out += "OPENQASM " + Version + ";\n";
+  appendAll(Out, "OPENQASM ", Version, ";\n");
   if (NumQubits > 0)
-    Out += "qubit[" + std::to_string(NumQubits) + "] q;\n";
+    appendAll(Out, "qubit[", NumQubits, "] q;\n");
   if (NumBits > 0)
-    Out += "bit[" + std::to_string(NumBits) + "] c;\n";
+    appendAll(Out, "bit[", NumBits, "] c;\n");
 }
 
 } // namespace
@@ -57,8 +31,10 @@ std::string qasm::printOpenQasm(const Circuit &C) {
   std::string Out;
   printHeader(Out, "3.0", C.numQubits(),
               static_cast<int>(C.count(GateKind::Measure)));
-  for (const Gate &G : C)
-    printStatementLine(Out, G);
+  for (const Gate &G : C) {
+    circuit::appendGate(Out, G);
+    Out += ";\n";
+  }
   return Out;
 }
 
@@ -66,11 +42,16 @@ std::string qasm::printWqasm(const WqasmProgram &Program) {
   std::string Out;
   printHeader(Out, Program.Version, Program.NumQubits, Program.NumBits);
   for (const GateStatement &S : Program.Statements) {
-    for (const Annotation &A : S.Annotations)
-      Out += A.str() + "\n";
-    printStatementLine(Out, S.Gate);
+    for (const Annotation &A : S.Annotations) {
+      appendAnnotation(Out, A);
+      Out += '\n';
+    }
+    circuit::appendGate(Out, S.Gate);
+    Out += ";\n";
   }
-  for (const Annotation &A : Program.TrailingAnnotations)
-    Out += A.str() + "\n";
+  for (const Annotation &A : Program.TrailingAnnotations) {
+    appendAnnotation(Out, A);
+    Out += '\n';
+  }
   return Out;
 }

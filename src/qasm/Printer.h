@@ -7,7 +7,8 @@
 /// \file
 /// Textual emission of circuits as OpenQASM 3 and of annotated programs as
 /// wQASM. The printers produce the concrete syntax the parser accepts, so
-/// print -> parse -> print is a fixed point (tested).
+/// print -> parse -> print is a fixed point (tested). Each appends every
+/// line into one string through circuit::appendGate / appendAnnotation.
 ///
 //===----------------------------------------------------------------------===//
 

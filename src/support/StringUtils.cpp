@@ -48,12 +48,24 @@ bool weaver::startsWith(std::string_view S, std::string_view Prefix) {
   return S.size() >= Prefix.size() && S.substr(0, Prefix.size()) == Prefix;
 }
 
+void weaver::appendDouble(std::string &Out, double Value) {
+  // The longest %.17g rendering is 25 bytes ("-4.9406564584124654e-324").
+  char Buf[32];
+  auto R = std::to_chars(Buf, Buf + sizeof(Buf), Value,
+                         std::chars_format::general, 17);
+  Out.append(Buf, R.ptr);
+}
+
+void weaver::appendInt(std::string &Out, long long Value) {
+  char Buf[24];
+  auto R = std::to_chars(Buf, Buf + sizeof(Buf), Value);
+  Out.append(Buf, R.ptr);
+}
+
 std::string weaver::formatDouble(double Value) {
-  // 17 significant digits round-trip any double; strip trailing zeros for
-  // readable QASM output.
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", Value);
-  return std::string(Buf);
+  std::string Out;
+  appendDouble(Out, Value);
+  return Out;
 }
 
 Expected<long long> weaver::parseBoundedInt(std::string_view Tok,

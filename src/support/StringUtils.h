@@ -31,8 +31,29 @@ std::vector<std::string_view> split(std::string_view S, char Sep,
 /// Returns true if \p S starts with \p Prefix.
 bool startsWith(std::string_view S, std::string_view Prefix);
 
-/// Formats a double compactly (shortest representation that round-trips the
-/// displayed precision), e.g. for QASM angle emission.
+/// Appends \p Value exactly as printf("%.17g") renders it (17 significant
+/// digits round-trip any double), via std::to_chars(general, 17), which
+/// the standard defines as that conversion. Every QASM emitter and
+/// diagnostic formats doubles here. Not the shortest-round-trip overload:
+/// it would print 0.29999999999999999 as 0.3 and change every golden.
+void appendDouble(std::string &Out, double Value);
+
+/// Appends \p Value in decimal.
+void appendInt(std::string &Out, long long Value);
+
+/// Appends each of \p Parts in order: text as is, an int through
+/// appendInt, a double through appendDouble. Wider or unsigned integers
+/// are ambiguous and do not compile, so nothing is narrowed silently.
+inline void appendPart(std::string &Out, std::string_view S) { Out += S; }
+inline void appendPart(std::string &Out, char C) { Out += C; }
+inline void appendPart(std::string &Out, int V) { appendInt(Out, V); }
+inline void appendPart(std::string &Out, double V) { appendDouble(Out, V); }
+template <typename... Ts>
+void appendAll(std::string &Out, const Ts &...Parts) {
+  (appendPart(Out, Parts), ...);
+}
+
+/// Returns appendDouble's rendering of \p Value.
 std::string formatDouble(double Value);
 
 /// printf-style formatting into a std::string.

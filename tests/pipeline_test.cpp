@@ -20,8 +20,10 @@
 #include "core/pipeline/PulseEmissionPass.h"
 #include "core/pipeline/ShuttleSchedulingPass.h"
 #include "core/pipeline/ZonePlanningPass.h"
+#include "qasm/Parser.h"
 #include "qasm/Printer.h"
 #include "sat/Generator.h"
+#include "support/BinaryIO.h"
 
 #include <gtest/gtest.h>
 
@@ -118,6 +120,22 @@ TEST(GoldenParity, MixedWidthsTwoLayersMeasured) {
   auto R = compileWith(Mixed, Opt);
   ASSERT_TRUE(R.ok()) << R.message();
   EXPECT_EQ(qasm::printWqasm(R->Program), readGolden("golden_mixed.wqasm"));
+}
+
+TEST(GoldenParity, PaperScaleUf250ByteIdentity) {
+  // The goldens are 12-variable programs; this pins the printer at the
+  // paper's largest size. Length and FNV-1a hash were recorded with the
+  // snprintf-based printer the append-only one replaced. A 4.3 MB text
+  // file would be churn, so only its fingerprint is committed.
+  auto R = compileWith(sat::satlibInstance(250, 1), WeaverOptions());
+  ASSERT_TRUE(R.ok()) << R.message();
+  std::string Text = qasm::printWqasm(R->Program);
+  EXPECT_EQ(Text.size(), 4281836u);
+  EXPECT_EQ(fnv1a64(Text.data(), Text.size()), 0x3a549667b996504fULL);
+  // print -> parse -> print is a fixed point at this size too.
+  auto Back = qasm::parseWqasm(Text);
+  ASSERT_TRUE(Back.ok()) << Back.message();
+  EXPECT_TRUE(qasm::printWqasm(*Back) == Text);
 }
 
 // --- PassManager --------------------------------------------------------

@@ -611,3 +611,34 @@ TEST(CompileService, ShutdownWithArmedWatchdogIsClean) {
     EXPECT_EQ(waitOrDie(H).State, JobState::Completed);
   EXPECT_EQ(Service.stats().WatchdogTimeouts, 0u);
 }
+
+TEST(CompileService, WatchdogQueueGrowsWhileTheLoopWaits) {
+  // Every compile arms a deadline that stays queued until it passes, even
+  // after the job completes. Sequential fast jobs under a long budget arm
+  // each new deadline while the watchdog thread sleeps on the earliest,
+  // so the queue's storage grows under that wait (a use-after-free under
+  // ASan when the wait held a reference into the queue). A short budget
+  // armed last must still fire first: the queue hands out the earliest
+  // deadline, not the oldest entry.
+  FaultGuard Guard;
+  ServiceOptions Opt;
+  Opt.NumThreads = 1;
+  Opt.WatchdogSeconds = 60.0;
+  CompileService Service(Opt);
+  for (int I = 1; I <= 40; ++I)
+    ASSERT_EQ(waitOrDie(Service.submit(weaverJob(20, I))).State,
+              JobState::Completed);
+
+  ASSERT_FALSE(fault::configureGlobal(
+      "seed=1;service.job.hang:count=1,delay_ms=30000"));
+  CompileRequest Hung = weaverJob(20, 41);
+  Hung.WatchdogSeconds = 0.15;
+  JobOutcome Out = waitOrDie(Service.submit(Hung));
+  EXPECT_EQ(Out.State, JobState::Failed);
+  EXPECT_TRUE(Out.WatchdogTimedOut);
+
+  Service.shutdown();
+  CompileService::ServiceStats S = Service.stats();
+  EXPECT_EQ(S.WatchdogTimeouts, 1u);
+  EXPECT_EQ(S.Completed, 40u);
+}

@@ -13,6 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -88,6 +92,60 @@ TEST(StringUtils, FormatDoubleRoundTrips) {
   double Values[] = {0.0, 1.5, -3.14159265358979, 1e-18, 2.5e17};
   for (double V : Values)
     EXPECT_EQ(std::stod(formatDouble(V)), V) << formatDouble(V);
+}
+
+namespace {
+/// The formatting contract every emitter relies on (and every golden was
+/// written with): printf's %.17g.
+std::string printfG17(double V) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+  return Buf;
+}
+} // namespace
+
+TEST(StringUtils, AppendDoubleMatchesPrintfG17OnEdgeValues) {
+  std::vector<double> Values = {0.0,  5e-324, DBL_MIN, DBL_MAX, 1e-4,
+                                1e-5, 1e16,   1e17,    0.1,     1.0 / 3,
+                                7.5,  0.3,    -29.100000000003547};
+  for (size_t I = 0, E = Values.size(); I < E; ++I)
+    Values.push_back(-Values[I]);
+  // pi / 2^k: the angle family QAOA templates patch by exact scaling.
+  for (int K = 0; K <= 12; ++K)
+    Values.push_back(std::ldexp(M_PI, -K));
+  for (double V : Values) {
+    std::string Out = "@";
+    appendDouble(Out, V);
+    EXPECT_EQ(Out, "@" + printfG17(V)) << "appendDouble must append";
+    EXPECT_EQ(formatDouble(V), printfG17(V));
+  }
+}
+
+TEST(StringUtils, AppendDoubleMatchesPrintfG17OnRandomDoubles) {
+  // Uniform bit patterns cover every exponent; uniform values in a
+  // micrometer-scale range cover the fixed-notation branch that lattice
+  // coordinates and angles take.
+  Xoshiro256 Rng(20251017);
+  for (int I = 0; I < 100000; ++I) {
+    uint64_t Bits = Rng.next();
+    double V;
+    std::memcpy(&V, &Bits, sizeof(V));
+    if (!std::isfinite(V))
+      continue;
+    std::string Out;
+    appendDouble(Out, V);
+    ASSERT_EQ(Out, printfG17(V)) << "bit pattern " << Bits;
+  }
+  for (int I = 0; I < 100000; ++I) {
+    double V = (Rng.nextDouble() - 0.5) * 2000.0;
+    ASSERT_EQ(formatDouble(V), printfG17(V));
+  }
+}
+
+TEST(StringUtils, AppendAllRendersEachPartByType) {
+  std::string Out = ">";
+  appendAll(Out, " q[", 3, "] ", 0.5, ' ', -7, std::string(" end"));
+  EXPECT_EQ(Out, "> q[3] 0.5 -7 end");
 }
 
 TEST(StringUtils, Formatf) {
