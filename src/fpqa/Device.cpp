@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 
 using namespace weaver;
@@ -23,6 +24,20 @@ namespace {
 uint64_t packCell(int64_t CellX, int64_t CellY) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(CellX)) << 32) |
          static_cast<uint64_t>(static_cast<uint32_t>(CellY));
+}
+
+/// Cell index of coordinate \p V, clamped to the 32 bits packCell keeps:
+/// a hostile coordinate such as -1e300 (or a NaN) must not reach an
+/// integer conversion it overflows. Clamping is monotone, so two atoms a
+/// cell apart stay in neighbouring cells; it can only add candidates to a
+/// neighbourhood, never hide one.
+int64_t cellIndex(double V, double CellSize) {
+  double Cell = std::floor(V / CellSize);
+  if (!(Cell > INT32_MIN))
+    return INT32_MIN;
+  if (Cell > INT32_MAX)
+    return INT32_MAX;
+  return static_cast<int64_t>(Cell);
 }
 
 } // namespace
@@ -314,8 +329,7 @@ void FpqaDevice::eraseAodOccupant(int Col, int Row) {
 }
 
 uint64_t FpqaDevice::cellKey(Vec2 P) const {
-  return packCell(static_cast<int64_t>(std::floor(P.X / GridCellSize)),
-                  static_cast<int64_t>(std::floor(P.Y / GridCellSize)));
+  return packCell(cellIndex(P.X, GridCellSize), cellIndex(P.Y, GridCellSize));
 }
 
 void FpqaDevice::gridInsert(int Qubit, Vec2 P) const {
@@ -460,8 +474,8 @@ Status FpqaDevice::computeClusters() const {
   };
   for (size_t I = 0; I < N; ++I) {
     Vec2 P = qubitPosition(Qubits[I]);
-    int64_t CellX = static_cast<int64_t>(std::floor(P.X / GridCellSize));
-    int64_t CellY = static_cast<int64_t>(std::floor(P.Y / GridCellSize));
+    int64_t CellX = cellIndex(P.X, GridCellSize);
+    int64_t CellY = cellIndex(P.Y, GridCellSize);
     for (int64_t DX = -1; DX <= 1; ++DX)
       for (int64_t DY = -1; DY <= 1; ++DY) {
         auto It = Grid.find(packCell(CellX + DX, CellY + DY));

@@ -96,20 +96,12 @@ oq2::tokenizeOq2(std::string_view Source) {
            std::string(Source.substr(Start, I - Start)), TokLine, TokCol);
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(C)) ||
-        (C == '.' && I + 1 < N &&
-         std::isdigit(static_cast<unsigned char>(Source[I + 1])))) {
-      // Scan the longest number-ish run, then validate it with the
-      // bounds-checked parsers: "1.2.3", "1e+", and overflow shapes are
-      // lexer errors, never prefix-truncated values.
-      size_t Start = I;
-      while (I < N && (std::isdigit(static_cast<unsigned char>(Source[I])) ||
-                       Source[I] == '.' || Source[I] == 'e' ||
-                       Source[I] == 'E' ||
-                       ((Source[I] == '+' || Source[I] == '-') && I > Start &&
-                        (Source[I - 1] == 'e' || Source[I - 1] == 'E'))))
-        Advance();
-      std::string Text(Source.substr(Start, I - Start));
+    if (size_t Len = scanNumeral(Source.substr(I))) {
+      // Validate the whole numeral run with the bounds-checked parsers:
+      // "1.2.3", "1e+", and overflow shapes are lexer errors, never
+      // prefix-truncated values.
+      std::string Text(Source.substr(I, Len));
+      Advance(Len);
       if (Text.size() > MaxTokenBytes)
         return Result::error(
             posMsg(TokLine, TokCol, "numeric literal too long"));

@@ -8,118 +8,101 @@
 
 #include "support/StringUtils.h"
 
-#include <cctype>
-
 using namespace weaver;
 using namespace weaver::qasm;
 
-std::vector<Token> qasm::tokenize(std::string_view Source,
-                                  std::string &ErrorOut) {
-  std::vector<Token> Tokens;
-  ErrorOut.clear();
-  int Line = 1;
-  size_t I = 0, N = Source.size();
+namespace {
 
-  auto Push = [&](TokenKind Kind, std::string Text, double Value = 0) {
-    Token T;
-    T.Kind = Kind;
-    T.Text = std::move(Text);
-    T.NumberValue = Value;
-    T.Line = Line;
-    Tokens.push_back(std::move(T));
-  };
+// ASCII classes, spelled out: the <cctype> ones consult the locale.
+bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+bool isIdentChar(char C) { return isIdentStart(C) || (C >= '0' && C <= '9'); }
+bool isBlank(char C) {
+  return C == ' ' || C == '\t' || C == '\r' || C == '\v' || C == '\f';
+}
+bool isPunct(char C) {
+  return std::string_view(";,()[]{}+-*/=<>").find(C) != std::string_view::npos;
+}
 
-  while (I < N) {
-    char C = Source[I];
-    if (C == '\n') {
+} // namespace
+
+Token Lexer::make(TokenKind Kind, size_t Start, double Value) const {
+  Token T;
+  T.Kind = Kind;
+  T.Text = Source.substr(Start, Pos - Start);
+  T.NumberValue = Value;
+  T.Line = Line;
+  return T;
+}
+
+Token Lexer::fail(const std::string &Message) {
+  Error = "line " + std::to_string(Line) + ": " + Message;
+  Pos = Source.size();
+  return make(TokenKind::Error, Pos);
+}
+
+Token Lexer::next() {
+  size_t N = Source.size();
+  while (Pos < N) {
+    if (isBlank(Source[Pos])) {
+      ++Pos;
+    } else if (Source[Pos] == '\n') {
       ++Line;
-      ++I;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(C))) {
-      ++I;
-      continue;
-    }
-    if (C == '/' && I + 1 < N && Source[I + 1] == '/') {
-      while (I < N && Source[I] != '\n')
-        ++I;
-      continue;
-    }
-    if (C == '/' && I + 1 < N && Source[I + 1] == '*') {
-      I += 2;
-      while (I + 1 < N && !(Source[I] == '*' && Source[I + 1] == '/')) {
-        if (Source[I] == '\n')
+      ++Pos;
+    } else if (Source[Pos] == '/' && Pos + 1 < N && Source[Pos + 1] == '/') {
+      while (Pos < N && Source[Pos] != '\n')
+        ++Pos;
+    } else if (Source[Pos] == '/' && Pos + 1 < N && Source[Pos + 1] == '*') {
+      Pos += 2;
+      while (Pos + 1 < N && !(Source[Pos] == '*' && Source[Pos + 1] == '/')) {
+        if (Source[Pos] == '\n')
           ++Line;
-        ++I;
+        ++Pos;
       }
-      I = I + 2 <= N ? I + 2 : N;
-      continue;
+      Pos = Pos + 2 <= N ? Pos + 2 : N;
+    } else {
+      break;
     }
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      size_t Start = I;
-      while (I < N && (std::isalnum(static_cast<unsigned char>(Source[I])) ||
-                       Source[I] == '_'))
-        ++I;
-      Push(TokenKind::Identifier, std::string(Source.substr(Start, I - Start)));
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(C)) ||
-        (C == '.' && I + 1 < N &&
-         std::isdigit(static_cast<unsigned char>(Source[I + 1])))) {
-      size_t Start = I;
-      while (I < N && (std::isdigit(static_cast<unsigned char>(Source[I])) ||
-                       Source[I] == '.' || Source[I] == 'e' ||
-                       Source[I] == 'E' ||
-                       ((Source[I] == '+' || Source[I] == '-') && I > Start &&
-                        (Source[I - 1] == 'e' || Source[I - 1] == 'E'))))
-        ++I;
-      std::string Text(Source.substr(Start, I - Start));
-      // Bounds-checked, locale-independent parse: the scan above accepts
-      // shapes like "1.2.3" or "1e+" that strtod would silently truncate
-      // to a prefix; they must be lexer errors, as must ERANGE overflow.
-      Expected<double> Value = parseFiniteDouble(Text);
-      if (!Value) {
-        ErrorOut = "line " + std::to_string(Line) +
-                   ": invalid numeric literal '" + Text + "'";
-        return Tokens;
-      }
-      Push(TokenKind::Number, Text, *Value);
-      continue;
-    }
-    if (C == '"') {
-      size_t Start = ++I;
-      while (I < N && Source[I] != '"')
-        ++I;
-      if (I == N) {
-        ErrorOut = "line " + std::to_string(Line) + ": unterminated string";
-        return Tokens;
-      }
-      Push(TokenKind::String, std::string(Source.substr(Start, I - Start)));
-      ++I;
-      continue;
-    }
-    if (C == '@') {
-      size_t Start = ++I;
-      while (I < N && (std::isalnum(static_cast<unsigned char>(Source[I])) ||
-                       Source[I] == '_'))
-        ++I;
-      if (I == Start) {
-        ErrorOut = "line " + std::to_string(Line) + ": '@' without keyword";
-        return Tokens;
-      }
-      Push(TokenKind::Annotation, std::string(Source.substr(Start, I - Start)));
-      continue;
-    }
-    if (std::string_view(";,()[]{}+-*/=<>").find(C) !=
-        std::string_view::npos) {
-      Push(TokenKind::Punct, std::string(1, C));
-      ++I;
-      continue;
-    }
-    ErrorOut = "line " + std::to_string(Line) + ": unexpected character '" +
-               std::string(1, C) + "'";
-    return Tokens;
   }
-  Push(TokenKind::EndOfFile, "");
-  return Tokens;
+  if (Pos == N)
+    return make(Error.empty() ? TokenKind::EndOfFile : TokenKind::Error, Pos);
+
+  size_t Start = Pos;
+  char C = Source[Pos];
+  if (isIdentStart(C)) {
+    while (Pos < N && isIdentChar(Source[Pos]))
+      ++Pos;
+    return make(TokenKind::Identifier, Start);
+  }
+  if (isPunct(C)) {
+    ++Pos;
+    return make(TokenKind::Punct, Start);
+  }
+  if (size_t Len = scanNumeral(Source.substr(Pos))) {
+    Pos += Len;
+    Expected<double> Value = parseFiniteDouble(Source.substr(Start, Len));
+    if (!Value)
+      return fail("invalid numeric literal '" +
+                  std::string(Source.substr(Start, Len)) + "'");
+    return make(TokenKind::Number, Start, *Value);
+  }
+  if (C == '"') {
+    size_t End = Source.find('"', Start + 1);
+    if (End == std::string_view::npos)
+      return fail("unterminated string");
+    Pos = End + 1;
+    Token T = make(TokenKind::String, Start + 1);
+    T.Text.remove_suffix(1);
+    return T;
+  }
+  if (C == '@') {
+    ++Pos;
+    while (Pos < N && isIdentChar(Source[Pos]))
+      ++Pos;
+    if (Pos == Start + 1)
+      return fail("'@' without keyword");
+    return make(TokenKind::Annotation, Start + 1);
+  }
+  return fail("unexpected character '" + std::string(1, C) + "'");
 }

@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hand-rolled tokenizer for the OpenQASM subset (plus wQASM '@'
-/// annotations) that the paper's pipeline consumes and emits.
+/// Hand-rolled pull lexer for the OpenQASM subset (plus wQASM '@'
+/// annotations) that the paper's pipeline consumes and emits. The parser
+/// asks for one token at a time; token text is a view into the source, so
+/// lexing allocates nothing and no token vector is built.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +17,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace weaver {
 namespace qasm {
@@ -26,30 +27,52 @@ enum class TokenKind {
   Number,     ///< integer or floating literal
   String,     ///< double-quoted string (include paths)
   Annotation, ///< '@' followed by a keyword, e.g. @shuttle
-  Punct,      ///< one of ; , ( ) [ ] { } + - * / =
+  Punct,      ///< one of ; , ( ) [ ] { } + - * / = < >
   EndOfFile,
+  Error,      ///< unscannable input; Lexer::error() has the diagnostic
 };
 
-/// One token with its source line (1-based) for diagnostics.
+/// One token with its source line (1-based) for diagnostics. Text views
+/// the source the lexer was given and lives as long as it does.
 struct Token {
   TokenKind Kind = TokenKind::EndOfFile;
-  std::string Text;
-  double NumberValue = 0;
   int Line = 0;
+  std::string_view Text;
+  double NumberValue = 0;
 
   bool is(TokenKind K) const { return Kind == K; }
   bool isPunct(char C) const {
-    return Kind == TokenKind::Punct && Text.size() == 1 && Text[0] == C;
+    return Kind == TokenKind::Punct && Text[0] == C;
   }
   bool isIdent(std::string_view S) const {
     return Kind == TokenKind::Identifier && Text == S;
   }
 };
 
-/// Tokenizes \p Source. Unknown characters are reported via \p ErrorOut
-/// (first error wins) and lexing stops. '//' and 'c'-style '#' line
-/// comments are skipped.
-std::vector<Token> tokenize(std::string_view Source, std::string &ErrorOut);
+/// Scans \p Source one token per next() call. '//' and '/* */' comments
+/// are skipped. Numerals are validated as they are scanned: a malformed
+/// or overflowing one is an error, never a prefix-truncated value. The
+/// first error ends the stream: next() returns an Error token from then
+/// on, and error() holds the diagnostic.
+class Lexer {
+public:
+  explicit Lexer(std::string_view Source) : Source(Source) {}
+
+  /// Returns the next token; EndOfFile once the source is exhausted.
+  Token next();
+
+  /// The diagnostic ("line N: ...") of the first error, or empty.
+  const std::string &error() const { return Error; }
+
+private:
+  Token make(TokenKind Kind, size_t Start, double Value = 0) const;
+  Token fail(const std::string &Message);
+
+  std::string_view Source;
+  size_t Pos = 0;
+  int Line = 1;
+  std::string Error;
+};
 
 } // namespace qasm
 } // namespace weaver

@@ -7,7 +7,10 @@
 #include "qasm/Parser.h"
 
 #include "qasm/Lexer.h"
+#include "support/StringUtils.h"
 
+#include <array>
+#include <limits>
 #include <map>
 
 using namespace weaver;
@@ -19,29 +22,54 @@ namespace {
 
 constexpr double Pi = 3.14159265358979323846;
 
-/// Recursive-descent parser over the token stream. All parse* methods
-/// return false after recording an error in ErrorMessage.
+/// Recursive-descent parser pulling one token of lookahead from the
+/// lexer. All parse* methods return false after recording an error in
+/// ErrorMessage.
 class Parser {
 public:
-  explicit Parser(std::vector<Token> Tokens) : Tokens(std::move(Tokens)) {}
+  explicit Parser(std::string_view Source) : Lex(Source), Tok(Lex.next()) {}
 
   Expected<WqasmProgram> run();
 
 private:
-  const Token &peek() const { return Tokens[Pos]; }
-  const Token &advance() { return Tokens[Pos++]; }
+  /// Registers: name -> (flat offset, size). Quantum and classical live in
+  /// separate maps, both searchable by a token's view.
+  using RegisterMap = std::map<std::string, std::pair<int, int>, std::less<>>;
 
+  const Token &peek() const { return Tok; }
+  Token advance() {
+    Token T = Tok;
+    Tok = Lex.next();
+    return T;
+  }
+
+  /// Records an error found in what was already consumed, at the
+  /// lookahead's line.
   bool fail(const std::string &Message) {
     if (ErrorMessage.empty())
-      ErrorMessage =
-          "line " + std::to_string(peek().Line) + ": " + Message;
+      ErrorMessage = "line " + std::to_string(peek().Line) + ": " + Message;
     return false;
+  }
+
+  /// Records an error about the lookahead token itself. A token the lexer
+  /// could not scan is reported with the lexer's own diagnostic: it is
+  /// the first error in source order.
+  bool failHere(const std::string &Message) {
+    if (!peek().is(TokenKind::Error))
+      return fail(Message);
+    if (ErrorMessage.empty())
+      ErrorMessage = Lex.error();
+    return false;
+  }
+
+  /// "found '<lookahead text>'", for failHere diagnostics.
+  std::string found() const {
+    return "found '" + std::string(peek().Text) + "'";
   }
 
   bool expectPunct(char C) {
     if (!peek().isPunct(C))
-      return fail(std::string("expected '") + C + "', found '" + peek().Text +
-                  "'");
+      return failHere(std::string("expected '") + C + "', " + found());
     advance();
     return true;
   }
@@ -50,29 +78,34 @@ private:
   bool parseVersion();
   bool parseInclude();
   bool parseRegisterDecl(bool Quantum, bool Qasm3Style);
-  bool parseGateCall(const std::string &Name);
+  bool parseGateCall(std::string_view Name);
   bool parseMeasure();
   bool parseBarrier();
   bool parseAnnotation();
+  void addStatement(const Gate &G);
 
   bool parseInt(int &Out);
   bool parseSignedNumber(double &Out);
   bool parseIntList(std::vector<int> &Out);
   bool parseNumberList(std::vector<double> &Out);
-  bool parseQubitRef(int &FlatIndex);
+  bool parseRegisterRef(const RegisterMap &Regs, const char *Unit,
+                        const char *Kind, int &FlatIndex);
+  bool parseQubitRef(int &FlatIndex) {
+    return parseRegisterRef(QuantumRegs, "qubit", "quantum", FlatIndex);
+  }
   bool parseQubitRefOrIndex(int &FlatIndex);
-  bool parseBitRef(int &FlatIndex);
-  bool parseParamExpr(double &Out);
-  bool parseParamTerm(double &Out);
-  bool parseParamFactor(double &Out);
+  bool parseBitRef(int &FlatIndex) {
+    return parseRegisterRef(ClassicalRegs, "bit", "classical", FlatIndex);
+  }
+  bool parseParamExpr(double &Out, int Depth);
+  bool parseParamTerm(double &Out, int Depth);
+  bool parseParamFactor(double &Out, int Depth);
 
-  /// Registers: name -> (flat offset, size). Quantum and classical live in
-  /// separate maps.
-  std::map<std::string, std::pair<int, int>> QuantumRegs;
-  std::map<std::string, std::pair<int, int>> ClassicalRegs;
+  RegisterMap QuantumRegs;
+  RegisterMap ClassicalRegs;
 
-  std::vector<Token> Tokens;
-  size_t Pos = 0;
+  Lexer Lex;
+  Token Tok; ///< the lookahead
   WqasmProgram Program;
   std::vector<Annotation> PendingAnnotations;
   std::string ErrorMessage;
@@ -91,7 +124,7 @@ bool Parser::parseStatement() {
   if (T.is(TokenKind::Annotation))
     return parseAnnotation();
   if (!T.is(TokenKind::Identifier))
-    return fail("expected statement, found '" + T.Text + "'");
+    return failHere("expected statement, " + found());
   if (T.Text == "OPENQASM" || T.Text == "OpenQASM")
     return parseVersion();
   if (T.Text == "include")
@@ -108,29 +141,28 @@ bool Parser::parseStatement() {
     return parseMeasure();
   if (T.Text == "barrier")
     return parseBarrier();
-  std::string Name = advance().Text;
-  return parseGateCall(Name);
+  return parseGateCall(advance().Text);
 }
 
 bool Parser::parseVersion() {
   advance(); // OPENQASM
   if (!peek().is(TokenKind::Number))
-    return fail("expected version number after OPENQASM");
-  Program.Version = advance().Text;
+    return failHere("expected version number after OPENQASM");
+  Program.Version = std::string(advance().Text);
   return expectPunct(';');
 }
 
 bool Parser::parseInclude() {
   advance(); // include
   if (!peek().is(TokenKind::String))
-    return fail("expected string after include");
+    return failHere("expected string after include");
   advance();
   return expectPunct(';');
 }
 
 bool Parser::parseRegisterDecl(bool Quantum, bool Qasm3Style) {
   advance(); // keyword
-  std::string Name;
+  std::string_view Name;
   int Size = 1;
   if (Qasm3Style) {
     // qubit[5] q;
@@ -142,12 +174,12 @@ bool Parser::parseRegisterDecl(bool Quantum, bool Qasm3Style) {
         return false;
     }
     if (!peek().is(TokenKind::Identifier))
-      return fail("expected register name");
+      return failHere("expected register name");
     Name = advance().Text;
   } else {
     // qreg q[5];
     if (!peek().is(TokenKind::Identifier))
-      return fail("expected register name");
+      return failHere("expected register name");
     Name = advance().Text;
     if (peek().isPunct('[')) {
       advance();
@@ -161,27 +193,39 @@ bool Parser::parseRegisterDecl(bool Quantum, bool Qasm3Style) {
     return fail("register size must be positive");
   auto &Map = Quantum ? QuantumRegs : ClassicalRegs;
   int &Total = Quantum ? Program.NumQubits : Program.NumBits;
+  int Limit = Quantum ? MaxProgramQubits : MaxProgramBits;
+  if (Size > Limit - Total)
+    return fail("program declares more than " + std::to_string(Limit) +
+                (Quantum ? " qubits" : " classical bits"));
   if (!Map.emplace(Name, std::make_pair(Total, Size)).second)
-    return fail("redeclaration of register '" + Name + "'");
+    return fail("redeclaration of register '" + std::string(Name) + "'");
   Total += Size;
   return expectPunct(';');
 }
 
+// A non-negative integer literal that fits an int; "0.5", "1e3" and
+// "3000000000" are errors, not values cast from a double.
 bool Parser::parseInt(int &Out) {
-  if (!peek().is(TokenKind::Number))
-    return fail("expected integer, found '" + peek().Text + "'");
-  Out = static_cast<int>(advance().NumberValue);
-  return true;
+  if (peek().is(TokenKind::Number)) {
+    Expected<long long> V =
+        parseBoundedInt(peek().Text, 0, std::numeric_limits<int>::max());
+    if (V) {
+      Out = static_cast<int>(*V);
+      advance();
+      return true;
+    }
+  }
+  return failHere("expected integer, " + found());
 }
 
 bool Parser::parseSignedNumber(double &Out) {
   double Sign = 1;
   while (peek().isPunct('-') || peek().isPunct('+')) {
-    if (advance().Text == "-")
+    if (advance().isPunct('-'))
       Sign = -Sign;
   }
   if (!peek().is(TokenKind::Number))
-    return fail("expected number, found '" + peek().Text + "'");
+    return failHere("expected number, " + found());
   Out = Sign * advance().NumberValue;
   return true;
 }
@@ -218,13 +262,17 @@ bool Parser::parseNumberList(std::vector<double> &Out) {
   return true;
 }
 
-bool Parser::parseQubitRef(int &FlatIndex) {
+// name or name[index] against one register map; Unit ("qubit", "bit")
+// and Kind ("quantum", "classical") word the diagnostics.
+bool Parser::parseRegisterRef(const RegisterMap &Regs, const char *Unit,
+                              const char *Kind, int &FlatIndex) {
   if (!peek().is(TokenKind::Identifier))
-    return fail("expected qubit reference");
-  std::string Name = advance().Text;
-  auto It = QuantumRegs.find(Name);
-  if (It == QuantumRegs.end())
-    return fail("unknown quantum register '" + Name + "'");
+    return failHere(std::string("expected ") + Unit + " reference");
+  std::string_view Name = advance().Text;
+  auto It = Regs.find(Name);
+  if (It == Regs.end())
+    return fail(std::string("unknown ") + Kind + " register '" +
+                std::string(Name) + "'");
   int Offset = It->second.first, Size = It->second.second;
   if (peek().isPunct('[')) {
     advance();
@@ -233,51 +281,29 @@ bool Parser::parseQubitRef(int &FlatIndex) {
       return false;
     if (!expectPunct(']'))
       return false;
-    if (Index < 0 || Index >= Size)
-      return fail("qubit index out of range for register '" + Name + "'");
+    if (Index >= Size)
+      return fail(std::string(Unit) + " index out of range for register '" +
+                  std::string(Name) + "'");
     FlatIndex = Offset + Index;
     return true;
   }
   if (Size != 1)
-    return fail("unindexed reference to multi-qubit register '" + Name + "'");
-  FlatIndex = Offset;
-  return true;
-}
-
-bool Parser::parseBitRef(int &FlatIndex) {
-  if (!peek().is(TokenKind::Identifier))
-    return fail("expected bit reference");
-  std::string Name = advance().Text;
-  auto It = ClassicalRegs.find(Name);
-  if (It == ClassicalRegs.end())
-    return fail("unknown classical register '" + Name + "'");
-  int Offset = It->second.first, Size = It->second.second;
-  if (peek().isPunct('[')) {
-    advance();
-    int Index;
-    if (!parseInt(Index))
-      return false;
-    if (!expectPunct(']'))
-      return false;
-    if (Index < 0 || Index >= Size)
-      return fail("bit index out of range for register '" + Name + "'");
-    FlatIndex = Offset + Index;
-    return true;
-  }
-  if (Size != 1)
-    return fail("unindexed reference to multi-bit register '" + Name + "'");
+    return fail(std::string("unindexed reference to multi-") + Unit +
+                " register '" + std::string(Name) + "'");
   FlatIndex = Offset;
   return true;
 }
 
 // expr := term (('+'|'-') term)*
-bool Parser::parseParamExpr(double &Out) {
-  if (!parseParamTerm(Out))
+// Depth counts the enclosing '(' and unary signs, capped at
+// MaxParamExprDepth so hostile nesting cannot exhaust the stack.
+bool Parser::parseParamExpr(double &Out, int Depth) {
+  if (!parseParamTerm(Out, Depth))
     return false;
   while (peek().isPunct('+') || peek().isPunct('-')) {
-    bool Add = advance().Text == "+";
+    bool Add = advance().isPunct('+');
     double Rhs;
-    if (!parseParamTerm(Rhs))
+    if (!parseParamTerm(Rhs, Depth))
       return false;
     Out = Add ? Out + Rhs : Out - Rhs;
   }
@@ -285,13 +311,13 @@ bool Parser::parseParamExpr(double &Out) {
 }
 
 // term := factor (('*'|'/') factor)*
-bool Parser::parseParamTerm(double &Out) {
-  if (!parseParamFactor(Out))
+bool Parser::parseParamTerm(double &Out, int Depth) {
+  if (!parseParamFactor(Out, Depth))
     return false;
   while (peek().isPunct('*') || peek().isPunct('/')) {
-    bool Mul = advance().Text == "*";
+    bool Mul = advance().isPunct('*');
     double Rhs;
-    if (!parseParamFactor(Rhs))
+    if (!parseParamFactor(Rhs, Depth))
       return false;
     if (!Mul && Rhs == 0)
       return fail("division by zero in parameter expression");
@@ -301,10 +327,14 @@ bool Parser::parseParamTerm(double &Out) {
 }
 
 // factor := ('-'|'+') factor | number | 'pi' | '(' expr ')'
-bool Parser::parseParamFactor(double &Out) {
-  if (peek().isPunct('-') || peek().isPunct('+')) {
-    bool Negate = advance().Text == "-";
-    if (!parseParamFactor(Out))
+bool Parser::parseParamFactor(double &Out, int Depth) {
+  bool Sign = peek().isPunct('-') || peek().isPunct('+');
+  if ((Sign || peek().isPunct('(')) && Depth == MaxParamExprDepth)
+    return fail("parameter expression nested deeper than " +
+                std::to_string(MaxParamExprDepth));
+  if (Sign) {
+    bool Negate = advance().isPunct('-');
+    if (!parseParamFactor(Out, Depth + 1))
       return false;
     if (Negate)
       Out = -Out;
@@ -321,27 +351,32 @@ bool Parser::parseParamFactor(double &Out) {
   }
   if (peek().isPunct('(')) {
     advance();
-    if (!parseParamExpr(Out))
+    if (!parseParamExpr(Out, Depth + 1))
       return false;
     return expectPunct(')');
   }
-  return fail("expected parameter expression, found '" + peek().Text + "'");
+  return failHere("expected parameter expression, " + found());
 }
 
-bool Parser::parseGateCall(const std::string &Name) {
+bool Parser::parseGateCall(std::string_view Name) {
   GateKind Kind;
   if (!circuit::parseGateName(Name, Kind))
-    return fail("unknown gate '" + Name + "'");
+    return fail("unknown gate '" + std::string(Name) + "'");
 
-  std::vector<double> Params;
+  // Operands go straight into the gate's fixed storage; the counts run on
+  // past three so the arity diagnostics can report them.
+  std::array<double, 3> Params{};
+  size_t NumParams = 0;
   if (peek().isPunct('(')) {
     advance();
     if (!peek().isPunct(')')) {
       for (;;) {
         double Value;
-        if (!parseParamExpr(Value))
+        if (!parseParamExpr(Value, 0))
           return false;
-        Params.push_back(Value);
+        if (NumParams < Params.size())
+          Params[NumParams] = Value;
+        ++NumParams;
         if (!peek().isPunct(','))
           break;
         advance();
@@ -350,54 +385,42 @@ bool Parser::parseGateCall(const std::string &Name) {
     if (!expectPunct(')'))
       return false;
   }
-  if (Params.size() != circuit::gateNumParams(Kind))
-    return fail("gate '" + Name + "' expects " +
+  if (NumParams != circuit::gateNumParams(Kind))
+    return fail("gate '" + std::string(Name) + "' expects " +
                 std::to_string(circuit::gateNumParams(Kind)) +
-                " parameter(s), got " + std::to_string(Params.size()));
+                " parameter(s), got " + std::to_string(NumParams));
 
-  std::vector<int> Qubits;
+  std::array<int, 3> Qubits{};
+  size_t NumQubits = 0;
   for (;;) {
     int Q;
     if (!parseQubitRef(Q))
       return false;
-    Qubits.push_back(Q);
+    if (NumQubits < Qubits.size())
+      Qubits[NumQubits] = Q;
+    ++NumQubits;
     if (!peek().isPunct(','))
       break;
     advance();
   }
   if (!expectPunct(';'))
     return false;
-  if (Qubits.size() != circuit::gateArity(Kind))
-    return fail("gate '" + Name + "' expects " +
+  if (NumQubits != circuit::gateArity(Kind))
+    return fail("gate '" + std::string(Name) + "' expects " +
                 std::to_string(circuit::gateArity(Kind)) + " qubit(s), got " +
-                std::to_string(Qubits.size()));
-  for (size_t I = 0; I < Qubits.size(); ++I)
-    for (size_t J = I + 1; J < Qubits.size(); ++J)
+                std::to_string(NumQubits));
+  for (size_t I = 0; I < NumQubits; ++I)
+    for (size_t J = I + 1; J < NumQubits; ++J)
       if (Qubits[I] == Qubits[J])
-        return fail("duplicate qubit operand in gate '" + Name + "'");
-
-  GateStatement Stmt;
-  switch (Qubits.size()) {
-  case 1:
-    Stmt.Gate = Params.empty() ? Gate(Kind, {Qubits[0]})
-                : Params.size() == 1
-                    ? Gate(Kind, {Qubits[0]}, {Params[0]})
-                    : Gate(Kind, {Qubits[0]}, {Params[0], Params[1], Params[2]});
-    break;
-  case 2:
-    Stmt.Gate = Params.empty() ? Gate(Kind, {Qubits[0], Qubits[1]})
-                               : Gate(Kind, {Qubits[0], Qubits[1]}, {Params[0]});
-    break;
-  case 3:
-    Stmt.Gate = Gate(Kind, {Qubits[0], Qubits[1], Qubits[2]});
-    break;
-  default:
-    return fail("unsupported operand count");
-  }
-  Stmt.Annotations = std::move(PendingAnnotations);
-  PendingAnnotations.clear();
-  Program.Statements.push_back(std::move(Stmt));
+        return fail("duplicate qubit operand in gate '" + std::string(Name) +
+                    "'");
+  addStatement(Gate::fromStorage(Kind, Qubits, Params));
   return true;
+}
+
+void Parser::addStatement(const Gate &G) {
+  Program.Statements.push_back({G, std::move(PendingAnnotations)});
+  PendingAnnotations.clear();
 }
 
 bool Parser::parseMeasure() {
@@ -415,11 +438,7 @@ bool Parser::parseMeasure() {
   }
   if (!expectPunct(';'))
     return false;
-  GateStatement Stmt;
-  Stmt.Gate = Gate(GateKind::Measure, {Qubit});
-  Stmt.Annotations = std::move(PendingAnnotations);
-  PendingAnnotations.clear();
-  Program.Statements.push_back(std::move(Stmt));
+  addStatement(Gate(GateKind::Measure, {Qubit}));
   return true;
 }
 
@@ -434,16 +453,12 @@ bool Parser::parseBarrier() {
       advance();
   }
   advance(); // ';'
-  GateStatement Stmt;
-  Stmt.Gate = Gate(GateKind::Barrier, {});
-  Stmt.Annotations = std::move(PendingAnnotations);
-  PendingAnnotations.clear();
-  Program.Statements.push_back(std::move(Stmt));
+  addStatement(Gate(GateKind::Barrier, {}));
   return true;
 }
 
 bool Parser::parseAnnotation() {
-  std::string Keyword = advance().Text;
+  std::string_view Keyword = advance().Text;
   Annotation A;
   if (Keyword == "slm") {
     if (!expectPunct('['))
@@ -489,7 +504,7 @@ bool Parser::parseAnnotation() {
         return false;
       A = Annotation::bindAod(Qubit, Col, Row);
     } else {
-      return fail("expected 'slm' or 'aod' in @bind");
+      return failHere("expected 'slm' or 'aod' in @bind");
     }
   } else if (Keyword == "transfer") {
     int SlmIndex, Col, Row;
@@ -517,8 +532,8 @@ bool Parser::parseAnnotation() {
     else if (peek().isIdent("columns"))
       Row = false, Parallel = true;
     else
-      return fail("expected 'row', 'column', 'rows' or 'columns' in "
-                  "@shuttle");
+      return failHere("expected 'row', 'column', 'rows' or 'columns' in "
+                      "@shuttle");
     advance();
     if (Parallel) {
       // @shuttle rows|columns [i0, i1, ...] [off0, off1, ...]
@@ -544,7 +559,7 @@ bool Parser::parseAnnotation() {
     else if (peek().isIdent("local"))
       Global = false;
     else
-      return fail("expected 'global' or 'local' in @raman");
+      return failHere("expected 'global' or 'local' in @raman");
     advance();
     int Qubit = -1;
     if (!Global && !parseQubitRefOrIndex(Qubit))
@@ -558,28 +573,29 @@ bool Parser::parseAnnotation() {
   } else if (Keyword == "rydberg") {
     A = Annotation::rydberg();
   } else {
-    return fail("unknown annotation '@" + Keyword + "'");
+    return fail("unknown annotation '@" + std::string(Keyword) + "'");
   }
   PendingAnnotations.push_back(std::move(A));
   return true;
 }
 
+// A bare index names a flat qubit and must be one the program declared.
 bool Parser::parseQubitRefOrIndex(int &FlatIndex) {
-  if (peek().is(TokenKind::Number)) {
-    FlatIndex = static_cast<int>(advance().NumberValue);
-    return true;
-  }
-  return parseQubitRef(FlatIndex);
+  if (!peek().is(TokenKind::Number))
+    return parseQubitRef(FlatIndex);
+  if (!parseInt(FlatIndex))
+    return false;
+  if (FlatIndex >= Program.NumQubits)
+    return fail("qubit " + std::to_string(FlatIndex) +
+                " out of range: the program declares " +
+                std::to_string(Program.NumQubits) + " qubit(s)");
+  return true;
 }
 
 } // namespace
 
 Expected<WqasmProgram> qasm::parseWqasm(std::string_view Source) {
-  std::string LexError;
-  std::vector<Token> Tokens = tokenize(Source, LexError);
-  if (!LexError.empty())
-    return Expected<WqasmProgram>::error(LexError);
-  return Parser(std::move(Tokens)).run();
+  return Parser(Source).run();
 }
 
 Expected<circuit::Circuit> qasm::parseQasmCircuit(std::string_view Source) {

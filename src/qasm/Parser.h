@@ -27,8 +27,17 @@
 namespace weaver {
 namespace qasm {
 
+/// Ceilings parseWqasm enforces on untrusted text; the same values as
+/// oq2::Oq2Limits' defaults.
+constexpr int MaxProgramQubits = 4096;   ///< total across quantum registers
+constexpr int MaxProgramBits = 1 << 20;  ///< total across classical registers
+constexpr int MaxParamExprDepth = 64;    ///< nested '(' and unary signs
+
 /// Parses (w)QASM text into a program. Returns a descriptive error with a
-/// line number on malformed input.
+/// line number on malformed input; the first error in source order wins.
+/// Integer operands (sizes, indices) must be integer literals that fit an
+/// int, and every qubit operand, bare or register-indexed, must name a
+/// declared qubit.
 Expected<WqasmProgram> parseWqasm(std::string_view Source);
 
 /// Convenience: parse and immediately lower to a circuit, dropping

@@ -6,7 +6,6 @@
 
 #include "support/StringUtils.h"
 
-#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
@@ -88,23 +87,50 @@ Expected<long long> weaver::parseBoundedInt(std::string_view Tok,
 }
 
 Expected<double> weaver::parseFiniteDouble(std::string_view Tok) {
-  // strtod instead of from_chars<double>: the latter is missing from older
-  // libstdc++. A bounded copy gives strtod its NUL terminator and caps the
-  // work a hostile token can cause.
-  if (Tok.empty() || Tok.size() > 64)
+  // Real numerals are at most 25 bytes; the cap bounds the work a hostile
+  // token can cause and sizes the underflow path's buffer.
+  constexpr size_t MaxBytes = 64;
+  if (Tok.empty() || Tok.size() > MaxBytes)
     return Expected<double>::error("invalid double token");
-  std::string Buf(Tok);
-  if (Buf.find('\0') != std::string::npos)
-    return Expected<double>::error("NUL byte in double token");
-  char *End = nullptr;
-  errno = 0;
-  double V = std::strtod(Buf.c_str(), &End);
-  // ERANGE covers both directions; only overflow (to ±HUGE_VAL, caught by
-  // the finiteness test) is hostile. Underflow lands on a representable
-  // denormal or zero and stays accepted.
-  if (End != Buf.c_str() + Buf.size() || !std::isfinite(V))
-    return Expected<double>::error("invalid double token: '" + Buf + "'");
+  const char *End = Tok.data() + Tok.size();
+  double V = 0;
+  auto R = std::from_chars(Tok.data(), End, V, std::chars_format::general);
+  if (R.ptr != End ||
+      (R.ec != std::errc() && R.ec != std::errc::result_out_of_range))
+    return Expected<double>::error("invalid double token: '" +
+                                   std::string(Tok) + "'");
+  if (R.ec == std::errc::result_out_of_range) {
+    // from_chars reports underflow like overflow and leaves V untouched.
+    // Underflow lands on a representable denormal or zero and stays
+    // accepted, so let strtod round the (already validated) token; an
+    // overflow comes back as +-HUGE_VAL and fails the finiteness test.
+    char Buf[MaxBytes + 1];
+    std::memcpy(Buf, Tok.data(), Tok.size());
+    Buf[Tok.size()] = '\0';
+    V = std::strtod(Buf, nullptr);
+  }
+  // The general format also spells "inf" and "nan".
+  if (!std::isfinite(V))
+    return Expected<double>::error("invalid double token: '" +
+                                   std::string(Tok) + "'");
   return V;
+}
+
+size_t weaver::scanNumeral(std::string_view S) {
+  auto IsDigit = [](char C) { return C >= '0' && C <= '9'; };
+  if (S.empty() ||
+      !(IsDigit(S[0]) || (S[0] == '.' && S.size() > 1 && IsDigit(S[1]))))
+    return 0;
+  size_t I = 1;
+  while (I < S.size()) {
+    char C = S[I];
+    bool ExponentSign =
+        (C == '+' || C == '-') && (S[I - 1] == 'e' || S[I - 1] == 'E');
+    if (!IsDigit(C) && C != '.' && C != 'e' && C != 'E' && !ExponentSign)
+      break;
+    ++I;
+  }
+  return I;
 }
 
 Expected<double> weaver::parseDouble(std::string_view Tok, double Min,

@@ -67,8 +67,21 @@ std::string formatf(const char *Fmt, ...) __attribute__((format(printf, 1, 2)));
 Expected<long long> parseBoundedInt(std::string_view Tok, long long Min,
                                     long long Max);
 
-/// Parses \p Tok as a finite double (no NaN/Inf, no trailing garbage).
+/// Parses \p Tok as a finite double: std::from_chars' general decimal
+/// form (optional '-', digits with an optional '.', optional exponent) of
+/// at most 64 bytes, and nothing else. Rejects NaN/Inf, overflow, trailing
+/// garbage, a leading '+' or whitespace, and hex floats. Underflow is
+/// accepted as the denormal or zero strtod rounds it to; any other value
+/// is bit-identical to strtod's.
 Expected<double> parseFiniteDouble(std::string_view Tok);
+
+/// Returns the length of the numeral-shaped run that starts \p S, or 0
+/// when \p S starts with neither a digit nor '.' and a digit. The run is
+/// the longest stretch of digits, '.', 'e'/'E', and a sign right after an
+/// exponent marker. Lexers take the run whole and validate it with
+/// parseFiniteDouble, so "1.2.3" or "1e+" is an error, never a
+/// prefix-truncated value.
+size_t scanNumeral(std::string_view S);
 
 /// Full-token, range-validated integer parse for untrusted input (argv,
 /// config tokens). Identical contract to parseBoundedInt; the short name

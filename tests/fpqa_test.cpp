@@ -381,6 +381,24 @@ TEST(Device, RydbergPairStraddlingCellBorderInteracts) {
   expectClustersMatchReference(D);
 }
 
+TEST(Device, RydbergClustersSurviveFarOutCoordinates) {
+  // A trap at -1e300 (a hostile wQASM numeral) once reached an overflowing
+  // grid-cell conversion; UBSan reported it. Far-out atoms sit in clamped
+  // cells and, being out of range, join no cluster.
+  HardwareParams P;
+  P.MinSlmSeparation = 2.0;
+  FpqaDevice D(P);
+  ASSERT_FALSE(D.apply(Annotation::slm(
+      {{-1e300, 0}, {1e300, -1e300}, {0, 0}, {2.4, 0}, {1e300, 1e300}})));
+  for (int Q = 0; Q < 5; ++Q)
+    ASSERT_FALSE(D.apply(Annotation::bindSlm(Q, Q)));
+  auto Clusters = D.rydbergClusters();
+  ASSERT_TRUE(Clusters.ok()) << Clusters.message();
+  ASSERT_EQ(Clusters->size(), 1u);
+  EXPECT_EQ((*Clusters)[0].Qubits, (std::vector<int>{2, 3}));
+  expectClustersMatchReference(D);
+}
+
 TEST(Device, RydbergClustersTrackIncrementalMovement) {
   // Exercises the incrementally maintained index: atoms are shuttled and
   // transferred across grid-cell borders, and after every step the grid

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+
 using namespace weaver;
 using namespace weaver::qasm;
 using circuit::Circuit;
@@ -18,38 +21,54 @@ using circuit::GateKind;
 
 // --- Lexer ---------------------------------------------------------------
 
+namespace {
+
+/// Pulls tokens until the end of input or the first error, returning the
+/// last one pulled.
+Token drain(Lexer &L) {
+  Token T = L.next();
+  while (!T.is(TokenKind::EndOfFile) && !T.is(TokenKind::Error))
+    T = L.next();
+  return T;
+}
+
+} // namespace
+
 TEST(Lexer, TokenisesBasicProgram) {
-  std::string Err;
-  auto Tokens = tokenize("h q[0];", Err);
-  ASSERT_TRUE(Err.empty()) << Err;
-  ASSERT_EQ(Tokens.size(), 7u); // h q [ 0 ] ; EOF
+  Lexer L("h q[0];");
+  Token Tokens[7]; // h q [ 0 ] ; EOF
+  for (Token &T : Tokens)
+    T = L.next();
+  ASSERT_TRUE(L.error().empty()) << L.error();
+  for (int I = 0; I < 6; ++I)
+    EXPECT_FALSE(Tokens[I].is(TokenKind::EndOfFile)) << I;
+  ASSERT_TRUE(Tokens[6].is(TokenKind::EndOfFile));
   EXPECT_TRUE(Tokens[0].isIdent("h"));
   EXPECT_TRUE(Tokens[2].isPunct('['));
   EXPECT_EQ(Tokens[3].NumberValue, 0.0);
 }
 
 TEST(Lexer, SkipsComments) {
-  std::string Err;
-  auto Tokens = tokenize("// line\nh q; /* block\nstill */ x q;", Err);
-  ASSERT_TRUE(Err.empty());
-  EXPECT_TRUE(Tokens[0].isIdent("h"));
+  Lexer L("// line\nh q; /* block\nstill */ x q;");
+  EXPECT_TRUE(L.next().isIdent("h"));
+  drain(L);
+  ASSERT_TRUE(L.error().empty());
 }
 
 TEST(Lexer, LexesAnnotations) {
-  std::string Err;
-  auto Tokens = tokenize("@rydberg", Err);
-  ASSERT_TRUE(Err.empty());
-  EXPECT_EQ(Tokens[0].Kind, TokenKind::Annotation);
-  EXPECT_EQ(Tokens[0].Text, "rydberg");
+  Lexer L("@rydberg");
+  Token T = L.next();
+  ASSERT_TRUE(L.error().empty());
+  EXPECT_EQ(T.Kind, TokenKind::Annotation);
+  EXPECT_EQ(T.Text, "rydberg");
 }
 
 TEST(Lexer, LexesFloatsAndExponents) {
-  std::string Err;
-  auto Tokens = tokenize("1.5 2e-3 .25", Err);
-  ASSERT_TRUE(Err.empty());
-  EXPECT_DOUBLE_EQ(Tokens[0].NumberValue, 1.5);
-  EXPECT_DOUBLE_EQ(Tokens[1].NumberValue, 2e-3);
-  EXPECT_DOUBLE_EQ(Tokens[2].NumberValue, 0.25);
+  Lexer L("1.5 2e-3 .25");
+  EXPECT_DOUBLE_EQ(L.next().NumberValue, 1.5);
+  EXPECT_DOUBLE_EQ(L.next().NumberValue, 2e-3);
+  EXPECT_DOUBLE_EQ(L.next().NumberValue, 0.25);
+  ASSERT_TRUE(L.error().empty());
 }
 
 TEST(Lexer, RejectsMalformedNumerals) {
@@ -57,42 +76,45 @@ TEST(Lexer, RejectsMalformedNumerals) {
   // silently truncate to a prefix; they must be lexer errors instead.
   for (const char *Bad : {"1.2.3", "1e", "1e+", "2e--3", "1.5e1e1",
                           "3..14", "9e999999999999999999"}) {
-    std::string Err;
-    tokenize(std::string("rz(") + Bad + ") q;", Err);
-    EXPECT_FALSE(Err.empty()) << "accepted hostile numeral: " << Bad;
-    EXPECT_NE(Err.find("line 1"), std::string::npos) << Err;
+    std::string Source = std::string("rz(") + Bad + ") q;";
+    Lexer L(Source);
+    EXPECT_TRUE(drain(L).is(TokenKind::Error)) << Bad;
+    EXPECT_FALSE(L.error().empty()) << "accepted hostile numeral: " << Bad;
+    EXPECT_NE(L.error().find("line 1"), std::string::npos) << L.error();
   }
 }
 
 TEST(Lexer, RejectsOverflowingNumerals) {
-  std::string Err;
-  tokenize("1e400", Err); // ERANGE: infinity under strtod
-  EXPECT_FALSE(Err.empty());
-  Err.clear();
+  Lexer Overflow("1e400"); // infinity under strtod
+  drain(Overflow);
+  EXPECT_FALSE(Overflow.error().empty());
   // Denormal underflow parses to a finite (tiny or zero) value; that is
   // representable and must stay accepted.
-  auto Tokens = tokenize("1e-400", Err);
-  EXPECT_TRUE(Err.empty()) << Err;
-  ASSERT_FALSE(Tokens.empty());
-  EXPECT_GE(Tokens[0].NumberValue, 0.0);
+  Lexer Underflow("1e-400");
+  Token T = Underflow.next();
+  EXPECT_TRUE(Underflow.error().empty()) << Underflow.error();
+  ASSERT_TRUE(T.is(TokenKind::Number));
+  EXPECT_GE(T.NumberValue, 0.0);
 }
 
 TEST(Lexer, ReportsUnterminatedString) {
-  std::string Err;
-  tokenize("include \"abc", Err);
-  EXPECT_FALSE(Err.empty());
+  Lexer L("include \"abc");
+  drain(L);
+  EXPECT_FALSE(L.error().empty());
 }
 
 TEST(Lexer, ReportsBareAt) {
-  std::string Err;
-  tokenize("@ 1", Err);
-  EXPECT_FALSE(Err.empty());
+  Lexer L("@ 1");
+  drain(L);
+  EXPECT_FALSE(L.error().empty());
 }
 
 TEST(Lexer, TracksLineNumbers) {
-  std::string Err;
-  auto Tokens = tokenize("h q;\nx q;", Err);
-  ASSERT_TRUE(Err.empty());
+  Lexer L("h q;\nx q;");
+  Token Tokens[4];
+  for (Token &T : Tokens)
+    T = L.next();
+  ASSERT_TRUE(L.error().empty());
   EXPECT_EQ(Tokens[0].Line, 1);
   EXPECT_EQ(Tokens[3].Line, 2);
 }
@@ -180,6 +202,99 @@ TEST(Parser, BarrierVariants) {
   auto C = parseQasmCircuit("qubit[2] q;\nbarrier;\nbarrier q[0], q[1];\n");
   ASSERT_TRUE(C.ok()) << C.message();
   EXPECT_EQ(C->count(GateKind::Barrier), 2u);
+}
+
+TEST(Parser, FirstErrorInSourceOrderWins) {
+  // A lexer error further down no longer masks an earlier parse error.
+  auto P = parseWqasm("qubit[1] q;\nfrob q[0];\n$\n");
+  ASSERT_FALSE(P.ok());
+  EXPECT_EQ(P.message(), "line 2: unknown gate 'frob'");
+  auto Dup = parseWqasm("qubit[2] q;\ncz q[0], q[0];$\n");
+  ASSERT_FALSE(Dup.ok());
+  EXPECT_EQ(Dup.message(), "line 2: duplicate qubit operand in gate 'cz'");
+  // The token the parser stops at reports the lexer's own diagnostic.
+  auto Lex = parseWqasm("qubit[1] q;\nrz(1.2.3) q[0];\n");
+  ASSERT_FALSE(Lex.ok());
+  EXPECT_EQ(Lex.message(), "line 2: invalid numeric literal '1.2.3'");
+}
+
+// --- Hostile input -----------------------------------------------------------
+
+TEST(Parser, RejectsNonIntegerOperands) {
+  // Integer operands used to be a double cast to int: 1e300 and 3e10 were
+  // undefined behaviour and 0.5 read as 0. They must be integer literals
+  // that fit an int.
+  for (const char *Bad : {"qubit[1e300] q;\n", "qubit[2.0] q;\n",
+                          "qubit[2] q;\nh q[0.5];\n",
+                          "qubit[2] q;\nh q[2147483648];\n",
+                          "qubit[1] q;\n@bind q[0] slm 3e10\nh q[0];\n",
+                          "qubit[1] q;\n@shuttle row 1e9 2\nh q[0];\n"}) {
+    auto P = parseWqasm(Bad);
+    ASSERT_FALSE(P.ok()) << Bad;
+    EXPECT_NE(P.message().find("expected integer"), std::string::npos)
+        << P.message();
+  }
+  auto P = parseWqasm("qubit[2] q;\n@bind q[1] slm 2147483647\nh q[01];\n");
+  ASSERT_TRUE(P.ok()) << P.message();
+  EXPECT_EQ(P->Statements[0].Annotations[0].SlmIndex, 2147483647);
+  EXPECT_EQ(P->Statements[0].Gate.qubit(0), 1);
+}
+
+TEST(Parser, CapsDeclaredQubitsAndBits) {
+  // Two 2e9-qubit registers used to overflow the int total and still
+  // parse, with NumQubits = -294967296.
+  EXPECT_FALSE(
+      parseWqasm("qubit[2000000000] q;\nqubit[2000000000] r;\n").ok());
+  std::string Qubits = "qubit[" + std::to_string(MaxProgramQubits) + "] q;\n";
+  auto P = parseWqasm(Qubits);
+  ASSERT_TRUE(P.ok()) << P.message();
+  EXPECT_EQ(P->NumQubits, MaxProgramQubits);
+  EXPECT_FALSE(parseWqasm(Qubits + "qreg r[1];\n").ok());
+  EXPECT_FALSE(parseWqasm("qubit[4097] q;\n").ok());
+  std::string Bits = "bit[" + std::to_string(MaxProgramBits) + "] c;\n";
+  ASSERT_TRUE(parseWqasm(Bits).ok());
+  EXPECT_FALSE(parseWqasm(Bits + "creg d[1];\n").ok());
+}
+
+TEST(Parser, CapsParameterExpressionDepth) {
+  // Two million '(' used to recurse until the stack overflowed.
+  auto Deep = parseWqasm("qubit[1] q;\nrz(" + std::string(2000000, '('));
+  ASSERT_FALSE(Deep.ok());
+  EXPECT_NE(Deep.message().find("nested deeper than 64"), std::string::npos)
+      << Deep.message();
+  EXPECT_FALSE(
+      parseWqasm("qubit[1] q;\nrz(" + std::string(2000000, '-') + "1) q[0];\n")
+          .ok());
+  // Exactly MaxParamExprDepth levels, parentheses and signs alike, parse.
+  auto Nest = [](int Parens, const char *Inner) {
+    return "qubit[1] q;\nrz(" + std::string(Parens, '(') + Inner +
+           std::string(Parens, ')') + ") q[0];\n";
+  };
+  auto P = parseWqasm(Nest(MaxParamExprDepth, "2"));
+  ASSERT_TRUE(P.ok()) << P.message();
+  EXPECT_EQ(P->Statements[0].Gate.param(0), 2.0);
+  EXPECT_TRUE(parseWqasm(Nest(MaxParamExprDepth - 1, "-2")).ok());
+  EXPECT_FALSE(parseWqasm(Nest(MaxParamExprDepth + 1, "2")).ok());
+  EXPECT_FALSE(parseWqasm(Nest(MaxParamExprDepth, "-2")).ok());
+}
+
+TEST(Wqasm, RejectsBareQubitIndicesPastTheDeclaredCount) {
+  // A bare 2e9 used to parse, and replaying its @bind then resized the
+  // device's per-qubit vectors to 2e9 entries.
+  for (const char *Bad : {"qubit[1] q;\n@bind 2000000000 slm 0\nh q[0];\n",
+                          "qubit[1] q;\n@bind 1 slm 0\nh q[0];\n",
+                          "qubit[1] q;\n@raman local 1 0 0 0\nh q[0];\n",
+                          "@bind 0 slm 0\nqubit[1] q;\nh q[0];\n"}) {
+    auto P = parseWqasm(Bad);
+    ASSERT_FALSE(P.ok()) << Bad;
+    EXPECT_NE(P.message().find("out of range"), std::string::npos)
+        << P.message();
+  }
+  auto P = parseWqasm("qubit[2] q;\n@bind 1 slm 0\n@raman local 1 0 0 0\n"
+                      "h q[0];\n");
+  ASSERT_TRUE(P.ok()) << P.message();
+  EXPECT_EQ(P->Statements[0].Annotations[0].Qubit, 1);
+  EXPECT_EQ(P->Statements[0].Annotations[1].Qubit, 1);
 }
 
 // --- wQASM annotations -------------------------------------------------------
@@ -273,6 +388,23 @@ TEST(Wqasm, AnnotationStrRoundTrips) {
 }
 
 // --- Printer round trips ------------------------------------------------------
+
+TEST(Printer, GoldenProgramsRoundTripByteIdentically) {
+  int Seen = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(WEAVER_TEST_DATA_DIR)) {
+    if (Entry.path().extension() != ".wqasm")
+      continue;
+    std::ifstream In(Entry.path(), std::ios::binary);
+    std::string Text((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+    auto P = parseWqasm(Text);
+    ASSERT_TRUE(P.ok()) << Entry.path() << ": " << P.message();
+    EXPECT_TRUE(printWqasm(*P) == Text) << Entry.path();
+    ++Seen;
+  }
+  EXPECT_GE(Seen, 10);
+}
 
 TEST(Printer, EmitsParsableOpenQasm) {
   Circuit C(3);

@@ -16,6 +16,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -140,6 +141,108 @@ TEST(StringUtils, AppendDoubleMatchesPrintfG17OnRandomDoubles) {
     double V = (Rng.nextDouble() - 0.5) * 2000.0;
     ASSERT_EQ(formatDouble(V), printfG17(V));
   }
+}
+
+TEST(StringUtils, ParseFiniteDoubleAcceptsOnlyPlainDecimals) {
+  struct Case {
+    const char *Tok;
+    bool Accepted;
+    double Value;
+  };
+  const Case Cases[] = {
+      {"0", true, 0.0},
+      {"007", true, 7.0},
+      {"123456789012345", true, 123456789012345.0},
+      {"12345678901234567", true, 12345678901234567.0},
+      {"-1", true, -1.0},
+      {"1.5", true, 1.5},
+      {".25", true, 0.25},
+      {"1.", true, 1.0},
+      {"2e-3", true, 2e-3},
+      {"6.02E+23", true, 6.02e23},
+      {"72.900000000000006", true, 72.900000000000006},
+      {"-29.100000000003547", true, -29.100000000003547},
+      {"1.7976931348623157e308", true, DBL_MAX},
+      {"4.9406564584124654e-324", true, 5e-324},
+      // Underflow: from_chars reports it as out of range, but it rounds
+      // to a representable zero and stays accepted.
+      {"1e-400", true, 0.0},
+      {"2e-324", true, 0.0},
+      {"-1e-400", true, -0.0},
+      {"1e400", false, 0},
+      {"-1e400", false, 0},
+      {"9e999999999999999999", false, 0},
+      {"inf", false, 0},
+      {"-infinity", false, 0},
+      {"nan", false, 0},
+      {"NaN(1)", false, 0},
+      {"", false, 0},
+      {"-", false, 0},
+      {".", false, 0},
+      {"1e", false, 0},
+      {"1e+", false, 0},
+      {"1.2.3", false, 0},
+      {"3..14", false, 0},
+      {"1.5e1e1", false, 0},
+      {"12abc", false, 0},
+      // strtod accepted a leading '+', leading whitespace and hex
+      // floats; they are rejections now, as they are for parseBoundedInt.
+      {"+1", false, 0},
+      {" 1", false, 0},
+      {"\t2.5", false, 0},
+      {"0x1p3", false, 0},
+      {"1 ", false, 0},
+  };
+  for (const Case &C : Cases) {
+    Expected<double> V = parseFiniteDouble(C.Tok);
+    ASSERT_EQ(V.ok(), C.Accepted) << "'" << C.Tok << "'";
+    if (C.Accepted) {
+      EXPECT_EQ(*V, C.Value) << C.Tok;
+      EXPECT_EQ(std::signbit(*V), std::signbit(C.Value)) << C.Tok;
+    }
+  }
+  EXPECT_FALSE(parseFiniteDouble(std::string_view("1\0", 2)).ok());
+  // 64 bytes is the cap: a longer token is rejected unread.
+  std::string Long = "0." + std::string(62, '1');
+  EXPECT_TRUE(parseFiniteDouble(Long).ok());
+  EXPECT_FALSE(parseFiniteDouble(Long + "1").ok());
+}
+
+TEST(StringUtils, ParseFiniteDoubleMatchesStrtodBitForBit) {
+  // %.17g renderings of uniform bit patterns cover every exponent,
+  // denormals included.
+  Xoshiro256 Rng(20261017);
+  int Checked = 0;
+  for (int I = 0; I < 200000; ++I) {
+    uint64_t Bits = Rng.next();
+    double V;
+    std::memcpy(&V, &Bits, sizeof(V));
+    if (!std::isfinite(V))
+      continue;
+    std::string Text = printfG17(V);
+    Expected<double> Parsed = parseFiniteDouble(Text);
+    ASSERT_TRUE(Parsed.ok()) << Text;
+    double Reference = std::strtod(Text.c_str(), nullptr);
+    ASSERT_EQ(std::memcmp(&*Parsed, &Reference, sizeof(double)), 0) << Text;
+    ++Checked;
+  }
+  EXPECT_GT(Checked, 190000);
+}
+
+TEST(StringUtils, ScanNumeralTakesTheWholeNumberShapedRun) {
+  EXPECT_EQ(scanNumeral("12;"), 2u);
+  EXPECT_EQ(scanNumeral(".5]"), 2u);
+  EXPECT_EQ(scanNumeral("2e-3,"), 4u);
+  EXPECT_EQ(scanNumeral("1E+9 "), 4u);
+  // Malformed shapes are taken whole so the caller rejects them whole.
+  EXPECT_EQ(scanNumeral("1.2.3)"), 5u);
+  EXPECT_EQ(scanNumeral("2e--3"), 3u);
+  EXPECT_EQ(scanNumeral("1-2"), 1u); // a sign only follows an exponent
+  EXPECT_EQ(scanNumeral(""), 0u);
+  EXPECT_EQ(scanNumeral("."), 0u);
+  EXPECT_EQ(scanNumeral(".x"), 0u);
+  EXPECT_EQ(scanNumeral("-1"), 0u);
+  EXPECT_EQ(scanNumeral("e5"), 0u);
 }
 
 TEST(StringUtils, AppendAllRendersEachPartByType) {

@@ -5,23 +5,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic fuzz smoke for the oq2 front end, runnable in CI under
-/// the sanitizers: every corpus file must behave as its directory
-/// promises (good/ parses, bad/ rejects with a diagnostic), and N seeded
-/// random byte-mutations of each good file must never crash the
-/// parse -> lower -> recover pipeline — rejecting is fine, dying is not.
-/// Exit status 0 means the contract held.
+/// Deterministic fuzz smoke for the two text front ends, runnable in CI
+/// under the sanitizers. For OpenQASM 2, every corpus file must behave as
+/// its directory promises (good/ parses, bad/ rejects with a diagnostic),
+/// and N seeded random byte-mutations of each good file must never crash
+/// the parse -> lower -> recover pipeline. For wQASM, every pinned golden
+/// program (tests/data/golden_*.wqasm) must parse and pass the wChecker,
+/// and N byte-flip mutants plus N numeral-substitution mutants of each
+/// must never crash parseWqasm, or the wChecker and the pulse replay on
+/// whatever parses. Rejecting is fine, dying is not. Exit status 0 means
+/// the contract held.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/WChecker.h"
+#include "fpqa/Analysis.h"
 #include "oq2/Frontend.h"
 #include "oq2/QaoaRecover.h"
+#include "qasm/Parser.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -34,7 +43,8 @@ const char *Usage =
     "usage: oq2_fuzz [--corpus DIR] [--mutations N] [--seed S]\n"
     "  --corpus DIR   corpus root with good/ and bad/ (default: the\n"
     "                 checked-in tests/data/oq2)\n"
-    "  --mutations N  random byte-mutations per good file (default 200)\n"
+    "  --mutations N  mutants per good file, and per mutator per wQASM\n"
+    "                 golden (default 200)\n"
     "  --seed S       PRNG seed (default 1)\n";
 
 long long argInt(const std::string &Flag, const char *Text, long long Min,
@@ -58,6 +68,12 @@ std::vector<std::string> listFiles(const std::string &Dir) {
   return Files;
 }
 
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
 /// Runs the whole front end on one input; the return value only says
 /// whether it was accepted — any outcome other than a crash is in
 /// contract for mutated inputs.
@@ -68,6 +84,73 @@ bool pipelineAccepts(const std::string &Source) {
   // Recovery and export must also hold up on whatever parsed.
   (void)oq2::recoverQaoa(*C);
   return true;
+}
+
+/// The wQASM counterpart: parse, then run the wChecker and the pulse
+/// replay on whatever parsed. Returns whether the parser accepted.
+bool wqasmAccepts(const std::string &Source) {
+  Expected<qasm::WqasmProgram> P = qasm::parseWqasm(Source);
+  if (!P)
+    return false;
+  fpqa::HardwareParams Hw;
+  (void)core::checkWqasm(*P, Hw);
+  (void)fpqa::analyzePulseProgram(*P, Hw);
+  return true;
+}
+
+/// 1-4 byte flips: close enough to valid that the mutant reaches deep
+/// into parsing, unlike pure random bytes.
+void flipBytes(std::string &Mutant, std::mt19937_64 &Rng) {
+  int Flips = 1 + static_cast<int>(Rng() % 4);
+  for (int F = 0; F < Flips; ++F)
+    Mutant[Rng() % Mutant.size()] = static_cast<char>(Rng() & 0xff);
+}
+
+/// The values numeral substitution writes: the bounds of int operands and
+/// of the qubit cap, non-integers where indices go, and doubles far
+/// outside any lattice coordinate or angle.
+const char *const HostileNumerals[] = {
+    "0",      "-1",         "0.5",        "4095",        "4096",
+    "65536",  "2147483647", "2147483648", "-2147483649", "1e300",
+    "-1e300", "1e-300",     "1e400",      "99999999999999999999"};
+
+/// Start and length of each numeral in \p Source that is a token of its
+/// own (not the digits of an identifier such as u3).
+std::vector<std::pair<size_t, size_t>> numeralSpans(std::string_view Source) {
+  std::vector<std::pair<size_t, size_t>> Spans;
+  auto IsIdent = [](char C) {
+    return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
+  };
+  for (size_t I = 0; I < Source.size();) {
+    unsigned char C = Source[I];
+    if (std::isalpha(C) || C == '_') {
+      while (I < Source.size() && IsIdent(Source[I]))
+        ++I;
+    } else if (size_t Len = scanNumeral(Source.substr(I))) {
+      Spans.push_back({I, Len});
+      I += Len;
+    } else {
+      ++I;
+    }
+  }
+  return Spans;
+}
+
+/// Replaces 1-3 numerals of \p Mutant with hostile values: the program
+/// keeps its shape, so the values reach the checks behind the parser.
+void substituteNumerals(std::string &Mutant,
+                        const std::vector<std::pair<size_t, size_t>> &Spans,
+                        std::mt19937_64 &Rng) {
+  std::vector<size_t> Picks(1 + Rng() % 3);
+  for (size_t &P : Picks)
+    P = Rng() % Spans.size();
+  // Back to front, so earlier offsets stay valid.
+  std::sort(Picks.rbegin(), Picks.rend());
+  Picks.erase(std::unique(Picks.begin(), Picks.end()), Picks.end());
+  for (size_t P : Picks) {
+    const char *Value = HostileNumerals[Rng() % std::size(HostileNumerals)];
+    Mutant.replace(Spans[P].first, Spans[P].second, Value);
+  }
 }
 
 } // namespace
@@ -108,9 +191,7 @@ int main(int Argc, char **Argv) {
 
   std::mt19937_64 Rng(Seed);
   for (const std::string &Path : listFiles(Corpus + "/good")) {
-    std::ifstream In(Path, std::ios::binary);
-    std::string Source((std::istreambuf_iterator<char>(In)),
-                       std::istreambuf_iterator<char>());
+    std::string Source = readFile(Path);
     if (!pipelineAccepts(Source)) {
       Expected<circuit::Circuit> C = oq2::parseOq2(Source, Path);
       std::fprintf(stderr, "FAIL: good file rejected: %s: %s\n", Path.c_str(),
@@ -122,22 +203,58 @@ int main(int Argc, char **Argv) {
       continue;
     for (long long M = 0; M < Mutations; ++M) {
       std::string Mutant = Source;
-      // 1-4 byte flips: close enough to valid that the mutant reaches
-      // deep into parsing and lowering, unlike pure random bytes.
-      int Flips = 1 + static_cast<int>(Rng() % 4);
-      for (int F = 0; F < Flips; ++F)
-        Mutant[Rng() % Mutant.size()] = static_cast<char>(Rng() & 0xff);
+      flipBytes(Mutant, Rng);
       MutantsAccepted += pipelineAccepts(Mutant) ? 1 : 0;
       ++Mutants;
     }
   }
 
-  std::printf("oq2_fuzz: %zu bad, %zu good, %zu mutants (%zu still valid), "
-              "%d failure(s)\n",
-              BadCount, GoodCount, Mutants, MutantsAccepted, Failures);
+  size_t Goldens = 0, WqasmMutants = 0, WqasmParsed = 0;
+  for (const std::string &Path : listFiles(WEAVER_GOLDEN_DIR)) {
+    std::filesystem::path Name = std::filesystem::path(Path).filename();
+    if (!startsWith(Name.string(), "golden_") || Name.extension() != ".wqasm")
+      continue;
+    std::string Source = readFile(Path);
+    Expected<qasm::WqasmProgram> P = qasm::parseWqasm(Source);
+    if (!P) {
+      std::fprintf(stderr, "FAIL: golden rejected: %s: %s\n", Path.c_str(),
+                   P.message().c_str());
+      ++Failures;
+    } else if (core::CheckReport R =
+                   core::checkWqasm(*P, fpqa::HardwareParams());
+               !R.StructuralOk) {
+      std::fprintf(stderr, "FAIL: golden fails the wChecker: %s: %s\n",
+                   Path.c_str(), R.Diagnostic.c_str());
+      ++Failures;
+    }
+    ++Goldens;
+    std::vector<std::pair<size_t, size_t>> Spans = numeralSpans(Source);
+    if (Spans.empty())
+      continue;
+    for (long long M = 0; M < Mutations; ++M) {
+      std::string Flipped = Source;
+      flipBytes(Flipped, Rng);
+      std::string Substituted = Source;
+      substituteNumerals(Substituted, Spans, Rng);
+      WqasmParsed += wqasmAccepts(Flipped) ? 1 : 0;
+      WqasmParsed += wqasmAccepts(Substituted) ? 1 : 0;
+      WqasmMutants += 2;
+    }
+  }
+
+  std::printf("oq2_fuzz: %zu bad, %zu good, %zu mutants (%zu still valid)\n"
+              "oq2_fuzz: %zu wQASM goldens, %zu mutants (%zu parsed)\n"
+              "oq2_fuzz: %d failure(s)\n",
+              BadCount, GoodCount, Mutants, MutantsAccepted, Goldens,
+              WqasmMutants, WqasmParsed, Failures);
   if (GoodCount == 0 || BadCount == 0) {
     std::fprintf(stderr, "error: corpus at '%s' is missing good/ or bad/\n",
                  Corpus.c_str());
+    return 1;
+  }
+  if (Goldens == 0) {
+    std::fprintf(stderr, "error: no golden_*.wqasm under '%s'\n",
+                 WEAVER_GOLDEN_DIR);
     return 1;
   }
   return Failures == 0 ? 0 : 1;
