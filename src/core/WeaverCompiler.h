@@ -16,7 +16,6 @@
 #define WEAVER_CORE_WEAVERCOMPILER_H
 
 #include "core/ClauseColoring.h"
-#include "core/FpqaCodegen.h"
 #include "core/WChecker.h"
 #include "core/pipeline/CompilationContext.h"
 #include "fpqa/Analysis.h"

@@ -19,9 +19,10 @@
 #define WEAVER_CORE_PIPELINE_COMPILATIONCONTEXT_H
 
 #include "core/ClauseColoring.h"
-#include "core/FpqaCodegen.h"
+#include "core/Layout.h"
 #include "fpqa/Analysis.h"
 #include "fpqa/HardwareParams.h"
+#include "qaoa/Builder.h"
 #include "qasm/Program.h"
 #include "sat/Cnf.h"
 #include "support/CancelToken.h"
@@ -33,6 +34,23 @@
 
 namespace weaver {
 namespace core {
+
+/// Code generation options.
+struct CodegenOptions {
+  Layout Geometry;
+  qaoa::QaoaParams Qaoa;
+  /// Use the Fig. 7 CCZ fragments. When false, clauses lower to CZ-only
+  /// ladders (ablation / unprofitable-CCZ fallback).
+  bool UseCompression = true;
+  /// Keep atoms needed by the next colour in their AOD traps instead of
+  /// returning them to SLM home traps — the core saving of the paper's
+  /// colour shuttling pass (§5.3, Algorithm 2: "transfer_to_aod(a) //
+  /// Used in next color"). Disable for the ablation study.
+  bool ReuseAodAtoms = true;
+  /// Emit trailing measurements.
+  bool Measure = false;
+};
+
 namespace pipeline {
 
 /// Per-clause placement plan within a colour (Fig. 5 site assignment).

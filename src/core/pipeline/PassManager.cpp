@@ -102,11 +102,3 @@ PassManager PassManager::standardFpqaPipeline() {
       .add<PulseEmissionPass>();
   return PM;
 }
-
-PassManager PassManager::codegenPipeline() {
-  PassManager PM;
-  PM.add<ZonePlanningPass>()
-      .add<ShuttleSchedulingPass>()
-      .add<GateLoweringPass>();
-  return PM;
-}

@@ -48,10 +48,6 @@ public:
   /// -> PulseEmission.
   static PassManager standardFpqaPipeline();
 
-  /// Builds the codegen-only tail used by generateFpqaProgram: the caller
-  /// supplies the colouring and no pulse replay is wanted.
-  static PassManager codegenPipeline();
-
 private:
   std::vector<std::unique_ptr<Pass>> Passes;
 };

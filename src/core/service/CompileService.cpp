@@ -42,18 +42,6 @@ const char *core::jobStateName(JobState State) {
   return "unknown";
 }
 
-const char *core::cacheTierName(CacheTier Tier) {
-  switch (Tier) {
-  case CacheTier::None:
-    return "none";
-  case CacheTier::Front:
-    return "front";
-  case CacheTier::Program:
-    return "program";
-  }
-  return "unknown";
-}
-
 namespace {
 
 double secondsSince(std::chrono::steady_clock::time_point Start) {
@@ -732,21 +720,5 @@ Table CompileService::statsTable() const {
   T.addRow({"cache hits front tier", std::to_string(S.FrontTierHits)});
   T.addRow({"cache entries loaded from file",
             std::to_string(S.CacheEntriesLoaded)});
-  return T;
-}
-
-Table CompileService::outcomeTable(const std::vector<JobOutcome> &Outcomes) {
-  Table T({"job", "backend", "state", "queue [ms]", "compile [ms]", "cache",
-           "pulses", "EPS"});
-  for (const JobOutcome &O : Outcomes) {
-    bool Ran = O.State == JobState::Completed && O.Metrics.usable();
-    T.addRow({std::to_string(O.JobId),
-              O.Metrics.Compiler.empty() ? "-" : O.Metrics.Compiler,
-              jobStateName(O.State), formatf("%.2f", O.QueueSeconds * 1e3),
-              formatf("%.2f", O.CompileSeconds * 1e3), cacheTierName(O.Tier),
-              Ran ? std::to_string(O.Metrics.Pulses) : "-",
-              Ran && O.Metrics.EpsMeaningful ? formatf("%.3g", O.Metrics.Eps)
-                                             : "-"});
-  }
   return T;
 }

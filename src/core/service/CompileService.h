@@ -71,9 +71,6 @@ const char *jobStateName(JobState State);
 /// Which PassCache tier served a Weaver job.
 enum class CacheTier { None, Front, Program };
 
-/// Stable lower-case tier name ("none", "front", "program").
-const char *cacheTierName(CacheTier Tier);
-
 /// One compile job: what to compile, on which backend, at what priority.
 struct CompileRequest {
   sat::CnfFormula Formula;
@@ -286,9 +283,6 @@ public:
   ServiceStats stats() const;
   /// Aggregate stats as a support/Table ("metric" / "value" rows).
   Table statsTable() const;
-  /// Per-job rows (queue wait, compile wall, cache tier) for a set of
-  /// resolved outcomes — the per-job half of the service's reporting.
-  static Table outcomeTable(const std::vector<JobOutcome> &Outcomes);
 
   /// The PassCache every Weaver job compiles through; null when caching
   /// was disabled via ServiceOptions.

@@ -6,11 +6,13 @@
 
 #include "net/Connection.h"
 
+#include "support/FaultInjection.h"
+
 using namespace weaver;
 using namespace weaver::net;
 
-Connection::ReadOutcome Connection::readAndParse(FaultInjector &Faults) {
-  if (Faults.enabled() && Faults.shouldDelayRead())
+Connection::ReadOutcome Connection::readAndParse() {
+  if (fault::fire("net.read.delay"))
     return ReadOutcome::NoData;
 
   char Buf[16384];
@@ -24,7 +26,10 @@ Connection::ReadOutcome Connection::readAndParse(FaultInjector &Faults) {
       return Progress ? ReadOutcome::Progress : ReadOutcome::Closed;
     if (R == IoResult::WouldBlock)
       break;
-    size_t Kept = Faults.enabled() ? Faults.clampRead(NumRead) : NumRead;
+    // An injected truncation drops a suffix of the bytes received; framing
+    // on this connection is then corrupt and the server must detect it
+    // (poisoned parser or read-idle timeout).
+    size_t Kept = fault::clampLen("net.read.truncate", NumRead);
     if (Kept > 0) {
       if (!Parser.feed(Buf, Kept))
         return ReadOutcome::Poisoned;
@@ -53,11 +58,12 @@ bool Connection::queueWrite(const std::string &Bytes) {
   return true;
 }
 
-IoResult Connection::flushWrites(FaultInjector &Faults) {
+IoResult Connection::flushWrites() {
   while (writePending()) {
-    size_t Len = WriteBuf.size() - WriteOff;
-    if (Faults.enabled())
-      Len = Faults.clampWrite(Len);
+    // An injected partial write keeps at least one byte, so the slow path
+    // still makes progress.
+    size_t Len =
+        fault::clampLen("net.write.partial", WriteBuf.size() - WriteOff, 1);
     size_t NumWritten = 0;
     IoResult R =
         writeSome(Socket.get(), WriteBuf.data() + WriteOff, Len, NumWritten);
@@ -69,7 +75,7 @@ IoResult Connection::flushWrites(FaultInjector &Faults) {
     LastWriteProgressAt = Clock::now();
     // A fault-clamped short write yields the loop so the injected
     // fragmentation is visible to the peer as separate TCP segments.
-    if (Faults.enabled() && NumWritten == Len)
+    if (fault::enabled() && NumWritten == Len)
       return IoResult::Ok;
   }
   return IoResult::Ok;

@@ -24,7 +24,6 @@
 #ifndef WEAVER_NET_CONNECTION_H
 #define WEAVER_NET_CONNECTION_H
 
-#include "net/FaultInjector.h"
 #include "net/Protocol.h"
 #include "support/Socket.h"
 
@@ -65,7 +64,7 @@ public:
   /// bounded gulp per call; the server's fairness cap decides how many
   /// frames actually get processed). Fault injection may delay or
   /// truncate the read.
-  ReadOutcome readAndParse(FaultInjector &Faults);
+  ReadOutcome readAndParse();
 
   /// Pops the next complete request frame.
   bool nextFrame(Frame &Out) { return Parser.next(Out); }
@@ -85,7 +84,7 @@ public:
   /// Writes as much queued data as the socket accepts. Fault injection
   /// may shorten individual writes. Returns Error on hard failure, Ok
   /// otherwise (WouldBlock folds into Ok; poll's POLLOUT resumes us).
-  IoResult flushWrites(FaultInjector &Faults);
+  IoResult flushWrites();
 
   bool writePending() const { return WriteBuf.size() > WriteOff; }
   size_t writeQueueBytes() const { return WriteBuf.size() - WriteOff; }

@@ -7,7 +7,6 @@
 #include "net/Protocol.h"
 
 #include "support/BinaryIO.h"
-#include "support/StringUtils.h"
 
 #include <cmath>
 #include <cstring>
@@ -176,7 +175,9 @@ static Status finishDecode(const BinaryReader &R, const char *What) {
   return Status::success();
 }
 
-Status net::validateCompileParams(const CompileFrame &F) {
+/// Semantic validation of a decoded compile request: angles finite,
+/// layers/priority/deadline in range, satlib size/index in range.
+static Status validateCompileParams(const CompileFrame &F) {
   bool KnownKind = false;
   for (baselines::BackendKind K : baselines::AllBackendKinds)
     KnownKind |= K == F.Kind;
@@ -370,104 +371,4 @@ bool FrameParser::next(Frame &Out) {
   Out.Payload.assign(Buf.data() + Consumed + 5, Length - 1);
   Consumed += 4 + Length;
   return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Serve-mode command lines
-//===----------------------------------------------------------------------===//
-
-Expected<ServeCommand> net::parseServeCommand(std::string_view Line) {
-  using EC = Expected<ServeCommand>;
-  if (Line.size() > MaxCommandLineBytes)
-    return EC::error("command line exceeds " +
-                     std::to_string(MaxCommandLineBytes) + " bytes");
-  if (Line.find('\0') != std::string_view::npos)
-    return EC::error("NUL byte in command line");
-  auto Fields = split(trim(Line), ' ');
-  if (Fields.empty())
-    return EC::error("empty command line");
-
-  ServeCommand Cmd;
-  std::string_view Verb = Fields[0];
-  if (Verb == "quit" || Verb == "exit") {
-    if (Fields.size() != 1)
-      return EC::error("quit takes no arguments");
-    Cmd.Act = ServeCommand::Action::Quit;
-    return Cmd;
-  }
-  if (Verb == "stats") {
-    if (Fields.size() != 1)
-      return EC::error("stats takes no arguments");
-    Cmd.Act = ServeCommand::Action::Stats;
-    return Cmd;
-  }
-  if (Verb == "cancel") {
-    if (Fields.size() != 2)
-      return EC::error("usage: cancel <jobid>");
-    auto Id = parseBoundedInt(Fields[1], 0, INT64_MAX);
-    if (!Id)
-      return EC::error("invalid job id: " + Id.status().message());
-    Cmd.Act = ServeCommand::Action::Cancel;
-    Cmd.CancelId = static_cast<uint64_t>(*Id);
-    return Cmd;
-  }
-  if (Verb == "file") {
-    if (Fields.size() < 2 || Fields.size() > 3)
-      return EC::error("usage: file <path> [backend]");
-    Cmd.Act = ServeCommand::Action::File;
-    Cmd.Path = std::string(Fields[1]);
-    if (Fields.size() == 3) {
-      auto Kind = baselines::backendKindFromName(std::string(Fields[2]));
-      if (!Kind)
-        return EC::error(Kind.status().message());
-      Cmd.FileKind = *Kind;
-    }
-    return Cmd;
-  }
-  if (Verb == "compile") {
-    // compile <backend> <nvars> <index> [gamma beta [priority [deadline]]]
-    if (Fields.size() < 4 || Fields.size() > 8 || Fields.size() == 5)
-      return EC::error("usage: compile <backend> <nvars> <index> "
-                       "[gamma beta [priority [deadline_ms]]]");
-    auto Kind = baselines::backendKindFromName(std::string(Fields[1]));
-    if (!Kind)
-      return EC::error(Kind.status().message());
-    auto NumVars = parseBoundedInt(Fields[2], 1, MaxRequestVars);
-    if (!NumVars)
-      return EC::error("invalid nvars: " + NumVars.status().message());
-    auto Index = parseBoundedInt(Fields[3], 1, MaxRequestIndex);
-    if (!Index)
-      return EC::error("invalid index: " + Index.status().message());
-    Cmd.Act = ServeCommand::Action::Compile;
-    Cmd.Compile.Kind = *Kind;
-    Cmd.Compile.NumVars = static_cast<int32_t>(*NumVars);
-    Cmd.Compile.Index = static_cast<int32_t>(*Index);
-    if (Fields.size() >= 6) {
-      auto Gamma = parseFiniteDouble(Fields[4]);
-      if (!Gamma)
-        return EC::error("invalid gamma: " + Gamma.status().message());
-      auto Beta = parseFiniteDouble(Fields[5]);
-      if (!Beta)
-        return EC::error("invalid beta: " + Beta.status().message());
-      Cmd.Compile.Gamma = *Gamma;
-      Cmd.Compile.Beta = *Beta;
-    }
-    if (Fields.size() >= 7) {
-      auto Priority =
-          parseBoundedInt(Fields[6], -MaxRequestPriority, MaxRequestPriority);
-      if (!Priority)
-        return EC::error("invalid priority: " + Priority.status().message());
-      Cmd.Compile.Priority = static_cast<int32_t>(*Priority);
-    }
-    if (Fields.size() == 8) {
-      auto Deadline = parseBoundedInt(Fields[7], 0, MaxDeadlineMs);
-      if (!Deadline)
-        return EC::error("invalid deadline: " + Deadline.status().message());
-      Cmd.Compile.DeadlineMs = static_cast<uint32_t>(*Deadline);
-    }
-    if (Status S = validateCompileParams(Cmd.Compile))
-      return EC::error(S.message());
-    return Cmd;
-  }
-  return EC::error("unknown command: '" + std::string(Verb) + "'");
 }

@@ -15,8 +15,7 @@
 /// Payloads are encoded with support/BinaryIO: the bounds-checked
 /// BinaryReader makes truncated or bit-flipped payloads a decode error,
 /// never UB. Decoders also validate semantics (finite angles, known
-/// backend, bounded sizes) with the same helpers the compile_server line
-/// protocol uses, so both entry points reject hostile input identically.
+/// backend, bounded sizes), so hostile input is rejected, never defaulted.
 ///
 /// Error codes a response can carry, and their contract:
 ///  * Ok               — compile finished; wQASM byte-identical to direct
@@ -62,8 +61,6 @@ inline constexpr long long MaxRequestIndex = 1000000;
 inline constexpr long long MaxRequestPriority = 1000000;
 inline constexpr long long MaxDeadlineMs = 3600000; // 1 hour
 inline constexpr long long MaxRequestLayers = 64;
-/// Bound on one serve-mode command line (compile_server --serve).
-inline constexpr size_t MaxCommandLineBytes = 1u << 16; // 64 KiB
 
 /// Frame header size on the wire: u32 length + u8 type.
 inline constexpr size_t FrameHeaderBytes = 5;
@@ -209,38 +206,6 @@ private:
   size_t Consumed = 0; ///< fully parsed prefix of Buf
   bool Poisoned = false;
 };
-
-// --- Serve-mode command line ----------------------------------------------
-
-/// One parsed compile_server --serve command. The line protocol is the
-/// human-typable twin of the frame protocol and shares its validation:
-/// the same bounds, the same rejection of overflowing ints, NUL bytes,
-/// oversized input, and trailing garbage.
-struct ServeCommand {
-  enum class Action { Compile, File, Cancel, Stats, Quit } Act =
-      Action::Stats;
-  CompileFrame Compile;     ///< Action::Compile (Satlib source)
-  std::string Path;         ///< Action::File — DIMACS path (I/O is the
-                            ///< caller's; parse with bounded DimacsLimits)
-  baselines::BackendKind FileKind = baselines::BackendKind::Weaver;
-  uint64_t CancelId = 0;    ///< Action::Cancel
-};
-
-/// Parses one serve-mode line:
-///   compile <backend> <nvars> <index> [gamma beta [priority [deadline_ms]]]
-///   file <path> [backend]
-///   cancel <jobid>
-///   stats
-///   quit
-/// Hostile input — unknown commands, missing fields, overflowing or
-/// garbage numerics, NUL bytes, lines beyond MaxCommandLineBytes — is an
-/// error, never a silently defaulted request.
-Expected<ServeCommand> parseServeCommand(std::string_view Line);
-
-/// Shared semantic validation of a compile request's parameters (angles
-/// finite, layers/priority/deadline in range, satlib size/index in
-/// range). Both decodeCompile and parseServeCommand funnel through this.
-Status validateCompileParams(const CompileFrame &F);
 
 } // namespace net
 } // namespace weaver

@@ -8,6 +8,7 @@
 
 #include "sat/Dimacs.h"
 #include "sat/Generator.h"
+#include "support/FaultInjection.h"
 
 #include <algorithm>
 #include <poll.h>
@@ -16,7 +17,7 @@ using namespace weaver;
 using namespace weaver::net;
 
 Server::Server(ServerOptions Options)
-    : Options(Options), Faults(Options.Faults), Service(Options.Service) {}
+    : Options(Options), Service(Options.Service) {}
 
 Server::~Server() = default;
 
@@ -291,7 +292,7 @@ void Server::acceptPending() {
     auto Accepted = tcpAccept(ListenFd.get());
     if (!Accepted || !Accepted->valid())
       return;
-    if (Faults.enabled() && Faults.shouldKill()) {
+    if (fault::fire("net.kill")) {
       // Injected accept-time kill: the client sees an immediate close.
       std::lock_guard<std::mutex> Lock(StatsMutex);
       ++Stats.InjectedKills;
@@ -409,13 +410,13 @@ Status Server::run() {
         continue;
       }
       if (Revents & POLLIN) {
-        if (Faults.enabled() && Faults.shouldKill()) {
+        if (fault::fire("net.kill")) {
           C.Dead = true;
           std::lock_guard<std::mutex> Lock(StatsMutex);
           ++Stats.InjectedKills;
           continue;
         }
-        Connection::ReadOutcome RO = C.Conn.readAndParse(Faults);
+        Connection::ReadOutcome RO = C.Conn.readAndParse();
         if (RO == Connection::ReadOutcome::Closed) {
           C.Dead = true;
           continue;
@@ -461,7 +462,7 @@ Status Server::run() {
         continue;
       }
       if (!C.Dead && C.Conn.writePending()) {
-        if (C.Conn.flushWrites(Faults) == IoResult::Error) {
+        if (C.Conn.flushWrites() == IoResult::Error) {
           C.Dead = true;
           continue;
         }

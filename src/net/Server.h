@@ -34,9 +34,10 @@
 ///    drain budget so stragglers cancel as DEADLINE_EXCEEDED, flushes
 ///    every pending result, and only then shuts the service down — which
 ///    persists the PassCache snapshot when one is configured.
-///  * Fault injection: a seeded net::FaultInjector can kill accepts,
-///    truncate reads, and fragment writes, exercising every recovery
-///    path above deterministically.
+///  * Fault injection: the process-global fault engine
+///    (support/FaultInjection) can kill connections, delay or truncate
+///    reads, and fragment writes at the four net.* sites, exercising
+///    every recovery path above deterministically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +46,6 @@
 
 #include "core/service/CompileService.h"
 #include "net/Connection.h"
-#include "net/FaultInjector.h"
 #include "net/Protocol.h"
 #include "support/Socket.h"
 
@@ -87,7 +87,6 @@ struct ServerOptions {
   /// After the budget, connections get this much longer to flush results
   /// before being closed forcibly.
   double DrainFlushSlackSeconds = 5;
-  FaultConfig Faults;
   core::ServiceOptions Service;
   /// Optional signal-handler flag: the poll loop treats a non-zero value
   /// exactly like requestStop(). Point it at a sig_atomic_t your SIGTERM
@@ -109,7 +108,7 @@ struct TransportStats {
   uint64_t PoisonedStreams = 0;  ///< framing lost (bad length prefix)
   uint64_t SlowClientDrops = 0;  ///< write-queue overflow / write stall
   uint64_t IdleDrops = 0;        ///< read-idle / half-frame timeouts
-  uint64_t InjectedKills = 0;    ///< fault injector closed the connection
+  uint64_t InjectedKills = 0;    ///< net.kill fault closed the connection
   uint64_t OrphanedResults = 0;  ///< job resolved after its client left
   uint64_t GoingAwaySent = 0;
 };
@@ -137,7 +136,6 @@ public:
 
   uint16_t port() const { return BoundPort; }
   TransportStats transportStats() const;
-  const FaultStats &faultStats() const { return Faults.stats(); }
   core::CompileService &service() { return Service; }
 
 private:
@@ -176,7 +174,6 @@ private:
   FdHandle ListenFd;
   uint16_t BoundPort = 0;
   std::unique_ptr<WakePipe> Wake;
-  FaultInjector Faults;
 
   std::vector<std::unique_ptr<Client>> Clients;
   uint64_t NextConnId = 1;

@@ -9,8 +9,8 @@
 /// shared substrate behind every injectable failure in the stack: disk
 /// I/O (support/BinaryIO), snapshot persistence (PassCachePersist),
 /// compile jobs (CompileService crash/hang simulation), the pass
-/// pipeline (between-pass hangs), the socket transport (net::
-/// FaultInjector), and the sharded sweep workers (tools/shard_sweep).
+/// pipeline (between-pass hangs), the socket transport (net::Server and
+/// net::Connection), and the sharded sweep workers (tools/shard_sweep).
 ///
 /// Model: code declares *named fault sites* by calling `fault::fire("x")`
 /// (or decide/clampLen) at the point where a real failure could occur.
@@ -108,8 +108,8 @@ struct SiteCount {
 };
 
 /// A seeded fault engine. The process-global instance (below) serves the
-/// WEAVER_FAULTS surface; components that need an independently seeded
-/// stream (net::FaultInjector) own a private Engine.
+/// WEAVER_FAULTS and --faults surface; tests that need an independently
+/// seeded stream own a private Engine.
 class Engine {
 public:
   Engine() = default;

@@ -62,8 +62,7 @@ std::string formatf(const char *Fmt, ...) __attribute__((format(printf, 1, 2)));
 /// Parses \p Tok as a decimal integer and validates [\p Min, \p Max].
 /// Rejects empty tokens, trailing garbage, and overflow — a hostile
 /// "99999999999999999999" is an error, never a silently clamped or
-/// wrapped value. Shared by the net frame codec and the compile_server
-/// line parser so both reject hostile numerics identically.
+/// wrapped value.
 Expected<long long> parseBoundedInt(std::string_view Tok, long long Min,
                                     long long Max);
 

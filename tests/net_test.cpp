@@ -7,13 +7,13 @@
 /// The transport contract: every frame codec round-trips and rejects
 /// hostile payloads (truncated, trailing bytes, out-of-range fields);
 /// FrameParser reassembles byte-dribbled streams and poisons on corrupt
-/// length prefixes; the serve-mode line parser shares the frame
-/// validation; and an in-process net::Server enforces deadlines,
+/// length prefixes; and an in-process net::Server enforces deadlines,
 /// admission shedding, per-connection caps, slow-client disconnects,
 /// cancellation, graceful drain, and byte-identity of served wQASM vs a
 /// direct compile — including under seeded fault injection. The SIGTERM
 /// subprocess drain (exactly-once resolution plus a loadable cache
-/// snapshot) runs against the real weaver_serve binary.
+/// snapshot), the WEAVER_FAULTS start-up contract, and argv validation
+/// run against the real weaver_serve binary.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,7 @@
 #include "net/Server.h"
 #include "sat/Dimacs.h"
 #include "sat/Generator.h"
+#include "support/FaultInjection.h"
 
 #include "TestPaths.h"
 
@@ -32,6 +33,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -325,92 +327,6 @@ TEST(NetFrameParser, PartialFrameStaysPending) {
   ASSERT_TRUE(P.feed(Bytes.data() + Bytes.size() - 1, 1));
   EXPECT_TRUE(P.next(F));
   EXPECT_EQ(P.pendingBytes(), 0u);
-}
-
-// --- Serve-mode line parser ----------------------------------------------
-
-TEST(NetServeCommand, ParsesValidLines) {
-  auto C = parseServeCommand("compile weaver 20 3");
-  ASSERT_TRUE(C.ok()) << C.message();
-  EXPECT_EQ(C->Act, ServeCommand::Action::Compile);
-  EXPECT_EQ(C->Compile.NumVars, 20);
-  EXPECT_EQ(C->Compile.Index, 3);
-
-  C = parseServeCommand("compile atomique 50 2 0.9 0.1 5 2500");
-  ASSERT_TRUE(C.ok()) << C.message();
-  EXPECT_EQ(C->Compile.Kind, baselines::BackendKind::Atomique);
-  EXPECT_EQ(C->Compile.Gamma, 0.9);
-  EXPECT_EQ(C->Compile.Priority, 5);
-  EXPECT_EQ(C->Compile.DeadlineMs, 2500u);
-
-  C = parseServeCommand("cancel 42");
-  ASSERT_TRUE(C.ok()) << C.message();
-  EXPECT_EQ(C->Act, ServeCommand::Action::Cancel);
-  EXPECT_EQ(C->CancelId, 42u);
-
-  EXPECT_EQ(parseServeCommand("stats")->Act, ServeCommand::Action::Stats);
-  EXPECT_EQ(parseServeCommand("quit")->Act, ServeCommand::Action::Quit);
-  EXPECT_EQ(parseServeCommand("  exit  ")->Act, ServeCommand::Action::Quit);
-}
-
-TEST(NetServeCommand, RejectsHostileLines) {
-  // Unknown command / wrong arity.
-  EXPECT_FALSE(parseServeCommand("explode").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver 20 3 0.7").ok());
-  // Unknown backend.
-  EXPECT_FALSE(parseServeCommand("compile quantum 20 3").ok());
-  // Overflowing / garbage / out-of-range numerics.
-  EXPECT_FALSE(
-      parseServeCommand("compile weaver 99999999999999999999 1").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver twenty 1").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver 20 1 nan 0.3").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver 20 1 inf 0.3").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver 0 1").ok());
-  EXPECT_FALSE(parseServeCommand("cancel -1").ok());
-  EXPECT_FALSE(parseServeCommand("cancel 1x").ok());
-  // Embedded NUL.
-  EXPECT_FALSE(parseServeCommand(std::string_view("stats\0", 6)).ok());
-  // A line past the cap, even if otherwise well-formed.
-  std::string Long = "compile weaver 20 1 ";
-  Long.append(MaxCommandLineBytes, ' ');
-  EXPECT_FALSE(parseServeCommand(Long).ok());
-  // Empty is not a command.
-  EXPECT_FALSE(parseServeCommand("").ok());
-}
-
-// --- Fault config ---------------------------------------------------------
-
-TEST(NetFaultConfig, ParsesAndValidates) {
-  auto C = parseFaultConfig("seed=7,kill=0.02,partial=0.3,delay=0.2,"
-                            "truncate=0.01");
-  ASSERT_TRUE(C.ok()) << C.message();
-  EXPECT_EQ(C->Seed, 7u);
-  EXPECT_DOUBLE_EQ(C->KillProb, 0.02);
-  EXPECT_DOUBLE_EQ(C->TruncateProb, 0.01);
-  EXPECT_TRUE(C->enabled());
-
-  EXPECT_FALSE(parseFaultConfig("kill=1.5").ok());   // probability > 1
-  EXPECT_FALSE(parseFaultConfig("kill=-0.1").ok());  // negative
-  EXPECT_FALSE(parseFaultConfig("kill=abc").ok());   // garbage
-  EXPECT_FALSE(parseFaultConfig("boom=0.5").ok());   // unknown key
-  EXPECT_FALSE(parseFaultConfig("kill").ok());       // missing value
-}
-
-TEST(NetFaultInjector, SameSeedSameDecisions) {
-  FaultConfig Config;
-  Config.Seed = 1234;
-  Config.KillProb = 0.1;
-  Config.PartialWriteProb = 0.5;
-  Config.DelayReadProb = 0.3;
-  Config.TruncateProb = 0.2;
-  FaultInjector A(Config), B(Config);
-  for (int I = 0; I < 1000; ++I) {
-    EXPECT_EQ(A.shouldKill(), B.shouldKill());
-    EXPECT_EQ(A.shouldDelayRead(), B.shouldDelayRead());
-    EXPECT_EQ(A.clampWrite(4096), B.clampWrite(4096));
-    EXPECT_EQ(A.clampRead(4096), B.clampRead(4096));
-  }
 }
 
 // --- In-process server: happy path and byte identity ----------------------
@@ -768,15 +684,22 @@ TEST(NetServer, DrainDeliversInFlightResultsThenGoingAway) {
 
 // --- In-process server: fault injection -----------------------------------
 
+namespace {
+/// Guarantees the process-global fault engine is disabled on scope exit,
+/// whatever the test body did (the engine outlives the test otherwise).
+struct FaultGuard {
+  ~FaultGuard() { fault::resetGlobal(); }
+};
+} // namespace
+
 TEST(NetServer, SurvivesFaultInjectionWithByteIdentity) {
-  ServerOptions Opt;
-  Opt.Faults.Seed = 42;
-  Opt.Faults.PartialWriteProb = 0.5;
-  Opt.Faults.DelayReadProb = 0.3;
+  FaultGuard Guard;
   // No kills/truncation here: every request must survive, and the test
   // asserts all of them — kill recovery is load_gen's and the smoke
   // script's job.
-  TestServer S(Opt);
+  ASSERT_FALSE(fault::configureGlobal(
+      "seed=42;net.write.partial:p=0.5;net.read.delay:p=0.3"));
+  TestServer S;
   Client C = makeClient(S);
   ASSERT_FALSE(C.connect());
 
@@ -788,8 +711,11 @@ TEST(NetServer, SurvivesFaultInjectionWithByteIdentity) {
     EXPECT_EQ(R->Wqasm, Reference)
         << "request " << Id << " corrupted under write fragmentation";
   }
-  EXPECT_GT((*S).faultStats().PartialWrites, 0u)
-      << "fault injector never fired; test is vacuous";
+  uint64_t PartialWrites = 0;
+  for (const fault::SiteCount &Count : fault::globalEngine().counters())
+    if (Count.Site == "net.write.partial")
+      PartialWrites = Count.Fired;
+  EXPECT_GT(PartialWrites, 0u) << "fault never fired; test is vacuous";
 }
 
 // --- Subprocess: SIGTERM drain of the real daemon -------------------------
@@ -797,14 +723,29 @@ TEST(NetServer, SurvivesFaultInjectionWithByteIdentity) {
 #ifdef WEAVER_SERVE_BIN
 namespace {
 
-/// Spawns weaver_serve with stdout redirected to \p LogPath; returns the
-/// child pid or -1.
+/// Spawns weaver_serve with stdout redirected to \p LogPath and stderr to
+/// LogPath + ".err"; the child's WEAVER_FAULTS is \p Faults (unset when
+/// empty). Returns the child pid or -1.
 pid_t spawnServe(const std::vector<std::string> &Args,
-                 const std::string &LogPath) {
+                 const std::string &LogPath, const std::string &Faults = "") {
   // The scratch dir persists across runs; a stale log from a previous
   // run would let waitForPort() race the child's O_TRUNC and hand back
   // the dead port of the last daemon.
   ::unlink(LogPath.c_str());
+  std::string ErrPath = LogPath + ".err";
+  std::vector<char *> Argv;
+  Argv.push_back(const_cast<char *>(WEAVER_SERVE_BIN));
+  for (const std::string &A : Args)
+    Argv.push_back(const_cast<char *>(A.c_str()));
+  Argv.push_back(nullptr);
+  std::string FaultsVar = "WEAVER_FAULTS=" + Faults;
+  std::vector<char *> Envp;
+  for (char **E = environ; *E; ++E)
+    if (std::string_view(*E).rfind("WEAVER_FAULTS=", 0) != 0)
+      Envp.push_back(*E);
+  if (!Faults.empty())
+    Envp.push_back(FaultsVar.data());
+  Envp.push_back(nullptr);
   pid_t Pid = fork();
   if (Pid != 0)
     return Pid;
@@ -814,12 +755,12 @@ pid_t spawnServe(const std::vector<std::string> &Args,
     ::dup2(LogFd, STDOUT_FILENO);
     ::close(LogFd);
   }
-  std::vector<char *> Argv;
-  Argv.push_back(const_cast<char *>(WEAVER_SERVE_BIN));
-  for (const std::string &A : Args)
-    Argv.push_back(const_cast<char *>(A.c_str()));
-  Argv.push_back(nullptr);
-  ::execv(WEAVER_SERVE_BIN, Argv.data());
+  int ErrFd = ::open(ErrPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (ErrFd >= 0) {
+    ::dup2(ErrFd, STDERR_FILENO);
+    ::close(ErrFd);
+  }
+  ::execve(WEAVER_SERVE_BIN, Argv.data(), Envp.data());
   _exit(127);
 }
 
@@ -849,6 +790,23 @@ uint16_t waitForPort(const std::string &LogPath) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   return 0;
+}
+
+/// Waits up to \p Seconds for \p Pid to exit and reaps it. Returns its
+/// wait status, or -1 while it is still running.
+int waitExit(pid_t Pid, double Seconds) {
+  for (int I = 0; I < Seconds * 10; ++I) {
+    int WaitStatus = 0;
+    if (::waitpid(Pid, &WaitStatus, WNOHANG) == Pid)
+      return WaitStatus;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  return -1;
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  return std::string(std::istreambuf_iterator<char>(In), {});
 }
 
 } // namespace
@@ -928,37 +886,72 @@ TEST(NetServeProcess, SigtermDrainResolvesEveryRequestOnceAndFlushesCache) {
   EXPECT_FALSE(Loaded) << Loaded.message();
   EXPECT_GT(Cache.size(), 0u);
 }
-#endif // WEAVER_SERVE_BIN
 
-#ifdef WEAVER_COMPILE_SERVER_BIN
-TEST(NetServeProcess, ServeModeLineProtocolRejectsHostileInputAndExitsClean) {
-  std::string Dir = testTempDir();
-  std::string Script = Dir + "/lines.txt";
-  {
-    std::ofstream Out(Script);
-    Out << "compile weaver 20 1\n"
-        << "explode\n"
-        << "compile weaver 99999999999999999999 1\n"
-        << "compile weaver 20 1 nan 0.3\n"
-        << "compile quantum 20 1\n"
-        << "stats\n"
-        << "quit\n";
+TEST(NetServeProcess, WeaverFaultsSpecIsServedByteIdentically) {
+  // The environment spec uses the one fault grammar every other site
+  // reads; the transport sites fire and the daemon still serves every
+  // request byte-identically, then drains clean.
+  std::string LogFile = testTempDir() + "/serve.log";
+  pid_t Pid =
+      spawnServe({"--port", "0", "--threads", "2"}, LogFile,
+                 "seed=7;net.write.partial:p=0.5;net.read.delay:p=0.3");
+  ASSERT_GT(Pid, 0);
+  ServeGuard Guard{Pid};
+  uint16_t Port = waitForPort(LogFile);
+  ASSERT_NE(Port, 0) << "daemon never listened: " << readFile(LogFile + ".err");
+
+  ClientOptions Opt;
+  Opt.Port = Port;
+  Client C(Opt);
+  ASSERT_FALSE(C.connect());
+  for (uint64_t Id = 1; Id <= 8; ++Id) {
+    auto R = C.compileSync(satlibRequest(Id, 20, static_cast<int>(Id)));
+    ASSERT_TRUE(R.ok()) << R.message();
+    ASSERT_EQ(R->Code, ResponseCode::Ok) << R->Diagnostic;
+    EXPECT_EQ(R->Wqasm, directWqasm(20, static_cast<int>(Id)))
+        << "request " << Id << " corrupted under transport faults";
   }
-  std::string Cmd = std::string(WEAVER_COMPILE_SERVER_BIN) +
-                    " --serve < " + Script + " 2>&1";
-  FILE *Pipe = popen(Cmd.c_str(), "r");
-  ASSERT_NE(Pipe, nullptr);
-  std::string Output;
-  char Buf[4096];
-  size_t NumRead;
-  while ((NumRead = fread(Buf, 1, sizeof(Buf), Pipe)) > 0)
-    Output.append(Buf, NumRead);
-  int Rc = pclose(Pipe);
-  EXPECT_TRUE(WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0)
-      << "compile_server exit status " << Rc << "\n" << Output;
-  // One compile completed; each hostile line produced a diagnostic
-  // rather than a crash or a silently defaulted request.
-  EXPECT_NE(Output.find("completed"), std::string::npos) << Output;
-  EXPECT_NE(Output.find("error"), std::string::npos) << Output;
+
+  ASSERT_EQ(::kill(Pid, SIGTERM), 0);
+  int WaitStatus = 0;
+  ASSERT_EQ(::waitpid(Pid, &WaitStatus, 0), Pid);
+  Guard.disarm();
+  EXPECT_TRUE(WIFEXITED(WaitStatus) && WEXITSTATUS(WaitStatus) == 0)
+      << "daemon exit status " << WaitStatus;
+  EXPECT_NE(readFile(LogFile + ".err").find("fault injection enabled"),
+            std::string::npos);
 }
-#endif // WEAVER_COMPILE_SERVER_BIN
+
+TEST(NetServeProcess, MalformedWeaverFaultsIsAStartupError) {
+  std::string LogFile = testTempDir() + "/serve.log";
+  pid_t Pid = spawnServe({"--port", "0"}, LogFile, "seed=7;net.kill:p=2");
+  ASSERT_GT(Pid, 0);
+  ServeGuard Guard{Pid};
+  int WaitStatus = waitExit(Pid, 30);
+  ASSERT_NE(WaitStatus, -1) << "daemon kept running on a malformed spec";
+  Guard.disarm();
+  EXPECT_TRUE(WIFEXITED(WaitStatus) && WEXITSTATUS(WaitStatus) != 0)
+      << "daemon exit status " << WaitStatus;
+  std::string Err = readFile(LogFile + ".err");
+  EXPECT_NE(Err.find("error: WEAVER_FAULTS: fault spec: p:"),
+            std::string::npos)
+      << Err;
+  EXPECT_EQ(readFile(LogFile).find("listening on"), std::string::npos);
+}
+
+TEST(NetServeProcess, FlagWithoutValueIsAUsageError) {
+  // A trailing string flag must not silently take an empty value (no
+  // cache, no faults) and start serving.
+  for (const char *Flag : {"--cache-file", "--faults"}) {
+    std::string LogFile = testTempDir() + "/serve.log";
+    pid_t Pid = spawnServe({"--port", "0", Flag}, LogFile);
+    ASSERT_GT(Pid, 0);
+    ServeGuard Guard{Pid};
+    int WaitStatus = waitExit(Pid, 30);
+    ASSERT_NE(WaitStatus, -1) << "daemon started with a valueless " << Flag;
+    Guard.disarm();
+    EXPECT_TRUE(WIFEXITED(WaitStatus) && WEXITSTATUS(WaitStatus) == 1)
+        << Flag << ": daemon exit status " << WaitStatus;
+  }
+}
+#endif // WEAVER_SERVE_BIN

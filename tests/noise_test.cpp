@@ -78,15 +78,22 @@ TEST(Noise, DistributionNormalised) {
 
 // --- Pulse schedule ----------------------------------------------------------
 
+namespace {
+/// Every annotation of \p Program in execution order, as one flat list.
+std::vector<qasm::Annotation> pulseStream(const qasm::WqasmProgram &Program) {
+  std::vector<qasm::Annotation> Stream;
+  for (const qasm::Annotation &A : qasm::AnnotationView(Program))
+    Stream.push_back(A);
+  return Stream;
+}
+} // namespace
+
 TEST(PulseSchedule, MakespanMatchesAnalysisDuration) {
   sat::CnfFormula F = sat::RandomSatGenerator(31).generate(8, 20);
   core::WeaverOptions Opt;
   auto R = core::compileWeaver(F, Opt);
   ASSERT_TRUE(R.ok()) << R.message();
-  core::CodegenResult CG;
-  CG.Program = R->Program;
-  auto Stream = CG.pulseStream();
-  auto Schedule = fpqa::schedulePulseProgram(Stream, Opt.Hw);
+  auto Schedule = fpqa::schedulePulseProgram(pulseStream(R->Program), Opt.Hw);
   ASSERT_TRUE(Schedule.ok()) << Schedule.message();
   EXPECT_NEAR(Schedule->Makespan, R->Stats.Duration, 1e-12);
 }
@@ -96,9 +103,7 @@ TEST(PulseSchedule, EventsAreContiguousAndOrdered) {
   core::WeaverOptions Opt;
   auto R = core::compileWeaver(F, Opt);
   ASSERT_TRUE(R.ok());
-  core::CodegenResult CG;
-  CG.Program = R->Program;
-  auto Schedule = fpqa::schedulePulseProgram(CG.pulseStream(), Opt.Hw);
+  auto Schedule = fpqa::schedulePulseProgram(pulseStream(R->Program), Opt.Hw);
   ASSERT_TRUE(Schedule.ok()) << Schedule.message();
   double Clock = 0;
   for (const auto &P : Schedule->Pulses) {
@@ -114,9 +119,7 @@ TEST(PulseSchedule, RendersTable) {
   core::WeaverOptions Opt;
   auto R = core::compileWeaver(F, Opt);
   ASSERT_TRUE(R.ok());
-  core::CodegenResult CG;
-  CG.Program = R->Program;
-  auto Schedule = fpqa::schedulePulseProgram(CG.pulseStream(), Opt.Hw);
+  auto Schedule = fpqa::schedulePulseProgram(pulseStream(R->Program), Opt.Hw);
   ASSERT_TRUE(Schedule.ok());
   std::string Text = Schedule->str();
   EXPECT_NE(Text.find("rydberg"), std::string::npos);

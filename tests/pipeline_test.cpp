@@ -94,16 +94,18 @@ TEST_P(GoldenParity, NoReuseOutputIsByteIdentical) {
 }
 
 TEST_P(GoldenParity, DirectCodegenMatchesGolden) {
-  // The generateFpqaProgram entry point (caller-supplied colouring) must
-  // produce the same bytes as the full pipeline and the golden capture.
+  // A caller-supplied colouring (pre-filled colouring section, standard
+  // pipeline) must produce the same bytes as the full pipeline and the
+  // golden capture.
   CnfFormula F = goldenFormula(GetParam());
-  ClauseColoring Coloring = colorClausesDSatur(F);
-  fpqa::HardwareParams Hw;
-  CodegenOptions Options;
-  Options.UseCompression = Hw.cczCompressionProfitable();
-  auto R = generateFpqaProgram(F, Coloring, Hw, Options);
-  ASSERT_TRUE(R.ok()) << R.message();
-  EXPECT_EQ(qasm::printWqasm(R->Program),
+  CompilationContext Ctx;
+  Ctx.Formula = &F;
+  Ctx.Options.UseCompression = Ctx.Hw.cczCompressionProfitable();
+  Ctx.Coloring = colorClausesDSatur(F);
+  Ctx.HasColoring = true;
+  Status S = PassManager::standardFpqaPipeline().run(Ctx);
+  ASSERT_TRUE(S.ok()) << S.message();
+  EXPECT_EQ(qasm::printWqasm(Ctx.Program),
             readGolden("golden_seed" + std::to_string(GetParam()) +
                        ".wqasm"));
 }

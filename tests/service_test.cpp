@@ -460,10 +460,9 @@ TEST(CompileService, StatsAndTablesReflectOutcomes) {
   std::string Aggregate = Service.statsTable().render();
   EXPECT_NE(Aggregate.find("jobs submitted"), std::string::npos);
   EXPECT_NE(Aggregate.find("cache hits program tier"), std::string::npos);
-  std::string PerJob = CompileService::outcomeTable(Outcomes).render();
-  EXPECT_NE(PerJob.find("completed"), std::string::npos);
-  EXPECT_NE(PerJob.find("program"), std::string::npos);
-  EXPECT_NE(PerJob.find("weaver"), std::string::npos);
+  EXPECT_EQ(Outcomes[0].State, JobState::Completed);
+  EXPECT_EQ(Outcomes[1].Tier, CacheTier::Program);
+  EXPECT_EQ(Outcomes[1].Metrics.Compiler, "weaver");
 }
 
 // --- Watchdog and fault injection ----------------------------------------

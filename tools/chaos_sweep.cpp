@@ -375,18 +375,15 @@ int runHang(uint64_t Seed, const std::vector<Point> &W,
 int runNet(uint64_t Seed, const std::vector<Point> &W,
            const std::vector<std::string> &Baseline) {
   Uniform U(Seed);
-  net::ServerOptions SrvOpt;
-  SrvOpt.Faults.Seed = Seed;
-  SrvOpt.Faults.PartialWriteProb = 0.30 + 0.30 * U();
-  SrvOpt.Faults.DelayReadProb = 0.20 + 0.20 * U();
-  SrvOpt.Faults.KillProb = 0.02 * U();
-  SrvOpt.Service.NumThreads = 1;
-  std::printf("schedule: seed=%llu;net.write.partial:p=%.3f;"
-              "net.read.delay:p=%.3f;net.kill:p=%.3f\n",
-              static_cast<unsigned long long>(Seed),
-              SrvOpt.Faults.PartialWriteProb, SrvOpt.Faults.DelayReadProb,
-              SrvOpt.Faults.KillProb);
+  double Partial = 0.30 + 0.30 * U();
+  double Delay = 0.20 + 0.20 * U();
+  double Kill = 0.02 * U();
+  installSpec(Seed, formatf("net.write.partial:p=%.3f;net.read.delay:p=%.3f;"
+                            "net.kill:p=%.3f",
+                            Partial, Delay, Kill));
 
+  net::ServerOptions SrvOpt;
+  SrvOpt.Service.NumThreads = 1;
   net::Server Server(SrvOpt);
   if (Status S = Server.start()) {
     std::fprintf(stderr, "error: server start: %s\n", S.message().c_str());
@@ -432,6 +429,7 @@ int runNet(uint64_t Seed, const std::vector<Point> &W,
 
   Server.requestStop();
   Loop.join();
+  fault::resetGlobal();
   check(!RunStatus, "server drained cleanly");
   std::printf("net: %zu/%zu responses verified byte-identical\n", Verified,
               W.size());
@@ -451,7 +449,10 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto Next = [&]() -> const char * {
-      return I + 1 < Argc ? Argv[++I] : "";
+      if (I + 1 < Argc)
+        return Argv[++I];
+      std::fprintf(stderr, "error: %s needs a value\n%s", Arg.c_str(), Usage);
+      std::exit(1);
     };
     if (Arg == "--seed") {
       Expected<long long> V = parseInt(Next(), 0, (1LL << 62));

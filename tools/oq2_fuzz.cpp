@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -162,7 +163,10 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto Next = [&]() -> const char * {
-      return I + 1 < Argc ? Argv[++I] : "";
+      if (I + 1 < Argc)
+        return Argv[++I];
+      std::fprintf(stderr, "error: %s needs a value\n%s", Arg.c_str(), Usage);
+      std::exit(1);
     };
     if (Arg == "--corpus")
       Corpus = Next();

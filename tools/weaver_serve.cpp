@@ -20,13 +20,17 @@
 ///                  [--max-connections N] [--max-inflight N]
 ///                  [--faults SPEC]
 ///
-/// --faults (or the WEAVER_FAULTS environment variable) enables the
-/// seeded fault injector, e.g. "seed=7,kill=0.02,partial=0.3,delay=0.2".
+/// WEAVER_FAULTS, or --faults SPEC in its place, installs a seeded
+/// fault schedule in support/FaultInjection's grammar; the transport
+/// consults net.kill, net.read.delay, net.read.truncate and
+/// net.write.partial, e.g. "seed=7;net.write.partial:p=0.3;net.kill:p=0.02".
+/// A malformed spec is a startup error.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "net/Server.h"
 
+#include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
 #include <csignal>
@@ -74,6 +78,10 @@ double argDouble(const std::string &Flag, const char *Text, double Min,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  if (Status S = fault::initGlobalFromEnv()) {
+    std::fprintf(stderr, "error: %s\n", S.message().c_str());
+    return 1;
+  }
   net::ServerOptions Options;
   Options.StopFlag = &StopFlag;
   std::string FaultSpec;
@@ -83,7 +91,10 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto Next = [&]() -> const char * {
-      return I + 1 < Argc ? Argv[++I] : "";
+      if (I + 1 < Argc)
+        return Argv[++I];
+      std::fprintf(stderr, "error: %s needs a value\n%s", Arg.c_str(), Usage);
+      std::exit(1);
     };
     if (Arg == "--port")
       // 0 binds an ephemeral port (the subprocess tests rely on it).
@@ -107,25 +118,21 @@ int main(int Argc, char **Argv) {
     else if (Arg == "--max-inflight")
       Options.MaxInFlightPerConnection =
           static_cast<size_t>(argInt(Arg, Next(), 1, 65536));
-    else if (Arg == "--faults")
+    else if (Arg == "--faults") {
       FaultSpec = Next();
-    else {
+      if (Status S = fault::configureGlobal(FaultSpec)) {
+        std::fprintf(stderr, "error: --faults: %s\n%s", S.message().c_str(),
+                     Usage);
+        return 1;
+      }
+    } else {
       std::fprintf(stderr, "%s", Usage);
       return Arg == "--help" ? 0 : 1;
     }
   }
 
-  if (!FaultSpec.empty()) {
-    auto Config = net::parseFaultConfig(FaultSpec);
-    if (!Config) {
-      std::fprintf(stderr, "error: %s\n", Config.message().c_str());
-      return 1;
-    }
-    Options.Faults = *Config;
-    if (Options.Faults.enabled())
-      std::fprintf(stderr, "fault injection enabled: %s\n",
-                   FaultSpec.c_str());
-  }
+  if (fault::enabled())
+    std::fprintf(stderr, "fault injection enabled: %s\n", FaultSpec.c_str());
 
   struct sigaction Sa = {};
   Sa.sa_handler = onSignal;
