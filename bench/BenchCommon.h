@@ -29,6 +29,7 @@
 #include "support/StringUtils.h"
 #include "support/Table.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>

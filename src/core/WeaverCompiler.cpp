@@ -50,8 +50,8 @@ Expected<WeaverResult> core::compileWeaver(const sat::CnfFormula &Formula,
   Result.Coloring = std::move(Ctx.Coloring);
   Result.Program = std::move(Ctx.Program);
   Result.Stats = Ctx.Stats;
-  // The pulse-emission replay derives metrics; like the pre-pipeline
-  // implementation, it does not count as compile time.
+  // Gate lowering's device walk, which also derives the metrics, counts
+  // as compile time; the pulse-emission pass that publishes them does not.
   Result.CompileSeconds = Ctx.elapsedSeconds("pulse-emission");
   Result.PassTimings = std::move(Ctx.Timings);
   Result.FrontHalfFromCache = Ctx.FrontHalfFromCache;

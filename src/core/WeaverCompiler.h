@@ -71,7 +71,7 @@ struct WeaverResult {
   fpqa::PulseStats Stats;       ///< pulses / duration / EPS (§8)
   double CompileSeconds = 0;    ///< wall-clock compile time
   /// Per-pass wall-clock breakdown of the pipeline run (diagnostics; the
-  /// pulse-emission replay is excluded from CompileSeconds).
+  /// pulse-emission pass is excluded from CompileSeconds).
   std::vector<pipeline::PassTiming> PassTimings;
   /// Cache diagnostics: whether the colouring/zone plan, respectively the
   /// whole program template, were restored instead of recomputed.

@@ -58,7 +58,7 @@ struct ClausePlan {
   size_t ClauseIndex = 0;
   int Width = 0;          ///< number of literals (1..3)
   int Site = 0;           ///< site index within the colour
-  double SiteX = 0;       ///< site centre x
+  int32_t SiteX = 0;      ///< site centre x (nm)
   // Sorted participating qubits. Width==3: Left/Target/Right;
   // Width==2: Left/Right; Width==1: Target only (stays home).
   int Left = -1, Target = -1, Right = -1;
@@ -70,7 +70,7 @@ struct ClausePlan {
 struct Slot {
   int Qubit = -1;
   int Column = -1;
-  double RestX = 0; ///< x while the colour's triangles are formed
+  int32_t RestX = 0; ///< x (nm) while the colour's triangles are formed
 };
 
 /// Placement plan of one colour: its clause sites and AOD slots.
@@ -93,8 +93,8 @@ struct BoundarySchedule {
   std::vector<Slot> ToLoad;
   /// Column assigned to each slot of the colour's plan.
   std::vector<int> SlotColumn;
-  /// Final resting x of EVERY column once the boundary completes.
-  std::vector<double> ColumnTargets;
+  /// Final resting x (nm) of EVERY column once the boundary completes.
+  std::vector<int32_t> ColumnTargets;
 };
 
 /// Wall-clock duration of one executed pass.
@@ -167,12 +167,8 @@ struct CompilationContext {
   /// records where every gamma/beta-dependent angle lives in Program.
   bool CollectAngleSlots = false;
   std::vector<AngleSlot> AngleSlots;
-
-  // --- PulseEmissionPass ------------------------------------------------
-  /// Non-owning view of Program's annotations in execution order; valid as
-  /// long as Program is not mutated (the annotations themselves are never
-  /// copied out of the program).
-  std::vector<const qasm::Annotation *> PulseStream;
+  /// The replay of Program on a fresh device, accumulated by the emitter
+  /// as it validates each annotation (PulseEmissionPass publishes it).
   fpqa::PulseStats Stats;
   bool HasStats = false;
 

@@ -6,17 +6,15 @@
 
 #include "core/pipeline/GateLoweringPass.h"
 
-#include "fpqa/Device.h"
+#include "fpqa/Analysis.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace weaver;
 using namespace weaver::core;
 using namespace weaver::core::pipeline;
 using circuit::Gate;
 using circuit::GateKind;
-using fpqa::FpqaDevice;
 using qasm::Annotation;
 using sat::Clause;
 using sat::Literal;
@@ -39,12 +37,14 @@ struct ParamAngle {
 
 /// Executes the planned movement and lowers the clause gates. All
 /// decisions were taken by the planning passes; this class only tracks the
-/// continuous column/row positions needed to emit correct shuttle offsets
-/// (including bump cascades) and the device state machine validation.
+/// column/row positions (whole nanometres) needed to emit exact shuttle
+/// offsets (including bump cascades), and replays every annotation it
+/// emits on a fresh device: that validates the program and accumulates
+/// its pulse statistics in the same walk.
 class Emitter {
 public:
   explicit Emitter(CompilationContext &Ctx)
-      : Ctx(Ctx), Formula(*Ctx.Formula), Device(Ctx.Hw) {
+      : Ctx(Ctx), Formula(*Ctx.Formula), Replay(Ctx.Hw) {
     QubitColumn.assign(Formula.numVariables(), -1);
     QubitColumnEpoch.assign(Formula.numVariables(), 0);
   }
@@ -70,8 +70,8 @@ private:
   Status globalRaman(GateKind Kind, ParamAngle Angle = {});
 
   // --- Movement ----------------------------------------------------------
-  Status moveColumnTo(int Column, double X);
-  Status shuttleRowTo(double Y);
+  Status moveColumnTo(int Column, int32_t X);
+  Status shuttleRowTo(int32_t Y);
   Status transferHome(int Qubit, int Column);
   Status transferSite(const ClausePlan &CP);
 
@@ -81,7 +81,7 @@ private:
   /// net displacements accumulate until flushColumnBatch() turns them into
   /// ONE parallel multi-column @shuttle — the whole AOD step the paper's
   /// Algorithm 2 performs at once, instead of O(moves) cascading pulses.
-  void planColumnTo(int Column, double X);
+  void planColumnTo(int Column, int32_t X);
   /// Records \p Column's pre-batch position on first touch.
   void touchColumn(int Column);
   /// Emits the staged net moves as one @shuttle annotation (single-column
@@ -113,15 +113,15 @@ private:
 
   CompilationContext &Ctx;
   const sat::CnfFormula &Formula;
-  FpqaDevice Device;
+  fpqa::PulseReplayer Replay;
 
-  std::vector<double> ColX; ///< column position mirror
-  double RowYPos = 0;
+  std::vector<int32_t> ColX; ///< column position mirror (nm)
+  int32_t RowYPos = 0;
 
   /// Open-batch staging state (see planColumnTo/flushColumnBatch).
   /// PreBatchX holds each touched column's position when the batch opened;
   /// the epoch array makes per-batch reset O(touched), not O(columns).
-  std::vector<double> PreBatchX;
+  std::vector<int32_t> PreBatchX;
   std::vector<uint32_t> TouchedEpoch;
   uint32_t BatchEpoch = 1;
   std::vector<int> TouchedColumns;
@@ -151,7 +151,7 @@ private:
 };
 
 Status Emitter::pulse(Annotation A) {
-  if (Status S = Device.apply(A))
+  if (Status S = Replay.step(A))
     return Status::error("codegen produced an invalid instruction: " +
                          S.message());
   Pending.push_back(std::move(A));
@@ -249,22 +249,22 @@ Status Emitter::globalRaman(GateKind Kind, ParamAngle Angle) {
   return Status::success();
 }
 
-Status Emitter::moveColumnTo(int Column, double X) {
+Status Emitter::moveColumnTo(int Column, int32_t X) {
   assert(Column >= 0 && Column < Ctx.NumColumns &&
          "column index out of range");
   assert(TouchedColumns.empty() &&
          "single-column move while a staged batch is open");
-  double Gap = Ctx.Options.Geometry.BumpGap;
-  if (std::abs(ColX[Column] - X) < 1e-9)
+  int32_t Gap = Ctx.Options.Geometry.BumpGapNm;
+  if (ColX[Column] == X)
     return Status::success();
-  // The epsilon keeps exactly-Gap-spaced park targets from triggering
-  // spurious displacement of an already-placed neighbour.
+  // A neighbour exactly Gap away stays put: exactly-Gap-spaced park
+  // targets must not displace an already-placed column.
   if (X > ColX[Column]) {
-    if (Column + 1 < Ctx.NumColumns && ColX[Column + 1] < X + Gap - 1e-7)
+    if (Column + 1 < Ctx.NumColumns && ColX[Column + 1] < X + Gap)
       if (Status S = moveColumnTo(Column + 1, X + Gap))
         return S;
   } else {
-    if (Column > 0 && ColX[Column - 1] > X - Gap + 1e-7)
+    if (Column > 0 && ColX[Column - 1] > X - Gap)
       if (Status S = moveColumnTo(Column - 1, X - Gap))
         return S;
   }
@@ -283,20 +283,19 @@ void Emitter::touchColumn(int Column) {
   }
 }
 
-void Emitter::planColumnTo(int Column, double X) {
+void Emitter::planColumnTo(int Column, int32_t X) {
   assert(Column >= 0 && Column < Ctx.NumColumns &&
          "column index out of range");
-  double Gap = Ctx.Options.Geometry.BumpGap;
-  if (std::abs(ColX[Column] - X) < 1e-9)
+  int32_t Gap = Ctx.Options.Geometry.BumpGapNm;
+  if (ColX[Column] == X)
     return;
-  // Same displacement-cascade decisions as moveColumnTo (including the
-  // epsilon that keeps exactly-Gap-spaced park targets from spurious
-  // bumps) — only staged instead of emitted.
+  // Same displacement-cascade decisions as moveColumnTo — only staged
+  // instead of emitted.
   if (X > ColX[Column]) {
-    if (Column + 1 < Ctx.NumColumns && ColX[Column + 1] < X + Gap - 1e-7)
+    if (Column + 1 < Ctx.NumColumns && ColX[Column + 1] < X + Gap)
       planColumnTo(Column + 1, X + Gap);
   } else {
-    if (Column > 0 && ColX[Column - 1] > X - Gap + 1e-7)
+    if (Column > 0 && ColX[Column - 1] > X - Gap)
       planColumnTo(Column - 1, X - Gap);
   }
   touchColumn(Column);
@@ -306,17 +305,13 @@ void Emitter::planColumnTo(int Column, double X) {
 Status Emitter::flushColumnBatch() {
   std::sort(TouchedColumns.begin(), TouchedColumns.end());
   std::vector<int> Indices;
-  std::vector<double> Offsets;
+  std::vector<int32_t> Offsets;
   Indices.reserve(TouchedColumns.size());
   Offsets.reserve(TouchedColumns.size());
   for (int C : TouchedColumns) {
-    double Delta = ColX[C] - PreBatchX[C];
-    if (std::abs(Delta) < 1e-9) {
-      // Net-zero move (a bump cancelled by a later move): restore the
-      // exact pre-batch coordinate so the mirror cannot drift.
-      ColX[C] = PreBatchX[C];
+    int32_t Delta = ColX[C] - PreBatchX[C];
+    if (Delta == 0) // a bump cancelled by a later move
       continue;
-    }
     Indices.push_back(C);
     Offsets.push_back(Delta);
   }
@@ -334,8 +329,8 @@ Status Emitter::flushColumnBatch() {
                                   std::move(Offsets)));
 }
 
-Status Emitter::shuttleRowTo(double Y) {
-  if (std::abs(RowYPos - Y) < 1e-9)
+Status Emitter::shuttleRowTo(int32_t Y) {
+  if (RowYPos == Y)
     return Status::success();
   if (Status S = pulse(Annotation::shuttle(/*Row=*/true, 0, Y - RowYPos)))
     return S;
@@ -358,13 +353,13 @@ Status Emitter::emitSetup() {
   if (Status S = pulse(Annotation::slm(Ctx.SlmTraps)))
     return S;
   if (Ctx.NumColumns > 0) {
-    std::vector<double> Xs;
+    std::vector<int32_t> Xs;
     for (int C = 0; C < Ctx.NumColumns; ++C)
-      Xs.push_back(-L.ParkSpacing * (Ctx.NumColumns - C));
+      Xs.push_back(-L.ParkSpacingNm * (Ctx.NumColumns - C));
     ColX = Xs;
     PreBatchX.assign(Ctx.NumColumns, 0);
     TouchedEpoch.assign(Ctx.NumColumns, 0);
-    RowYPos = L.PickupRowY;
+    RowYPos = L.PickupRowYNm;
     if (Status S = pulse(Annotation::aod(Xs, {RowYPos})))
       return S;
   }
@@ -391,12 +386,12 @@ Status Emitter::emitHomeRounds(std::vector<Slot> Atoms) {
   // are non-increasing across rounds, so each element binary-searches its
   // round: O(k log k) instead of O(k x rounds) re-scans.
   std::vector<std::vector<Slot>> Rounds;
-  std::vector<double> Tails; ///< last home x per round, non-increasing
+  std::vector<int32_t> Tails; ///< last home x per round, non-increasing
   for (const Slot &S : Atoms) {
-    double HomeX = L.homePosition(S.Qubit).X;
+    int32_t HomeX = L.homePosition(S.Qubit).X;
     size_t R =
         std::lower_bound(Tails.begin(), Tails.end(), HomeX,
-                         [](double Tail, double H) { return Tail >= H; }) -
+                         [](int32_t Tail, int32_t H) { return Tail >= H; }) -
         Tails.begin();
     if (R == Rounds.size()) {
       Rounds.emplace_back();
@@ -418,8 +413,7 @@ Status Emitter::emitHomeRounds(std::vector<Slot> Atoms) {
         planColumnTo(S.Column, L.homePosition(S.Qubit).X);
       AllAligned = true;
       for (const Slot &S : Round)
-        AllAligned &=
-            std::abs(ColX[S.Column] - L.homePosition(S.Qubit).X) < 1e-9;
+        AllAligned &= ColX[S.Column] == L.homePosition(S.Qubit).X;
     }
     if (AllAligned) {
       // One AOD step, then one parallel transfer batch.
@@ -448,7 +442,7 @@ Status Emitter::emitFinalUnload() {
   if (Ctx.FinalUnload.empty())
     return Status::success();
   Pending.reserve(PendingHint);
-  if (Status S = shuttleRowTo(Ctx.Options.Geometry.PickupRowY))
+  if (Status S = shuttleRowTo(Ctx.Options.Geometry.PickupRowYNm))
     return S;
   return emitHomeRounds(Ctx.FinalUnload);
 }
@@ -459,7 +453,7 @@ Status Emitter::emitColorBoundary(ColorPlan &Plan,
     return Status::success();
   Pending.reserve(PendingHint);
   if (B.NeedPickupShuttle)
-    if (Status S = shuttleRowTo(Ctx.Options.Geometry.PickupRowY))
+    if (Status S = shuttleRowTo(Ctx.Options.Geometry.PickupRowYNm))
       return S;
   if (Status S = emitHomeRounds(B.ToUnload))
     return S;
@@ -496,9 +490,9 @@ Status Emitter::emitColorBoundary(ColorPlan &Plan,
   // the whole boundary flushes as a single batch. Irregular targets would
   // be a scheduler bug — reject them instead of keeping the dead
   // multi-sweep fallback.
-  const double Gap = Ctx.Options.Geometry.BumpGap;
+  const int32_t Gap = Ctx.Options.Geometry.BumpGapNm;
   for (int C = 0; C + 1 < Ctx.NumColumns; ++C)
-    if (B.ColumnTargets[C + 1] - B.ColumnTargets[C] < Gap - 1e-9)
+    if (B.ColumnTargets[C + 1] - B.ColumnTargets[C] < Gap)
       return Status::error(
           "scheduled column targets are not monotone with BumpGap "
           "spacing; ShuttleSchedulingPass must produce them pre-monotone");
@@ -506,7 +500,7 @@ Status Emitter::emitColorBoundary(ColorPlan &Plan,
     planColumnTo(C, B.ColumnTargets[C]);
 #ifndef NDEBUG
   for (int C = 0; C < Ctx.NumColumns; ++C)
-    assert(std::abs(ColX[C] - B.ColumnTargets[C]) < 1e-9 &&
+    assert(ColX[C] == B.ColumnTargets[C] &&
            "monotone staging sweep left a column off target");
 #endif
   return flushColumnBatch();
@@ -604,7 +598,7 @@ Status Emitter::emitPairPhase(const ColorPlan &Plan) {
     if (CP.Width == 2)
       if (Status S = moveColumnTo(CP.ColLeft, CP.SiteX))
         return S;
-  if (Status S = shuttleRowTo(RowYPos + L.CzLift))
+  if (Status S = shuttleRowTo(RowYPos + L.CzLiftNm))
     return S;
 
   if (Status S = emitRzzLadderStep(Pairs, Thetas))
@@ -614,7 +608,7 @@ Status Emitter::emitPairPhase(const ColorPlan &Plan) {
   for (const ClausePlan &CP : Plan.Clauses)
     if (CP.Width == 2)
       if (Status S =
-              moveColumnTo(CP.ColLeft, CP.SiteX - 2 * L.TriangleHalfWidth))
+              moveColumnTo(CP.ColLeft, CP.SiteX - 2 * L.TriangleHalfWidthNm))
         return S;
   return Status::success();
 }
@@ -723,16 +717,16 @@ Status Emitter::emitLadderGates(const ColorPlan &Plan, int Color) {
   auto ShiftRight = [&](bool Away) {
     for (const ClausePlan *CP : Triples)
       if (Status S = moveColumnTo(CP->ColRight,
-                                  CP->SiteX + L.TriangleHalfWidth +
-                                      (Away ? L.PairShift : 0.0)))
+                                  CP->SiteX + L.TriangleHalfWidthNm +
+                                      (Away ? L.PairShiftNm : 0)))
         return S;
     return Status::success();
   };
   auto ShiftLeft = [&](bool Away) {
     for (const ClausePlan *CP : Triples)
       if (Status S = moveColumnTo(CP->ColLeft,
-                                  CP->SiteX - L.TriangleHalfWidth -
-                                      (Away ? L.PairShift : 0.0)))
+                                  CP->SiteX - L.TriangleHalfWidthNm -
+                                      (Away ? L.PairShiftNm : 0)))
         return S;
     return Status::success();
   };
@@ -889,6 +883,8 @@ Status Emitter::run() {
          "parameterised angle left in trailing annotations");
   Program.TrailingAnnotations = std::move(Pending);
   Ctx.Program = std::move(Program);
+  Ctx.Stats = Replay.finish();
+  Ctx.HasStats = true;
   return Status::success();
 }
 
@@ -900,6 +896,7 @@ Status GateLoweringPass::run(CompilationContext &Ctx) {
     return Status::error("shuttle schedule does not cover the execution "
                          "order; run ShuttleSchedulingPass first");
   Ctx.AngleSlots.clear();
+  Ctx.HasStats = false;
   Emitter E(Ctx);
   return E.run();
 }

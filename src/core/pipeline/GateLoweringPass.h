@@ -9,9 +9,12 @@
 /// shuttle schedules, lowering every coloured clause group to annotated
 /// wQASM statements. Each clause group emits either the compressed
 /// 2-CCZ + 2-CZ fragment or the pure CZ-ladder fallback, surrounded by the
-/// planned movement; every annotation is validated against the FpqaDevice
-/// state machine as it is emitted, so the produced program satisfies all
-/// Table 1 pre-conditions by construction.
+/// planned movement; every annotation is replayed on a fresh device
+/// through fpqa::PulseReplayer as it is emitted, so the produced program
+/// satisfies all Table 1 pre-conditions by construction, and the same walk
+/// yields the pulse statistics (Ctx.Stats) that PulseEmissionPass
+/// publishes. Positions are whole nanometres, so shuttle offsets are exact
+/// differences and cannot drift.
 ///
 /// Raman pulse convention: @raman (x, y, z) applies RZ(z) * RY(y) * RX(x)
 /// (RX first). The gates the generator needs map to:

@@ -39,9 +39,10 @@ void PassCacheKey::finish() {
 // added to either struct, forcing the new field into the key (or an
 // explicit exemption here) — a forgotten field would mean silent stale
 // hits.
-static_assert(sizeof(core::Layout) == 13 * sizeof(double),
+static_assert(sizeof(core::Layout) == 13 * sizeof(int32_t),
               "Layout changed: update PassCacheKey::frontHalf");
-static_assert(sizeof(fpqa::HardwareParams) == 15 * sizeof(double),
+// Five int32_t lengths (padded to 24 bytes) and ten doubles.
+static_assert(sizeof(fpqa::HardwareParams) == 24 + 10 * sizeof(double),
               "HardwareParams changed: update PassCacheKey::program");
 
 PassCacheKey PassCacheKey::frontHalf(const CompilationContext &Ctx) {
@@ -56,19 +57,19 @@ PassCacheKey PassCacheKey::frontHalf(const CompilationContext &Ctx) {
     K.add(uint64_t{0});
   }
   const Layout &G = Ctx.Options.Geometry;
-  K.add(G.HomeSpacing);
-  K.add(G.PickupRowY);
-  K.add(G.TriangleHalfWidth);
-  K.add(G.TriangleHeight);
-  K.add(G.SiteSpacing);
-  K.add(G.ZoneBaseY);
-  K.add(G.ZoneStepY);
-  K.add(G.ZoneStepX);
-  K.add(static_cast<uint64_t>(G.ZoneCycle));
-  K.add(G.CzLift);
-  K.add(G.PairShift);
-  K.add(G.BumpGap);
-  K.add(G.ParkSpacing);
+  K.add(G.HomeSpacingNm);
+  K.add(G.PickupRowYNm);
+  K.add(G.TriangleHalfWidthNm);
+  K.add(G.TriangleHeightNm);
+  K.add(G.SiteSpacingNm);
+  K.add(G.ZoneBaseYNm);
+  K.add(G.ZoneStepYNm);
+  K.add(G.ZoneStepXNm);
+  K.add(G.ZoneCycle);
+  K.add(G.CzLiftNm);
+  K.add(G.PairShiftNm);
+  K.add(G.BumpGapNm);
+  K.add(G.ParkSpacingNm);
   K.add(static_cast<uint64_t>(Ctx.UseDSatur));
   K.finish();
   return K;
@@ -84,11 +85,11 @@ PassCacheKey PassCacheKey::program(const PassCacheKey &FrontKey,
   K.add(static_cast<uint64_t>(Ctx.Options.Qaoa.Measure));
   K.add(static_cast<uint64_t>(Ctx.Options.Qaoa.UseCompressedClauses));
   const fpqa::HardwareParams &Hw = Ctx.Hw;
-  K.add(Hw.MinSlmSeparation);
-  K.add(Hw.MinAodSeparation);
-  K.add(Hw.MaxTransferDistance);
-  K.add(Hw.RydbergRadius);
-  K.add(Hw.EquidistanceTolerance);
+  K.add(Hw.MinSlmSeparationNm);
+  K.add(Hw.MinAodSeparationNm);
+  K.add(Hw.MaxTransferDistanceNm);
+  K.add(Hw.RydbergRadiusNm);
+  K.add(Hw.EquidistanceToleranceNm);
   K.add(Hw.ShuttleSpeedUmPerSec);
   K.add(Hw.TransferTime);
   K.add(Hw.RamanLocalTime);

@@ -21,7 +21,7 @@
 ///    with its recorded angle slots plus the angle-independent pulse
 ///    stats, keyed on every pipeline input except gamma/beta; a hit
 ///    copies the template, patches the slots (bit-identical to direct
-///    emission), and skips gate lowering and the pulse-emission replay.
+///    emission), and skips gate lowering with its pulse replay.
 ///
 /// Keys hash the full input payload and compare it exactly on lookup, so
 /// hash collisions cannot alias entries. All operations are mutex-guarded:
@@ -89,6 +89,7 @@ public:
 
 private:
   void add(uint64_t Word);
+  void add(int32_t Value) { add(static_cast<uint64_t>(int64_t{Value})); }
   void add(double Value);
   void finish();
 
@@ -132,7 +133,7 @@ struct PassCacheEntryBuilder {
   bool SavedStats = false;
 };
 
-// --- Persistence constants (on-disk snapshot format v1) ------------------
+// --- Persistence constants (on-disk snapshot format v2) ------------------
 //
 // Layout: a 40-byte header followed by the payload.
 //   [0]  u64 magic ("WVRCACHE", little-endian)
@@ -144,8 +145,13 @@ struct PassCacheEntryBuilder {
 //   [40] payload: front-section pool, front-tier index, program-tier
 //        index (see PassCachePersist.cpp)
 // Tests patch these offsets directly to forge hostile headers.
+//
+// Version 2 stores every length (trap and AOD coordinates, shuttle
+// offsets, site and rest positions) as a whole number of nanometres in an
+// i64; version 1 stored micrometre doubles, so a v1 file fails the
+// version check and the cache compiles cold.
 inline constexpr uint64_t SnapshotMagic = 0x4548434143525657ull; // "WVRCACHE"
-inline constexpr uint32_t SnapshotFormatVersion = 1;
+inline constexpr uint32_t SnapshotFormatVersion = 2;
 inline constexpr size_t SnapshotHeaderBytes = 40;
 
 /// Identity of the compiler that wrote a snapshot: git hash baked in at

@@ -81,19 +81,39 @@ const T *findExact(MapT &Map, const PassCacheKey &Key) {
   return nullptr;
 }
 
+/// Reads a length (nm) written as an i64; anything outside the coordinate
+/// bound fails the reader, so a crafted payload cannot plant a position
+/// the device model would reject.
+int32_t readNm(BinaryReader &R) {
+  int64_t V = R.readI64();
+  if (!inCoordinateRange(V)) {
+    R.fail();
+    return 0;
+  }
+  return static_cast<int32_t>(V);
+}
+
+void writeNmList(const std::vector<int32_t> &Vals, BinaryWriter &W) {
+  W.writeU64(Vals.size());
+  for (int32_t V : Vals)
+    W.writeI64(V);
+}
+
+void readNmList(BinaryReader &R, std::vector<int32_t> &Vals) {
+  Vals.resize(R.readLength(8));
+  for (int32_t &V : Vals)
+    V = readNm(R);
+}
+
 void writeAnnotation(const qasm::Annotation &A, BinaryWriter &W) {
   W.writeU8(static_cast<uint8_t>(A.Kind));
   W.writeU64(A.TrapPositions.size());
   for (const Vec2 &P : A.TrapPositions) {
-    W.writeF64(P.X);
-    W.writeF64(P.Y);
+    W.writeI64(P.X);
+    W.writeI64(P.Y);
   }
-  W.writeU64(A.AodXs.size());
-  for (double X : A.AodXs)
-    W.writeF64(X);
-  W.writeU64(A.AodYs.size());
-  for (double Y : A.AodYs)
-    W.writeF64(Y);
+  writeNmList(A.AodXs, W);
+  writeNmList(A.AodYs, W);
   W.writeI64(A.Qubit);
   W.writeU8(A.BindToSlm);
   W.writeI64(A.SlmIndex);
@@ -101,13 +121,11 @@ void writeAnnotation(const qasm::Annotation &A, BinaryWriter &W) {
   W.writeI64(A.AodRow);
   W.writeU8(A.ShuttleRow);
   W.writeI64(A.ShuttleIndex);
-  W.writeF64(A.Offset);
+  W.writeI64(A.Offset);
   W.writeU64(A.ShuttleIndices.size());
   for (int I : A.ShuttleIndices)
     W.writeI64(I);
-  W.writeU64(A.ShuttleOffsets.size());
-  for (double O : A.ShuttleOffsets)
-    W.writeF64(O);
+  writeNmList(A.ShuttleOffsets, W);
   W.writeF64(A.AngleX);
   W.writeF64(A.AngleY);
   W.writeF64(A.AngleZ);
@@ -123,17 +141,11 @@ bool readAnnotation(BinaryReader &R, qasm::Annotation &A) {
   size_t N = R.readLength(16);
   A.TrapPositions.resize(N);
   for (Vec2 &P : A.TrapPositions) {
-    P.X = R.readF64();
-    P.Y = R.readF64();
+    P.X = readNm(R);
+    P.Y = readNm(R);
   }
-  N = R.readLength(8);
-  A.AodXs.resize(N);
-  for (double &X : A.AodXs)
-    X = R.readF64();
-  N = R.readLength(8);
-  A.AodYs.resize(N);
-  for (double &Y : A.AodYs)
-    Y = R.readF64();
+  readNmList(R, A.AodXs);
+  readNmList(R, A.AodYs);
   A.Qubit = static_cast<int>(R.readI64());
   A.BindToSlm = R.readU8() != 0;
   A.SlmIndex = static_cast<int>(R.readI64());
@@ -141,15 +153,12 @@ bool readAnnotation(BinaryReader &R, qasm::Annotation &A) {
   A.AodRow = static_cast<int>(R.readI64());
   A.ShuttleRow = R.readU8() != 0;
   A.ShuttleIndex = static_cast<int>(R.readI64());
-  A.Offset = R.readF64();
+  A.Offset = readNm(R);
   N = R.readLength(8);
   A.ShuttleIndices.resize(N);
   for (int &I : A.ShuttleIndices)
     I = static_cast<int>(R.readI64());
-  N = R.readLength(8);
-  A.ShuttleOffsets.resize(N);
-  for (double &O : A.ShuttleOffsets)
-    O = R.readF64();
+  readNmList(R, A.ShuttleOffsets);
   A.AngleX = R.readF64();
   A.AngleY = R.readF64();
   A.AngleZ = R.readF64();
@@ -191,7 +200,7 @@ void serializeFront(const FrontHalfSections &S, BinaryWriter &W) {
       W.writeU64(C.ClauseIndex);
       W.writeI64(C.Width);
       W.writeI64(C.Site);
-      W.writeF64(C.SiteX);
+      W.writeI64(C.SiteX);
       W.writeI64(C.Left);
       W.writeI64(C.Target);
       W.writeI64(C.Right);
@@ -204,13 +213,13 @@ void serializeFront(const FrontHalfSections &S, BinaryWriter &W) {
     for (const Slot &S2 : P.Slots) {
       W.writeI64(S2.Qubit);
       W.writeI64(S2.Column);
-      W.writeF64(S2.RestX);
+      W.writeI64(S2.RestX);
     }
   }
   W.writeU64(S.SlmTraps.size());
   for (const Vec2 &T : S.SlmTraps) {
-    W.writeF64(T.X);
-    W.writeF64(T.Y);
+    W.writeI64(T.X);
+    W.writeI64(T.Y);
   }
   W.writeU64(S.ZoneSiteTrap.size());
   for (const auto &Entry : S.ZoneSiteTrap) {
@@ -243,7 +252,7 @@ bool parseFront(BinaryReader &R, FrontHalfSections &S) {
       C.ClauseIndex = static_cast<size_t>(R.readU64());
       C.Width = static_cast<int>(R.readI64());
       C.Site = static_cast<int>(R.readI64());
-      C.SiteX = R.readF64();
+      C.SiteX = readNm(R);
       C.Left = static_cast<int>(R.readI64());
       C.Target = static_cast<int>(R.readI64());
       C.Right = static_cast<int>(R.readI64());
@@ -257,14 +266,14 @@ bool parseFront(BinaryReader &R, FrontHalfSections &S) {
     for (Slot &S2 : P.Slots) {
       S2.Qubit = static_cast<int>(R.readI64());
       S2.Column = static_cast<int>(R.readI64());
-      S2.RestX = R.readF64();
+      S2.RestX = readNm(R);
     }
   }
   N = R.readLength(16);
   S.SlmTraps.resize(N);
   for (Vec2 &T : S.SlmTraps) {
-    T.X = R.readF64();
-    T.Y = R.readF64();
+    T.X = readNm(R);
+    T.Y = readNm(R);
   }
   N = R.readLength(24);
   for (size_t I = 0; I < N && R.ok(); ++I) {

@@ -1,4 +1,4 @@
-//===- core/pipeline/PulseEmissionPass.cpp - Pulse stream + stats ---------===//
+//===- core/pipeline/PulseEmissionPass.cpp - Pulse statistics -------------===//
 //
 // Part of the weaver-cpp reproduction of "Weaver" (CGO 2025). MIT License.
 //
@@ -10,24 +10,9 @@ using namespace weaver;
 using namespace weaver::core;
 using namespace weaver::core::pipeline;
 
-std::vector<const qasm::Annotation *>
-PulseEmissionPass::flatten(const qasm::WqasmProgram &Program) {
-  std::vector<const qasm::Annotation *> Stream;
-  Stream.reserve(Program.numAnnotations());
-  for (const qasm::Annotation &A : qasm::AnnotationView(Program))
-    Stream.push_back(&A);
-  return Stream;
-}
-
 Status PulseEmissionPass::run(CompilationContext &Ctx) {
-  Ctx.PulseStream = flatten(Ctx.Program);
-
-  // Replay straight off the program — no copied stream.
-  auto Stats = fpqa::analyzePulseProgram(Ctx.Program, Ctx.Hw);
-  if (!Stats)
-    return Stats.status();
-  Ctx.Stats = *Stats;
-  Ctx.HasStats = true;
+  if (!Ctx.HasStats)
+    return Status::error("no pulse statistics; run GateLoweringPass first");
   return Status::success();
 }
 
@@ -41,7 +26,6 @@ bool PulseEmissionPass::restoreSections(const PassCacheEntry &Entry,
                                         CompilationContext &Ctx) const {
   if (!Entry.Back)
     return false;
-  Ctx.PulseStream = flatten(Ctx.Program);
   Ctx.Stats = Entry.Back->Stats;
   Ctx.HasStats = true;
   return true;

@@ -1,17 +1,17 @@
-//===- core/pipeline/PulseEmissionPass.h - Pulse stream + stats *- C++ -*-===//
+//===- core/pipeline/PulseEmissionPass.h - Pulse statistics ----*- C++ -*-===//
 //
 // Part of the weaver-cpp reproduction of "Weaver" (CGO 2025). MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pipeline stage 5: replays the program's annotations (in execution
-/// order, through the zero-copy qasm::AnnotationView) on a fresh device
-/// model to derive the paper's evaluation metrics (pulse counts,
-/// execution time, EPS — §8), and publishes a non-owning index of the
-/// pulse stream. The replay re-validates every Table 1 pre-condition end
-/// to end, so a program that survives this pass is executable by
-/// construction.
+/// Pipeline stage 5: publishes the paper's evaluation metrics (pulse
+/// counts, execution time, EPS — §8) for the emitted program. Gate
+/// lowering already replayed every annotation on a fresh device model
+/// through fpqa::PulseReplayer while it emitted them, validating every
+/// Table 1 pre-condition end to end, so this pass does not walk the pulse
+/// stream again: it requires the lowering's statistics and owns their
+/// cache tier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,18 +31,12 @@ public:
 
   /// Pulse statistics never read angle values (durations and fidelities
   /// are per pulse kind), so they are cached with the program template;
-  /// restoring re-flattens the patched program and skips the replay — the
-  /// template was validated when it was built.
+  /// restoring skips the replay — the template was validated when it was
+  /// built.
   void saveSections(const CompilationContext &Ctx,
                     PassCacheEntryBuilder &Builder) const override;
   bool restoreSections(const PassCacheEntry &Entry,
                        CompilationContext &Ctx) const override;
-
-  /// Indexes \p Program's annotations as one stream of non-owning
-  /// pointers (setup + per statement + trailing), the order the device
-  /// executes them in. Valid while \p Program is alive and unmutated.
-  static std::vector<const qasm::Annotation *>
-  flatten(const qasm::WqasmProgram &Program);
 };
 
 } // namespace pipeline

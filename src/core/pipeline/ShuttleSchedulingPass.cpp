@@ -32,7 +32,7 @@ BoundarySchedule planBoundary(const ColorPlan &Plan,
     return B;
   B.Empty = false;
   const Layout &L = Ctx.Options.Geometry;
-  double Gap = L.BumpGap;
+  int32_t Gap = L.BumpGapNm;
   int NumColumns = Ctx.NumColumns;
   int NumSlots = static_cast<int>(Plan.Slots.size());
 
@@ -42,10 +42,8 @@ BoundarySchedule planBoundary(const ColorPlan &Plan,
   // clause triangle, ~19 between sites).
   std::vector<int> Capacity(NumSlots, 0);
   for (int I = 0; I + 1 < NumSlots; ++I)
-    Capacity[I] = std::max(
-        0, static_cast<int>((Plan.Slots[I + 1].RestX - Plan.Slots[I].RestX) /
-                            Gap) -
-               1);
+    Capacity[I] =
+        std::max(0, (Plan.Slots[I + 1].RestX - Plan.Slots[I].RestX) / Gap - 1);
 
   // Select reusable atoms (Algorithm 2's order-preservation condition,
   // adapted to fixed column indices): a row atom keeps its column when
@@ -152,7 +150,7 @@ BoundarySchedule planBoundary(const ColorPlan &Plan,
     B.ColumnTargets[C] = Plan.Slots[NumSlots - 1].RestX + Gap * K;
   {
     int SlotIdx = 0;
-    double ParkBase = 0;
+    int32_t ParkBase = 0;
     int ParkRank = 0;
     for (int C = FirstSlotCol; C <= LastSlotCol; ++C) {
       if (SlotIdx < NumSlots && SlotColumn[SlotIdx] == C) {

@@ -20,6 +20,18 @@ Status ZonePlanningPass::run(CompilationContext &Ctx) {
   const Layout &L = Ctx.Options.Geometry;
   int NumQubits = Formula.numVariables();
 
+  // A colour holds at most one site per two qubits and one AOD column per
+  // qubit, so no x the plan or the emitter derives reaches past Span. In
+  // the coordinate bound, every position and difference fits an int32_t.
+  int64_t Span = int64_t{L.ZoneStepXNm} * L.ZoneCycle +
+                 2 * int64_t{L.TriangleHalfWidthNm} + L.PairShiftNm +
+                 int64_t{NumQubits} * (int64_t{L.HomeSpacingNm} +
+                                       L.SiteSpacingNm + L.ParkSpacingNm +
+                                       L.BumpGapNm);
+  if (Span > MaxCoordinateNm)
+    return Status::error(std::to_string(NumQubits) +
+                         " variables do not fit the +-1e6 um trap plane");
+
   // Home traps: one per variable, index == qubit id.
   for (int Q = 0; Q < NumQubits; ++Q)
     Ctx.SlmTraps.push_back(L.homePosition(Q));
@@ -82,13 +94,14 @@ Status ZonePlanningPass::run(CompilationContext &Ctx) {
     // Build the slot list (sorted by resting x since sites ascend).
     for (ClausePlan &CP : Plan.Clauses) {
       if (CP.Width == 2) {
-        Plan.Slots.push_back({CP.Left, -1, CP.SiteX - 2 * L.TriangleHalfWidth});
         Plan.Slots.push_back(
-            {CP.Right, -1, CP.SiteX + 2 * L.TriangleHalfWidth});
+            {CP.Left, -1, CP.SiteX - 2 * L.TriangleHalfWidthNm});
+        Plan.Slots.push_back(
+            {CP.Right, -1, CP.SiteX + 2 * L.TriangleHalfWidthNm});
       } else if (CP.Width == 3) {
-        Plan.Slots.push_back({CP.Left, -1, CP.SiteX - L.TriangleHalfWidth});
+        Plan.Slots.push_back({CP.Left, -1, CP.SiteX - L.TriangleHalfWidthNm});
         Plan.Slots.push_back({CP.Target, -1, CP.SiteX});
-        Plan.Slots.push_back({CP.Right, -1, CP.SiteX + L.TriangleHalfWidth});
+        Plan.Slots.push_back({CP.Right, -1, CP.SiteX + L.TriangleHalfWidthNm});
       }
     }
     MaxSlots = std::max(MaxSlots, Plan.Slots.size());

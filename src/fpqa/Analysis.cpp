@@ -6,8 +6,6 @@
 
 #include "fpqa/Analysis.h"
 
-#include "fpqa/BatchTracker.h"
-
 #include <cmath>
 
 using namespace weaver;
@@ -15,126 +13,110 @@ using namespace weaver::fpqa;
 using qasm::Annotation;
 using qasm::AnnotationKind;
 
-namespace {
-
-/// Streaming replay accumulator: feed annotations in execution order via
-/// step(), then read the totals with finish(). Works over any range —
-/// the zero-copy qasm::AnnotationView or a materialised vector.
-class PulseReplayer {
-public:
-  explicit PulseReplayer(const HardwareParams &Params)
-      : Params(Params), Device(Params) {}
-
-  Status step(const Annotation &A) {
-    if (Status S = Device.apply(A))
-      return S;
-    switch (A.Kind) {
-    case AnnotationKind::Slm:
-    case AnnotationKind::Aod:
-    case AnnotationKind::Bind:
-      closeBatch();
-      break; // setup: no pulse, no time
-    case AnnotationKind::Shuttle: {
-      Stats.ShuttleInstructions++;
-      Stats.ShuttleAnnotations++;
-      if (Batches.Batch != BatchTracker::Kind::Shuttle ||
-          Batches.axisSeen(A.ShuttleRow, A.ShuttleIndex)) {
-        closeBatch();
-        Batches.Batch = BatchTracker::Kind::Shuttle;
-      }
-      Batches.markAxis(A.ShuttleRow, A.ShuttleIndex);
-      Batches.MaxDistance = std::max(Batches.MaxDistance, std::abs(A.Offset));
-      break;
-    }
-    case AnnotationKind::ShuttleParallel: {
-      // One annotation == one AOD step == exactly one batch; no
-      // reconstruction needed and no merging with neighbouring shuttles.
-      closeBatch();
-      Stats.ShuttleAnnotations++;
-      Stats.ShuttleInstructions += A.ShuttleIndices.size();
-      Stats.MaxParallelShuttleWidth =
-          std::max(Stats.MaxParallelShuttleWidth, A.ShuttleIndices.size());
-      Stats.ShuttleBatches++;
-      double MaxOffset = 0;
-      for (double Offset : A.ShuttleOffsets)
-        MaxOffset = std::max(MaxOffset, std::abs(Offset));
-      Stats.Duration += MaxOffset / Params.ShuttleSpeedUmPerSec;
-      break;
-    }
-    case AnnotationKind::Transfer: {
-      Stats.TransferInstructions++;
-      if (Batches.Batch != BatchTracker::Kind::Transfer) {
-        closeBatch();
-        Batches.Batch = BatchTracker::Kind::Transfer;
-      }
-      EpsLog += std::log(Params.TransferFidelity);
-      break;
-    }
-    case AnnotationKind::RamanLocal:
-      closeBatch();
-      Stats.RamanLocalPulses++;
-      Stats.Duration += Params.RamanLocalTime;
-      EpsLog += std::log(Params.RamanFidelity);
-      break;
-    case AnnotationKind::RamanGlobal:
-      closeBatch();
-      Stats.RamanGlobalPulses++;
-      Stats.Duration += Params.RamanGlobalTime;
-      EpsLog += static_cast<double>(Device.numAtoms()) *
-                std::log(Params.RamanFidelity);
-      break;
-    case AnnotationKind::Rydberg: {
-      closeBatch();
-      Stats.RydbergPulses++;
-      Stats.Duration += Params.RydbergTime;
-      // The device memoised the cluster decomposition while validating
-      // the pulse in apply(), so this query is a copy-free cache hit.
-      auto Clusters = Device.rydbergClustersRef();
-      if (!Clusters)
-        return Clusters.status();
-      for (const RydbergCluster &C : **Clusters) {
-        if (C.Qubits.size() == 2) {
-          Stats.CzGates++;
-          EpsLog += std::log(Params.CzFidelity);
-        } else {
-          Stats.CczGates++;
-          EpsLog += std::log(Params.CczFidelity);
-        }
-      }
-      break;
-    }
-    }
-    return Status::success();
-  }
-
-  PulseStats finish() {
+Status PulseReplayer::step(const Annotation &A) {
+  if (Status S = Device.apply(A))
+    return S;
+  switch (A.Kind) {
+  case AnnotationKind::Slm:
+  case AnnotationKind::Aod:
+  case AnnotationKind::Bind:
     closeBatch();
-    Stats.NumAtoms = Device.numAtoms();
-    // Decoherence: every atom idles for the program duration (§8.3: longer
-    // circuit duration -> higher chance of decoherence errors).
-    EpsLog -= static_cast<double>(Stats.NumAtoms) * Stats.Duration / Params.T2;
-    Stats.Eps = std::exp(EpsLog);
-    return Stats;
-  }
-
-private:
-  void closeBatch() {
-    if (Batches.Batch == BatchTracker::Kind::Shuttle) {
-      Stats.ShuttleBatches++;
-      Stats.Duration += Batches.MaxDistance / Params.ShuttleSpeedUmPerSec;
-    } else if (Batches.Batch == BatchTracker::Kind::Transfer) {
-      Stats.TransferBatches++;
-      Stats.Duration += Params.TransferTime;
+    break; // setup: no pulse, no time
+  case AnnotationKind::Shuttle: {
+    Stats.ShuttleInstructions++;
+    Stats.ShuttleAnnotations++;
+    if (Batches.Batch != BatchTracker::Kind::Shuttle ||
+        Batches.axisSeen(A.ShuttleRow, A.ShuttleIndex)) {
+      closeBatch();
+      Batches.Batch = BatchTracker::Kind::Shuttle;
     }
-    Batches.reset();
+    Batches.markAxis(A.ShuttleRow, A.ShuttleIndex);
+    Batches.MaxDistanceNm = std::max(Batches.MaxDistanceNm, std::abs(A.Offset));
+    break;
   }
+  case AnnotationKind::ShuttleParallel: {
+    // One annotation == one AOD step == exactly one batch; no
+    // reconstruction needed and no merging with neighbouring shuttles.
+    closeBatch();
+    Stats.ShuttleAnnotations++;
+    Stats.ShuttleInstructions += A.ShuttleIndices.size();
+    Stats.MaxParallelShuttleWidth =
+        std::max(Stats.MaxParallelShuttleWidth, A.ShuttleIndices.size());
+    Stats.ShuttleBatches++;
+    int32_t MaxOffsetNm = 0;
+    for (int32_t Offset : A.ShuttleOffsets)
+      MaxOffsetNm = std::max(MaxOffsetNm, std::abs(Offset));
+    Stats.Duration += Params.shuttleSeconds(MaxOffsetNm);
+    break;
+  }
+  case AnnotationKind::Transfer: {
+    Stats.TransferInstructions++;
+    if (Batches.Batch != BatchTracker::Kind::Transfer) {
+      closeBatch();
+      Batches.Batch = BatchTracker::Kind::Transfer;
+    }
+    EpsLog += std::log(Params.TransferFidelity);
+    break;
+  }
+  case AnnotationKind::RamanLocal:
+    closeBatch();
+    Stats.RamanLocalPulses++;
+    Stats.Duration += Params.RamanLocalTime;
+    EpsLog += std::log(Params.RamanFidelity);
+    break;
+  case AnnotationKind::RamanGlobal:
+    closeBatch();
+    Stats.RamanGlobalPulses++;
+    Stats.Duration += Params.RamanGlobalTime;
+    EpsLog += static_cast<double>(Device.numAtoms()) *
+              std::log(Params.RamanFidelity);
+    break;
+  case AnnotationKind::Rydberg: {
+    closeBatch();
+    Stats.RydbergPulses++;
+    Stats.Duration += Params.RydbergTime;
+    // The device memoised the cluster decomposition while validating
+    // the pulse in apply(), so this query is a copy-free cache hit.
+    auto Clusters = Device.rydbergClustersRef();
+    if (!Clusters)
+      return Clusters.status();
+    for (const RydbergCluster &C : **Clusters) {
+      if (C.Qubits.size() == 2) {
+        Stats.CzGates++;
+        EpsLog += std::log(Params.CzFidelity);
+      } else {
+        Stats.CczGates++;
+        EpsLog += std::log(Params.CczFidelity);
+      }
+    }
+    break;
+  }
+  }
+  return Status::success();
+}
 
-  const HardwareParams &Params;
-  FpqaDevice Device;
-  PulseStats Stats;
-  double EpsLog = 0; // accumulate log-fidelity for numerical stability
-  BatchTracker Batches;
-};
+PulseStats PulseReplayer::finish() {
+  closeBatch();
+  Stats.NumAtoms = Device.numAtoms();
+  // Decoherence: every atom idles for the program duration (§8.3: longer
+  // circuit duration -> higher chance of decoherence errors).
+  EpsLog -= static_cast<double>(Stats.NumAtoms) * Stats.Duration / Params.T2;
+  Stats.Eps = std::exp(EpsLog);
+  return Stats;
+}
+
+void PulseReplayer::closeBatch() {
+  if (Batches.Batch == BatchTracker::Kind::Shuttle) {
+    Stats.ShuttleBatches++;
+    Stats.Duration += Params.shuttleSeconds(Batches.MaxDistanceNm);
+  } else if (Batches.Batch == BatchTracker::Kind::Transfer) {
+    Stats.TransferBatches++;
+    Stats.Duration += Params.TransferTime;
+  }
+  Batches.reset();
+}
+
+namespace {
 
 template <typename Range>
 Expected<PulseStats> analyzeRange(const Range &Program,

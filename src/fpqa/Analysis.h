@@ -10,6 +10,11 @@
 /// execution time as the sum of pulse and shuttle durations (§8.3), and
 /// EPS by accumulating per-pulse error plus decoherence (§8.4).
 ///
+/// PulseReplayer is the one replay engine: gate lowering drives it while
+/// it emits (so a cold compile walks the pulse stream once), and
+/// analyzePulseProgram wraps it for a finished program. The same
+/// annotations in the same order give bit-identical statistics either way.
+///
 /// Consecutive shuttles over distinct rows/columns are merged into one
 /// parallel shuttle batch (Algorithm 2's parallel shuttle sets); the batch
 /// contributes max(|offset|) / speed to the execution time.
@@ -19,6 +24,7 @@
 #ifndef WEAVER_FPQA_ANALYSIS_H
 #define WEAVER_FPQA_ANALYSIS_H
 
+#include "fpqa/BatchTracker.h"
 #include "fpqa/Device.h"
 #include "qasm/Program.h"
 
@@ -58,6 +64,31 @@ struct PulseStats {
 
   double Duration = 0; ///< seconds (sum of pulse/shuttle durations, §8.3)
   double Eps = 1.0;    ///< estimated probability of success (§8.4)
+};
+
+/// Streaming replay on a fresh device: feed annotations in execution
+/// order through step(), which validates each on the device model before
+/// accounting for it, then read the totals with finish().
+class PulseReplayer {
+public:
+  explicit PulseReplayer(const HardwareParams &Params)
+      : Params(Params), Device(Params) {}
+
+  /// Applies \p A to the device and accounts for it; returns the device's
+  /// error (state unchanged) when a pre-condition is violated.
+  Status step(const qasm::Annotation &A);
+
+  /// Closes the open batch and returns the totals, decoherence included.
+  PulseStats finish();
+
+private:
+  void closeBatch();
+
+  HardwareParams Params;
+  FpqaDevice Device;
+  PulseStats Stats;
+  double EpsLog = 0; ///< accumulated log-fidelity, for numerical stability
+  BatchTracker Batches;
 };
 
 /// Replays \p Program on a fresh device with \p Params; fails when any

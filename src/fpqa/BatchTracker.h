@@ -19,6 +19,7 @@
 #ifndef WEAVER_FPQA_BATCHTRACKER_H
 #define WEAVER_FPQA_BATCHTRACKER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +30,7 @@ struct BatchTracker {
   enum class Kind { None, Shuttle, Transfer };
 
   Kind Batch = Kind::None;
-  double MaxDistance = 0; ///< max |offset| inside the open shuttle batch
+  int32_t MaxDistanceNm = 0; ///< max |offset| inside the open shuttle batch
 
   /// True when the axis already shuttled inside the open batch (which
   /// then has to close first).
@@ -41,7 +42,7 @@ struct BatchTracker {
   void reset() {
     Batch = Kind::None;
     ++Epoch;
-    MaxDistance = 0;
+    MaxDistanceNm = 0;
   }
 
 private:

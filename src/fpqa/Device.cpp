@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 
 using namespace weaver;
 using namespace weaver::fpqa;
@@ -26,19 +25,13 @@ uint64_t packCell(int64_t CellX, int64_t CellY) {
          static_cast<uint64_t>(static_cast<uint32_t>(CellY));
 }
 
-/// Cell index of coordinate \p V, clamped to the 32 bits packCell keeps:
-/// a hostile coordinate such as -1e300 (or a NaN) must not reach an
-/// integer conversion it overflows. Clamping is monotone, so two atoms a
-/// cell apart stay in neighbouring cells; it can only add candidates to a
-/// neighbourhood, never hide one.
-int64_t cellIndex(double V, double CellSize) {
-  double Cell = std::floor(V / CellSize);
-  if (!(Cell > INT32_MIN))
-    return INT32_MIN;
-  if (Cell > INT32_MAX)
-    return INT32_MAX;
-  return static_cast<int64_t>(Cell);
+/// Cell index of coordinate \p V: floor division by the cell size.
+int64_t cellIndex(int32_t V, int32_t CellSize) {
+  return V / CellSize - (V % CellSize < 0);
 }
+
+/// Square of a length, exact in 64 bits.
+int64_t squared(int32_t V) { return int64_t{V} * V; }
 
 } // namespace
 
@@ -76,10 +69,13 @@ Status FpqaDevice::applyAll(const std::vector<Annotation> &Annotations) {
 }
 
 Status FpqaDevice::applySlm(const Annotation &A) {
+  const int64_t MinSep2 = squared(Params.MinSlmSeparationNm);
+  for (const Vec2 &P : A.TrapPositions)
+    if (!inCoordinateRange(P.X) || !inCoordinateRange(P.Y))
+      return Status::error("@slm trap coordinate outside the +-1e6 um range");
   for (size_t I = 0; I < A.TrapPositions.size(); ++I)
     for (size_t J = I + 1; J < A.TrapPositions.size(); ++J)
-      if (distance(A.TrapPositions[I], A.TrapPositions[J]) <
-          Params.MinSlmSeparation)
+      if (distanceSquared(A.TrapPositions[I], A.TrapPositions[J]) < MinSep2)
         return Status::error(
             "@slm traps " + std::to_string(I) + " and " + std::to_string(J) +
             " closer than the minimum separation");
@@ -91,12 +87,17 @@ Status FpqaDevice::applySlm(const Annotation &A) {
 }
 
 Status FpqaDevice::applyAod(const Annotation &A) {
-  auto CheckOrdered = [&](const std::vector<double> &Vals, const char *What) {
-    for (size_t I = 0; I + 1 < Vals.size(); ++I)
-      if (Vals[I + 1] - Vals[I] < Params.MinAodSeparation)
+  auto CheckOrdered = [&](const std::vector<int32_t> &Vals,
+                          const char *What) {
+    for (size_t I = 0; I < Vals.size(); ++I) {
+      if (!inCoordinateRange(Vals[I]))
+        return Status::error(std::string("@aod ") + What +
+                             " coordinate outside the +-1e6 um range");
+      if (I > 0 && int64_t{Vals[I]} - Vals[I - 1] < Params.MinAodSeparationNm)
         return Status::error(std::string("@aod ") + What +
                              " coordinates must increase by at least the "
                              "minimum AOD separation");
+    }
     return Status::success();
   };
   if (Status S = CheckOrdered(A.AodXs, "column"))
@@ -158,9 +159,10 @@ Status FpqaDevice::applyTransfer(const Annotation &A) {
     return Status::error("@transfer: AOD trap index out of range");
   Vec2 SlmPos = SlmTraps[A.SlmIndex];
   Vec2 AodPos{ColumnX[A.AodCol], RowY[A.AodRow]};
-  if (distance(SlmPos, AodPos) > Params.MaxTransferDistance)
+  int64_t D2 = distanceSquared(SlmPos, AodPos);
+  if (D2 > squared(Params.MaxTransferDistanceNm))
     return Status::error("@transfer: traps are too far apart (" +
-                         std::to_string(distance(SlmPos, AodPos)) + " um)");
+                         std::to_string(std::sqrt(D2) * 1e-3) + " um)");
   int SlmAtom = SlmOccupants[A.SlmIndex];
   int AodAtom = aodOccupant(A.AodCol, A.AodRow);
   if (SlmAtom != -1 && AodAtom != -1)
@@ -184,21 +186,24 @@ Status FpqaDevice::applyTransfer(const Annotation &A) {
 }
 
 Status FpqaDevice::applyShuttle(const Annotation &A) {
-  std::vector<double> &Coords = A.ShuttleRow ? RowY : ColumnX;
+  std::vector<int32_t> &Coords = A.ShuttleRow ? RowY : ColumnX;
   const char *What = A.ShuttleRow ? "row" : "column";
   if (A.ShuttleIndex < 0 ||
       static_cast<size_t>(A.ShuttleIndex) >= Coords.size())
     return Status::error(std::string("@shuttle: ") + What +
                          " index out of range");
-  double NewPos = Coords[A.ShuttleIndex] + A.Offset;
+  int64_t NewPos = int64_t{Coords[A.ShuttleIndex]} + A.Offset;
+  if (!inCoordinateRange(NewPos))
+    return Status::error(std::string("@shuttle: ") + What +
+                         " would leave the +-1e6 um coordinate range");
   // The moved row/column must not cross (or crowd) its neighbours
   // (Table 1 pre-condition: no move over another row/column).
   if (A.ShuttleIndex > 0 &&
-      NewPos - Coords[A.ShuttleIndex - 1] < Params.MinAodSeparation)
+      NewPos - Coords[A.ShuttleIndex - 1] < Params.MinAodSeparationNm)
     return Status::error(std::string("@shuttle: ") + What +
                          " would cross or crowd its left/lower neighbour");
   if (static_cast<size_t>(A.ShuttleIndex) + 1 < Coords.size() &&
-      Coords[A.ShuttleIndex + 1] - NewPos < Params.MinAodSeparation)
+      Coords[A.ShuttleIndex + 1] - NewPos < Params.MinAodSeparationNm)
     return Status::error(std::string("@shuttle: ") + What +
                          " would cross or crowd its right/upper neighbour");
   // Only the atoms riding the moved column/row change position; a dirty
@@ -209,12 +214,12 @@ Status FpqaDevice::applyShuttle(const Annotation &A) {
     (void)Cross;
     markMoved(Q);
   }
-  Coords[A.ShuttleIndex] = NewPos;
+  Coords[A.ShuttleIndex] = static_cast<int32_t>(NewPos);
   return Status::success();
 }
 
 Status FpqaDevice::applyShuttleParallel(const Annotation &A) {
-  std::vector<double> &Coords = A.ShuttleRow ? RowY : ColumnX;
+  std::vector<int32_t> &Coords = A.ShuttleRow ? RowY : ColumnX;
   const char *What = A.ShuttleRow ? "row" : "column";
   const std::vector<int> &Indices = A.ShuttleIndices;
   if (Indices.empty())
@@ -245,20 +250,24 @@ Status FpqaDevice::applyShuttleParallel(const Annotation &A) {
     while (Cursor < Indices.size() && Indices[Cursor] < Index)
       ++Cursor;
     if (Cursor < Indices.size() && Indices[Cursor] == Index)
-      return Coords[Index] + A.ShuttleOffsets[Cursor];
-    return Coords[Index];
+      return int64_t{Coords[Index]} + A.ShuttleOffsets[Cursor];
+    return int64_t{Coords[Index]};
   };
   size_t LeftCursor = 0, RightCursor = 0;
   for (size_t I = 0; I < Indices.size(); ++I) {
     int Index = Indices[I];
-    double NewPos = Coords[Index] + A.ShuttleOffsets[I];
+    int64_t NewPos = int64_t{Coords[Index]} + A.ShuttleOffsets[I];
+    if (!inCoordinateRange(NewPos))
+      return Status::error(std::string("@shuttle: parallel ") + What +
+                           " move would leave the +-1e6 um coordinate "
+                           "range");
     if (Index > 0 &&
-        NewPos - PosAfter(Index - 1, LeftCursor) < Params.MinAodSeparation)
+        NewPos - PosAfter(Index - 1, LeftCursor) < Params.MinAodSeparationNm)
       return Status::error(std::string("@shuttle: parallel ") + What +
                            " move would cross or crowd a left/lower "
                            "neighbour");
     if (static_cast<size_t>(Index) + 1 < Coords.size() &&
-        PosAfter(Index + 1, RightCursor) - NewPos < Params.MinAodSeparation)
+        PosAfter(Index + 1, RightCursor) - NewPos < Params.MinAodSeparationNm)
       return Status::error(std::string("@shuttle: parallel ") + What +
                            " move would cross or crowd a right/upper "
                            "neighbour");
@@ -415,19 +424,22 @@ Status FpqaDevice::validateCluster(const std::vector<int> &Members) const {
         Describe());
   // Every pair in the cluster must interact directly (no chains), and
   // 3-atom clusters must be equidistant for the CCZ interpretation.
-  double MinD = 1e300, MaxD = 0;
+  int64_t MinD2 = INT64_MAX, MaxD2 = 0;
   for (size_t I = 0; I < Members.size(); ++I)
     for (size_t J = I + 1; J < Members.size(); ++J) {
-      double D =
-          distance(qubitPosition(Members[I]), qubitPosition(Members[J]));
-      MinD = std::min(MinD, D);
-      MaxD = std::max(MaxD, D);
+      int64_t D2 = distanceSquared(qubitPosition(Members[I]),
+                                   qubitPosition(Members[J]));
+      MinD2 = std::min(MinD2, D2);
+      MaxD2 = std::max(MaxD2, D2);
     }
-  if (MaxD > Params.RydbergRadius)
+  if (MaxD2 > squared(Params.RydbergRadiusNm))
     return Status::error("@rydberg: chained interaction cluster (atoms not "
                          "mutually within the Rydberg radius):" +
                          Describe());
-  if (Members.size() == 3 && MaxD - MinD > Params.EquidistanceTolerance)
+  if (Members.size() == 3 &&
+      std::sqrt(static_cast<double>(MaxD2)) -
+              std::sqrt(static_cast<double>(MinD2)) >
+          Params.EquidistanceToleranceNm)
     return Status::error("@rydberg: 3-atom cluster is not equidistant:" +
                          Describe());
   return Status::success();
@@ -472,6 +484,7 @@ Status FpqaDevice::computeClusters() const {
       X = Parent[X] = Parent[Parent[X]];
     return X;
   };
+  const int64_t Radius2 = squared(Params.RydbergRadiusNm);
   for (size_t I = 0; I < N; ++I) {
     Vec2 P = qubitPosition(Qubits[I]);
     int64_t CellX = cellIndex(P.X, GridCellSize);
@@ -484,7 +497,7 @@ Status FpqaDevice::computeClusters() const {
         for (int Other : It->second) {
           if (Other <= Qubits[I]) // consider each pair once
             continue;
-          if (distance(P, qubitPosition(Other)) <= Params.RydbergRadius)
+          if (distanceSquared(P, qubitPosition(Other)) <= Radius2)
             Parent[Find(I)] = Find(DenseOf[Other]);
         }
       }
@@ -517,86 +530,4 @@ Status FpqaDevice::computeClusters() const {
   ClusterCache = std::move(Clusters);
   ClustersValid = true;
   return Status::success();
-}
-
-Expected<std::vector<RydbergCluster>>
-FpqaDevice::rydbergClustersAllPairs() const {
-  // The pre-grid all-pairs implementation, kept verbatim as the reference
-  // the tests pin the grid path against.
-  std::vector<int> Qubits;
-  std::vector<Vec2> Positions;
-  for (size_t Q = 0; Q < Locations.size(); ++Q) {
-    if (Locations[Q].Kind == AtomLocation::Layer::Unbound)
-      continue;
-    Qubits.push_back(static_cast<int>(Q));
-    Positions.push_back(qubitPosition(static_cast<int>(Q)));
-  }
-  size_t N = Qubits.size();
-  // Union-find over the proximity graph.
-  std::vector<size_t> Parent(N);
-  for (size_t I = 0; I < N; ++I)
-    Parent[I] = I;
-  auto Find = [&](size_t X) {
-    while (Parent[X] != X)
-      X = Parent[X] = Parent[Parent[X]];
-    return X;
-  };
-  for (size_t I = 0; I < N; ++I)
-    for (size_t J = I + 1; J < N; ++J)
-      if (distance(Positions[I], Positions[J]) <= Params.RydbergRadius)
-        Parent[Find(I)] = Find(J);
-
-  std::map<size_t, std::vector<size_t>> Groups;
-  for (size_t I = 0; I < N; ++I)
-    Groups[Find(I)].push_back(I);
-
-  auto DescribeCluster = [&](const std::vector<size_t> &Members) {
-    std::string Out;
-    for (size_t M : Members) {
-      Out += " q[" + std::to_string(Qubits[M]) + "]@(" +
-             std::to_string(Positions[M].X) + "," +
-             std::to_string(Positions[M].Y) + ")";
-    }
-    return Out;
-  };
-
-  std::vector<RydbergCluster> Clusters;
-  for (auto &[Root, Members] : Groups) {
-    (void)Root;
-    if (Members.size() < 2)
-      continue;
-    if (Members.size() > 3)
-      return Expected<std::vector<RydbergCluster>>::error(
-          "@rydberg: interaction cluster with more than three atoms:" +
-          DescribeCluster(Members));
-    // Every pair in the cluster must interact directly (no chains), and
-    // 3-atom clusters must be equidistant for the CCZ interpretation.
-    double MinD = 1e300, MaxD = 0;
-    for (size_t I = 0; I < Members.size(); ++I)
-      for (size_t J = I + 1; J < Members.size(); ++J) {
-        double D = distance(Positions[Members[I]], Positions[Members[J]]);
-        MinD = std::min(MinD, D);
-        MaxD = std::max(MaxD, D);
-      }
-    if (MaxD > Params.RydbergRadius)
-      return Expected<std::vector<RydbergCluster>>::error(
-          "@rydberg: chained interaction cluster (atoms not mutually "
-          "within the Rydberg radius):" +
-          DescribeCluster(Members));
-    if (Members.size() == 3 && MaxD - MinD > Params.EquidistanceTolerance)
-      return Expected<std::vector<RydbergCluster>>::error(
-          "@rydberg: 3-atom cluster is not equidistant:" +
-          DescribeCluster(Members));
-    RydbergCluster C;
-    for (size_t M : Members)
-      C.Qubits.push_back(Qubits[M]);
-    std::sort(C.Qubits.begin(), C.Qubits.end());
-    Clusters.push_back(std::move(C));
-  }
-  // Deterministic order for consumers.
-  std::sort(Clusters.begin(), Clusters.end(),
-            [](const RydbergCluster &A, const RydbergCluster &B) {
-              return A.Qubits < B.Qubits;
-            });
-  return Clusters;
 }

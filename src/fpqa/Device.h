@@ -13,8 +13,14 @@
 /// the same state machine the wChecker re-simulates to translate Rydberg
 /// pulses back into logical gates (paper §6, Fig. 9).
 ///
+/// Positions are whole nanometres bounded to +-MaxCoordinateNm: AOD
+/// spacing checks are integer compares, the radius, transfer-distance and
+/// SLM-separation checks compare exact int64_t squared distances, and only
+/// the 3-atom equidistance check takes square roots (of exact squares). A
+/// shuttle that would leave the coordinate bound is rejected.
+///
 /// Proximity queries run against a uniform spatial hash grid bucketed at
-/// \c RydbergRadius that is maintained incrementally: a bind indexes the
+/// \c RydbergRadiusNm that is maintained incrementally: a bind indexes the
 /// atom directly, and a transfer/shuttle dirty-marks exactly the atoms it
 /// moved (O(1) each), which the next query lazily re-indexes — positions
 /// are never regathered from scratch per pulse, and an atom moved many
@@ -33,6 +39,7 @@
 #include "support/Geometry.h"
 #include "support/Status.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -57,8 +64,7 @@ struct RydbergCluster {
 class FpqaDevice {
 public:
   explicit FpqaDevice(const HardwareParams &Params = HardwareParams())
-      : Params(Params),
-        GridCellSize(Params.RydbergRadius > 0 ? Params.RydbergRadius : 1.0) {}
+      : Params(Params), GridCellSize(std::max(Params.RydbergRadiusNm, 1)) {}
 
   const HardwareParams &params() const { return Params; }
 
@@ -93,19 +99,14 @@ public:
   /// decomposition, valid until the next position change.
   Expected<const std::vector<RydbergCluster> *> rydbergClustersRef() const;
 
-  /// Reference implementation of \c rydbergClusters over the all-pairs
-  /// proximity graph (the pre-grid quadratic scan, kept verbatim). Tests
-  /// pin the grid path against it; production code should never call it.
-  Expected<std::vector<RydbergCluster>> rydbergClustersAllPairs() const;
-
   // --- Introspection used by codegen and tests -------------------------
   size_t numSlmTraps() const { return SlmTraps.size(); }
   Vec2 slmTrap(int Index) const { return SlmTraps[Index]; }
   int slmOccupant(int Index) const { return SlmOccupants[Index]; }
   size_t numAodColumns() const { return ColumnX.size(); }
   size_t numAodRows() const { return RowY.size(); }
-  double columnX(int Col) const { return ColumnX[Col]; }
-  double rowY(int Row) const { return RowY[Row]; }
+  int32_t columnX(int Col) const { return ColumnX[Col]; }
+  int32_t rowY(int Row) const { return RowY[Row]; }
   const AtomLocation &location(int Qubit) const;
 
 private:
@@ -123,7 +124,7 @@ private:
 
   // --- Spatial hash grid (see file comment) ----------------------------
   /// Key of the grid cell containing \p P (cells are GridCellSize-sized
-  /// squares; two atoms within RydbergRadius always land in the same or
+  /// squares; two atoms within RydbergRadiusNm always land in the same or
   /// an 8-neighbouring cell).
   uint64_t cellKey(Vec2 P) const;
   void gridInsert(int Qubit, Vec2 P) const;
@@ -137,9 +138,9 @@ private:
   /// insert at the current one).
   void syncGrid() const;
 
-  /// Validates one candidate cluster (shared by the grid and all-pairs
-  /// paths): 2..3 members, mutually within the radius, 3-atom clusters
-  /// equidistant. \p Members hold qubit ids in ascending order.
+  /// Validates one candidate cluster: 2..3 members, mutually within the
+  /// radius, 3-atom clusters equidistant. \p Members hold qubit ids in
+  /// ascending order.
   Status validateCluster(const std::vector<int> &Members) const;
 
   /// Syncs the grid, recomputes the cluster decomposition into
@@ -152,8 +153,8 @@ private:
   HardwareParams Params;
   std::vector<Vec2> SlmTraps;
   std::vector<int> SlmOccupants; ///< qubit id or -1
-  std::vector<double> ColumnX;
-  std::vector<double> RowY;
+  std::vector<int32_t> ColumnX;
+  std::vector<int32_t> RowY;
   /// Dense per-column / per-row occupant lists ((row, qubit) and
   /// (col, qubit) pairs), sized at @aod initialisation. A shuttle touches
   /// only the atoms riding the moved column/row. Column lists hold at
@@ -168,7 +169,7 @@ private:
   std::vector<AtomLocation> Locations; ///< indexed by qubit id
   size_t BoundAtoms = 0;
 
-  double GridCellSize;
+  int32_t GridCellSize; ///< nm, the Rydberg radius
   /// cell -> qubits. Mutable with its bookkeeping because the lazy sync
   /// and memoisation run inside const queries.
   mutable std::unordered_map<uint64_t, std::vector<int>> Grid;

@@ -17,26 +17,29 @@
 #ifndef WEAVER_FPQA_HARDWAREPARAMS_H
 #define WEAVER_FPQA_HARDWAREPARAMS_H
 
+#include <cstdint>
+
 namespace weaver {
 namespace fpqa {
 
-/// All tunable constants of the modelled FPQA. Distances in micrometers,
+/// All tunable constants of the modelled FPQA. Distances in whole
+/// nanometres (support/Geometry.h), speed in micrometres per second,
 /// durations in seconds, fidelities as success probabilities per operation.
 struct HardwareParams {
   // --- Geometry ---------------------------------------------------------
   /// Minimum separation between SLM traps (paper Table 1: 5-10 um).
-  double MinSlmSeparation = 5.0;
+  int32_t MinSlmSeparationNm = 5000;
   /// Minimum separation between adjacent AOD rows/columns. Must stay below
   /// the 1 um slot gap of the triangle layout (core::Layout).
-  double MinAodSeparation = 0.8;
+  int32_t MinAodSeparationNm = 800;
   /// Maximum SLM<->AOD distance for an atom transfer.
-  double MaxTransferDistance = 3.0;
+  int32_t MaxTransferDistanceNm = 3000;
   /// Rydberg blockade radius: atoms closer than this entangle under a
   /// global Rydberg pulse (paper §4.1).
-  double RydbergRadius = 2.5;
+  int32_t RydbergRadiusNm = 2500;
   /// Tolerance when checking that the atoms of a 3-cluster are equidistant
   /// (the paper's "digital computation" assumption, §7).
-  double EquidistanceTolerance = 0.15;
+  int32_t EquidistanceToleranceNm = 150;
 
   // --- Timing -----------------------------------------------------------
   /// AOD movement speed (Schmid et al.: ~0.55 um/us).
@@ -61,6 +64,11 @@ struct HardwareParams {
   double TransferFidelity = 0.999;
   /// Coherence time (neutral atoms: ~1.5 s).
   double T2 = 1.5;
+
+  /// Time an AOD step whose longest move is \p DistanceNm takes.
+  double shuttleSeconds(int64_t DistanceNm) const {
+    return static_cast<double>(DistanceNm) * 1e-3 / ShuttleSpeedUmPerSec;
+  }
 
   /// Returns true when the CCZ-based compressed clause fragment beats the
   /// pure 2-qubit ladder — the gate compression profitability test of

@@ -49,7 +49,7 @@ fpqa::schedulePulseProgram(const std::vector<Annotation> &Program,
     P.StartTime = Clock;
     P.SourceIndices = BatchSources;
     if (Batches.Batch == BatchTracker::Kind::Shuttle) {
-      P.Duration = Batches.MaxDistance / Params.ShuttleSpeedUmPerSec;
+      P.Duration = Params.shuttleSeconds(Batches.MaxDistanceNm);
       P.Description = BatchCount > 1
                           ? formatf("shuttle x%zu (parallel)", BatchCount)
                           : "shuttle";
@@ -93,7 +93,8 @@ fpqa::schedulePulseProgram(const std::vector<Annotation> &Program,
         CloseBatch();
       Batches.Batch = BatchTracker::Kind::Shuttle;
       Batches.markAxis(A.ShuttleRow, A.ShuttleIndex);
-      Batches.MaxDistance = std::max(Batches.MaxDistance, std::abs(A.Offset));
+      Batches.MaxDistanceNm =
+          std::max(Batches.MaxDistanceNm, std::abs(A.Offset));
       BatchCount++;
       BatchSources.push_back(I);
       break;
@@ -101,10 +102,10 @@ fpqa::schedulePulseProgram(const std::vector<Annotation> &Program,
     case AnnotationKind::ShuttleParallel: {
       // One annotation is one AOD step, scheduled directly (Emit closes
       // any open reconstructed batch first).
-      double MaxOffset = 0;
-      for (double Offset : A.ShuttleOffsets)
-        MaxOffset = std::max(MaxOffset, std::abs(Offset));
-      Emit(MaxOffset / Params.ShuttleSpeedUmPerSec,
+      int32_t MaxOffsetNm = 0;
+      for (int32_t Offset : A.ShuttleOffsets)
+        MaxOffsetNm = std::max(MaxOffsetNm, std::abs(Offset));
+      Emit(Params.shuttleSeconds(MaxOffsetNm),
            formatf("shuttle x%zu (parallel)", A.ShuttleIndices.size()), I);
       break;
     }

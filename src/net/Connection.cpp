@@ -46,9 +46,15 @@ Connection::ReadOutcome Connection::readAndParse() {
   return ReadOutcome::Progress;
 }
 
-bool Connection::queueWrite(const std::string &Bytes) {
+bool Connection::queueWrite(std::string Bytes) {
   if (writeQueueBytes() + Bytes.size() > MaxWriteQueueBytes)
     return false;
+  if (!writePending()) {
+    // Nothing left to flush: the frame becomes the buffer, uncopied.
+    WriteBuf = std::move(Bytes);
+    WriteOff = 0;
+    return true;
+  }
   // Compact the flushed prefix before growing the buffer.
   if (WriteOff > 65536 && WriteOff >= WriteBuf.size() / 2) {
     WriteBuf.erase(0, WriteOff);

@@ -76,10 +76,11 @@ public:
   /// Framing lost (hostile length prefix); the connection must close.
   bool poisoned() const { return Parser.poisoned(); }
 
-  /// Appends \p Bytes to the write queue. Returns false when the queue
-  /// would exceed its byte cap — the caller must disconnect; dropping a
-  /// response frame silently would violate exactly-once delivery.
-  bool queueWrite(const std::string &Bytes);
+  /// Appends \p Bytes to the write queue, adopting the string itself when
+  /// the queue is drained. Returns false when the queue would exceed its
+  /// byte cap — the caller must disconnect; dropping a response frame
+  /// silently would violate exactly-once delivery.
+  bool queueWrite(std::string Bytes);
 
   /// Writes as much queued data as the socket accepts. Fault injection
   /// may shorten individual writes. Returns Error on hard failure, Ok

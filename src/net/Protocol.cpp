@@ -69,21 +69,26 @@ uint64_t StatsFrame::counter(std::string_view Name) const {
 // Encoding
 //===----------------------------------------------------------------------===//
 
-/// Wraps \p Payload in the [u32 Length][u8 Type] header.
-static std::string wrapFrame(FrameType Type, const BinaryWriter &Payload) {
-  std::string Out;
-  uint32_t Length = static_cast<uint32_t>(1 + Payload.size());
-  Out.reserve(4 + Length);
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>(Length >> (8 * I)));
-  Out.push_back(static_cast<char>(Type));
-  Out.append(reinterpret_cast<const char *>(Payload.bytes().data()),
-             Payload.size());
-  return Out;
+/// Starts a frame: the [u32 Length][u8 Type] header comes first, its
+/// length a placeholder until finishFrame, so the payload is written
+/// straight into the frame. \p PayloadBytes pre-sizes the buffer.
+static BinaryWriter beginFrame(FrameType Type, size_t PayloadBytes = 0) {
+  BinaryWriter W;
+  W.reserve(FrameHeaderBytes + PayloadBytes);
+  W.writeU32(0);
+  W.writeU8(static_cast<uint8_t>(Type));
+  return W;
+}
+
+/// Patches the length (type byte plus payload) and hands the frame out
+/// without copying it.
+static std::string finishFrame(BinaryWriter &&W) {
+  W.patchU32(0, static_cast<uint32_t>(W.size() - 4));
+  return std::move(W).take();
 }
 
 std::string net::encodeCompile(const CompileFrame &F) {
-  BinaryWriter W;
+  BinaryWriter W = beginFrame(FrameType::CompileRequest);
   W.writeU64(F.RequestId);
   W.writeU8(static_cast<uint8_t>(F.Kind));
   W.writeI64(F.Priority);
@@ -100,25 +105,29 @@ std::string net::encodeCompile(const CompileFrame &F) {
   } else {
     W.writeString(F.Dimacs);
   }
-  return wrapFrame(FrameType::CompileRequest, W);
+  return finishFrame(std::move(W));
 }
 
 std::string net::encodeCancel(const CancelFrame &F) {
-  BinaryWriter W;
+  BinaryWriter W = beginFrame(FrameType::CancelRequest);
   W.writeU64(F.RequestId);
-  return wrapFrame(FrameType::CancelRequest, W);
+  return finishFrame(std::move(W));
 }
 
 std::string net::encodeStatsRequest() {
-  return wrapFrame(FrameType::StatsRequest, BinaryWriter());
+  return finishFrame(beginFrame(FrameType::StatsRequest));
 }
 
 std::string net::encodePing() {
-  return wrapFrame(FrameType::Ping, BinaryWriter());
+  return finishFrame(beginFrame(FrameType::Ping));
 }
 
 std::string net::encodeResult(const ResultFrame &F) {
-  BinaryWriter W;
+  // Fixed fields, then two length-prefixed strings: the program text is
+  // copied once, into a buffer sized for it up front.
+  BinaryWriter W = beginFrame(FrameType::Result,
+                              /*fixed fields=*/38 + /*string lengths=*/16 +
+                                  F.Diagnostic.size() + F.Wqasm.size());
   W.writeU64(F.RequestId);
   W.writeU8(static_cast<uint8_t>(F.Code));
   W.writeU32(F.BackoffMs);
@@ -128,35 +137,35 @@ std::string net::encodeResult(const ResultFrame &F) {
   W.writeU64(F.Pulses);
   W.writeString(F.Diagnostic);
   W.writeString(F.Wqasm);
-  return wrapFrame(FrameType::Result, W);
+  return finishFrame(std::move(W));
 }
 
 std::string net::encodeStats(const StatsFrame &F) {
-  BinaryWriter W;
+  BinaryWriter W = beginFrame(FrameType::Stats);
   W.writeU64(F.Counters.size());
   for (const auto &KV : F.Counters) {
     W.writeString(KV.first);
     W.writeU64(KV.second);
   }
   W.writeString(F.Text);
-  return wrapFrame(FrameType::Stats, W);
+  return finishFrame(std::move(W));
 }
 
 std::string net::encodeError(const ErrorFrame &F) {
-  BinaryWriter W;
+  BinaryWriter W = beginFrame(FrameType::Error);
   W.writeU8(static_cast<uint8_t>(F.Code));
   W.writeString(F.Message);
-  return wrapFrame(FrameType::Error, W);
+  return finishFrame(std::move(W));
 }
 
 std::string net::encodeGoingAway(const std::string &Reason) {
-  BinaryWriter W;
+  BinaryWriter W = beginFrame(FrameType::GoingAway);
   W.writeString(Reason);
-  return wrapFrame(FrameType::GoingAway, W);
+  return finishFrame(std::move(W));
 }
 
 std::string net::encodePong() {
-  return wrapFrame(FrameType::Pong, BinaryWriter());
+  return finishFrame(beginFrame(FrameType::Pong));
 }
 
 //===----------------------------------------------------------------------===//

@@ -54,7 +54,7 @@ uint32_t Server::suggestedBackoffMs() const {
 }
 
 ResultFrame Server::resultFromOutcome(uint64_t RequestId,
-                                      const core::JobOutcome &Outcome) {
+                                      core::JobOutcome &&Outcome) {
   ResultFrame R;
   R.RequestId = RequestId;
   R.QueueSeconds = Outcome.QueueSeconds;
@@ -64,7 +64,7 @@ ResultFrame Server::resultFromOutcome(uint64_t RequestId,
   case core::JobState::Completed:
     R.Code = ResponseCode::Ok;
     R.Pulses = Outcome.Metrics.Pulses;
-    R.Wqasm = Outcome.Wqasm;
+    R.Wqasm = std::move(Outcome.Wqasm);
     break;
   case core::JobState::Cancelled:
     R.Code = Outcome.DeadlineExceeded ? ResponseCode::DeadlineExceeded
@@ -79,8 +79,8 @@ ResultFrame Server::resultFromOutcome(uint64_t RequestId,
   return R;
 }
 
-void Server::queueOrDrop(Client &C, const std::string &Bytes) {
-  if (C.Conn.queueWrite(Bytes)) {
+void Server::queueOrDrop(Client &C, std::string Bytes) {
+  if (C.Conn.queueWrite(std::move(Bytes))) {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Stats.FramesOut;
     return;
@@ -326,7 +326,7 @@ void Server::drainCompletions() {
       continue;
     }
     C->InFlight.erase(Done.RequestId);
-    sendResult(*C, resultFromOutcome(Done.RequestId, Done.Outcome));
+    sendResult(*C, resultFromOutcome(Done.RequestId, std::move(Done.Outcome)));
   }
 }
 

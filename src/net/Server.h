@@ -164,11 +164,12 @@ private:
   StatsFrame buildStats();
   void beginDrain();
   void sendResult(Client &C, const ResultFrame &R);
-  /// Queues bytes on \p C, or marks it for disconnect on overflow.
-  void queueOrDrop(Client &C, const std::string &Bytes);
+  /// Queues a frame on \p C, or marks it for disconnect on overflow.
+  void queueOrDrop(Client &C, std::string Bytes);
   uint32_t suggestedBackoffMs() const;
+  /// Moves the program text out of \p Outcome, which the poll thread owns.
   static ResultFrame resultFromOutcome(uint64_t RequestId,
-                                       const core::JobOutcome &Outcome);
+                                       core::JobOutcome &&Outcome);
 
   ServerOptions Options;
   FdHandle ListenFd;

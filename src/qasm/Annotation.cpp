@@ -35,12 +35,19 @@ const char *qasm::annotationKindName(AnnotationKind Kind) {
 
 namespace {
 
-/// Appends " [v0, v1, ...]".
-template <typename T>
-void appendList(std::string &Out, const std::vector<T> &Vals) {
+/// Appends " [v0, v1, ...]": lengths in micrometres, anything else (row
+/// and column indices) as integers.
+void appendList(std::string &Out, const std::vector<int32_t> &Vals,
+                bool Lengths) {
   Out += " [";
-  for (size_t I = 0; I < Vals.size(); ++I)
-    appendAll(Out, I ? ", " : "", Vals[I]);
+  for (size_t I = 0; I < Vals.size(); ++I) {
+    if (I)
+      Out += ", ";
+    if (Lengths)
+      appendMicrons(Out, Vals[I]);
+    else
+      appendInt(Out, Vals[I]);
+  }
   Out += ']';
 }
 
@@ -51,14 +58,18 @@ void qasm::appendAnnotation(std::string &Out, const Annotation &A) {
   switch (A.Kind) {
   case AnnotationKind::Slm:
     Out += " [";
-    for (size_t I = 0; I < A.TrapPositions.size(); ++I)
-      appendAll(Out, I ? ", (" : "(", A.TrapPositions[I].X, ", ",
-                A.TrapPositions[I].Y, ')');
+    for (size_t I = 0; I < A.TrapPositions.size(); ++I) {
+      Out += I ? ", (" : "(";
+      appendMicrons(Out, A.TrapPositions[I].X);
+      Out += ", ";
+      appendMicrons(Out, A.TrapPositions[I].Y);
+      Out += ')';
+    }
     Out += ']';
     break;
   case AnnotationKind::Aod:
-    appendList(Out, A.AodXs);
-    appendList(Out, A.AodYs);
+    appendList(Out, A.AodXs, /*Lengths=*/true);
+    appendList(Out, A.AodYs, /*Lengths=*/true);
     break;
   case AnnotationKind::Bind:
     if (A.BindToSlm)
@@ -70,13 +81,13 @@ void qasm::appendAnnotation(std::string &Out, const Annotation &A) {
     appendAll(Out, ' ', A.SlmIndex, " (", A.AodCol, ", ", A.AodRow, ')');
     break;
   case AnnotationKind::Shuttle:
-    appendAll(Out, A.ShuttleRow ? " row " : " column ", A.ShuttleIndex, ' ',
-              A.Offset);
+    appendAll(Out, A.ShuttleRow ? " row " : " column ", A.ShuttleIndex, ' ');
+    appendMicrons(Out, A.Offset);
     break;
   case AnnotationKind::ShuttleParallel:
     Out += A.ShuttleRow ? " rows" : " columns";
-    appendList(Out, A.ShuttleIndices);
-    appendList(Out, A.ShuttleOffsets);
+    appendList(Out, A.ShuttleIndices, /*Lengths=*/false);
+    appendList(Out, A.ShuttleOffsets, /*Lengths=*/true);
     break;
   case AnnotationKind::RamanGlobal:
     appendAll(Out, " global ", A.AngleX, ' ', A.AngleY, ' ', A.AngleZ);
@@ -103,7 +114,7 @@ Annotation Annotation::slm(std::vector<Vec2> Traps) {
   return A;
 }
 
-Annotation Annotation::aod(std::vector<double> Xs, std::vector<double> Ys) {
+Annotation Annotation::aod(std::vector<int32_t> Xs, std::vector<int32_t> Ys) {
   Annotation A;
   A.Kind = AnnotationKind::Aod;
   A.AodXs = std::move(Xs);
@@ -139,22 +150,22 @@ Annotation Annotation::transfer(int SlmIndex, int Col, int Row) {
   return A;
 }
 
-Annotation Annotation::shuttle(bool Row, int Index, double Offset) {
+Annotation Annotation::shuttle(bool Row, int Index, int32_t OffsetNm) {
   Annotation A;
   A.Kind = AnnotationKind::Shuttle;
   A.ShuttleRow = Row;
   A.ShuttleIndex = Index;
-  A.Offset = Offset;
+  A.Offset = OffsetNm;
   return A;
 }
 
 Annotation Annotation::shuttleParallel(bool Rows, std::vector<int> Indices,
-                                       std::vector<double> Offsets) {
+                                       std::vector<int32_t> OffsetsNm) {
   Annotation A;
   A.Kind = AnnotationKind::ShuttleParallel;
   A.ShuttleRow = Rows;
   A.ShuttleIndices = std::move(Indices);
-  A.ShuttleOffsets = std::move(Offsets);
+  A.ShuttleOffsets = std::move(OffsetsNm);
   return A;
 }
 

@@ -25,6 +25,11 @@
 ///   @rydberg
 /// \endcode
 ///
+/// Lengths (trap coordinates, AOD positions, shuttle offsets) are held as
+/// whole nanometres and written as micrometres with at most three
+/// fractional digits (appendMicrons / parseMicrons), so "7.5" is 7500 nm
+/// exactly. Raman angles stay doubles in appendDouble's %.17g form.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WEAVER_QASM_ANNOTATION_H
@@ -65,12 +70,12 @@ const char *annotationKindName(AnnotationKind Kind);
 struct Annotation {
   AnnotationKind Kind = AnnotationKind::Rydberg;
 
-  /// @slm: trap coordinates.
+  /// @slm: trap coordinates (nm).
   std::vector<Vec2> TrapPositions;
 
-  /// @aod: column x-coordinates and row y-coordinates.
-  std::vector<double> AodXs;
-  std::vector<double> AodYs;
+  /// @aod: column x-coordinates and row y-coordinates (nm).
+  std::vector<int32_t> AodXs;
+  std::vector<int32_t> AodYs;
 
   /// @bind / @raman local: flat qubit index (printer renders q[Qubit]).
   int Qubit = -1;
@@ -91,13 +96,13 @@ struct Annotation {
   /// @shuttle: row/column index.
   int ShuttleIndex = -1;
 
-  /// @shuttle: displacement in micrometers.
-  double Offset = 0;
+  /// @shuttle: displacement (nm).
+  int32_t Offset = 0;
 
   /// @shuttle rows/columns: moved indices (strictly ascending) and the
-  /// matching per-index displacements in micrometers.
+  /// matching per-index displacements (nm).
   std::vector<int> ShuttleIndices;
-  std::vector<double> ShuttleOffsets;
+  std::vector<int32_t> ShuttleOffsets;
 
   /// @raman: rotation angles around the x, y and z axes (radians).
   double AngleX = 0;
@@ -108,15 +113,18 @@ struct Annotation {
   std::string str() const;
 
   // --- Named constructors for each form -------------------------------
+  // Lengths are nanometres; the deleted double overload keeps a
+  // micrometre literal such as 3.5 from truncating unnoticed.
 
   static Annotation slm(std::vector<Vec2> Traps);
-  static Annotation aod(std::vector<double> Xs, std::vector<double> Ys);
+  static Annotation aod(std::vector<int32_t> Xs, std::vector<int32_t> Ys);
   static Annotation bindSlm(int Qubit, int SlmIndex);
   static Annotation bindAod(int Qubit, int Col, int Row);
   static Annotation transfer(int SlmIndex, int Col, int Row);
-  static Annotation shuttle(bool Row, int Index, double Offset);
+  static Annotation shuttle(bool Row, int Index, int32_t OffsetNm);
+  static Annotation shuttle(bool Row, int Index, double) = delete;
   static Annotation shuttleParallel(bool Rows, std::vector<int> Indices,
-                                    std::vector<double> Offsets);
+                                    std::vector<int32_t> OffsetsNm);
   static Annotation ramanGlobal(double X, double Y, double Z);
   static Annotation ramanLocal(int Qubit, double X, double Y, double Z);
   static Annotation rydberg();

@@ -86,8 +86,9 @@ private:
 
   bool parseInt(int &Out);
   bool parseSignedNumber(double &Out);
+  bool parseLength(int32_t &Out);
   bool parseIntList(std::vector<int> &Out);
-  bool parseNumberList(std::vector<double> &Out);
+  bool parseLengthList(std::vector<int32_t> &Out);
   bool parseRegisterRef(const RegisterMap &Regs, const char *Unit,
                         const char *Kind, int &FlatIndex);
   bool parseQubitRef(int &FlatIndex) {
@@ -230,6 +231,23 @@ bool Parser::parseSignedNumber(double &Out) {
   return true;
 }
 
+// An optional '-' and a micrometre numeral, to whole nanometres. The
+// numeral goes through parseMicrons, so "1e3", "0.0005" and "+1" are
+// errors rather than values rounded onto the lattice.
+bool Parser::parseLength(int32_t &Out) {
+  bool Negative = peek().isPunct('-');
+  if (Negative)
+    advance();
+  if (!peek().is(TokenKind::Number))
+    return failHere("expected length, " + found());
+  Expected<int32_t> V = parseMicrons(peek().Text);
+  if (!V)
+    return failHere(V.message());
+  Out = Negative ? -*V : *V;
+  advance();
+  return true;
+}
+
 // '[' v (',' v)* ']' with optional commas, shared by every bracketed
 // annotation list.
 bool Parser::parseIntList(std::vector<int> &Out) {
@@ -247,12 +265,12 @@ bool Parser::parseIntList(std::vector<int> &Out) {
   return true;
 }
 
-bool Parser::parseNumberList(std::vector<double> &Out) {
+bool Parser::parseLengthList(std::vector<int32_t> &Out) {
   if (!expectPunct('['))
     return false;
   while (!peek().isPunct(']')) {
-    double V;
-    if (!parseSignedNumber(V))
+    int32_t V;
+    if (!parseLength(V))
       return false;
     Out.push_back(V);
     if (peek().isPunct(','))
@@ -467,12 +485,12 @@ bool Parser::parseAnnotation() {
     while (!peek().isPunct(']')) {
       if (!expectPunct('('))
         return false;
-      double X, Y;
-      if (!parseSignedNumber(X))
+      int32_t X, Y;
+      if (!parseLength(X))
         return false;
       if (!expectPunct(','))
         return false;
-      if (!parseSignedNumber(Y))
+      if (!parseLength(Y))
         return false;
       if (!expectPunct(')'))
         return false;
@@ -483,8 +501,8 @@ bool Parser::parseAnnotation() {
     advance(); // ']'
     A = Annotation::slm(std::move(Traps));
   } else if (Keyword == "aod") {
-    std::vector<double> Xs, Ys;
-    if (!parseNumberList(Xs) || !parseNumberList(Ys))
+    std::vector<int32_t> Xs, Ys;
+    if (!parseLengthList(Xs) || !parseLengthList(Ys))
       return false;
     A = Annotation::aod(std::move(Xs), std::move(Ys));
   } else if (Keyword == "bind") {
@@ -538,8 +556,8 @@ bool Parser::parseAnnotation() {
     if (Parallel) {
       // @shuttle rows|columns [i0, i1, ...] [off0, off1, ...]
       std::vector<int> Indices;
-      std::vector<double> Offsets;
-      if (!parseIntList(Indices) || !parseNumberList(Offsets))
+      std::vector<int32_t> Offsets;
+      if (!parseIntList(Indices) || !parseLengthList(Offsets))
         return false;
       if (Indices.size() != Offsets.size())
         return fail("@shuttle parallel form needs one offset per index");
@@ -547,8 +565,8 @@ bool Parser::parseAnnotation() {
                                       std::move(Offsets));
     } else {
       int Index;
-      double Offset;
-      if (!parseInt(Index) || !parseSignedNumber(Offset))
+      int32_t Offset;
+      if (!parseInt(Index) || !parseLength(Offset))
         return false;
       A = Annotation::shuttle(Row, Index, Offset);
     }

@@ -29,11 +29,6 @@ uint64_t weaver::fnv1a64(const void *Data, size_t Size, uint64_t Seed) {
   return H;
 }
 
-void BinaryWriter::patchU64(size_t Offset, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Buf[Offset + I] = static_cast<uint8_t>(V >> (8 * I));
-}
-
 std::string BinaryReader::readString() {
   size_t Len = readLength(1);
   if (!ok())

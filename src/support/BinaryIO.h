@@ -37,10 +37,12 @@ namespace weaver {
 uint64_t fnv1a64(const void *Data, size_t Size,
                  uint64_t Seed = 1469598103934665603ull);
 
-/// Append-only little-endian byte-buffer writer.
+/// Append-only little-endian byte-buffer writer. The buffer is a
+/// std::string so a finished encoding (a wire frame) can be handed out by
+/// move instead of copied.
 class BinaryWriter {
 public:
-  void writeU8(uint8_t V) { Buf.push_back(V); }
+  void writeU8(uint8_t V) { Buf.push_back(static_cast<char>(V)); }
   void writeU32(uint32_t V) { writeLE(V, 4); }
   void writeU64(uint64_t V) { writeLE(V, 8); }
   void writeI64(int64_t V) { writeU64(static_cast<uint64_t>(V)); }
@@ -51,24 +53,32 @@ public:
   }
   void writeString(const std::string &S) {
     writeU64(S.size());
-    Buf.insert(Buf.end(), S.begin(), S.end());
+    Buf += S;
   }
   void writeBytes(const void *Data, size_t Size) {
-    const uint8_t *P = static_cast<const uint8_t *>(Data);
-    Buf.insert(Buf.end(), P, P + Size);
+    Buf.append(static_cast<const char *>(Data), Size);
   }
 
-  const std::vector<uint8_t> &bytes() const { return Buf; }
+  const std::string &bytes() const { return Buf; }
   size_t size() const { return Buf.size(); }
-  /// Overwrites 8 previously written bytes at \p Offset (header patching).
-  void patchU64(size_t Offset, uint64_t V);
+  void reserve(size_t Bytes) { Buf.reserve(Bytes); }
+  /// Overwrite 4 or 8 previously written bytes at \p Offset (header
+  /// patching).
+  void patchU32(size_t Offset, uint32_t V) { patchLE(Offset, V, 4); }
+  void patchU64(size_t Offset, uint64_t V) { patchLE(Offset, V, 8); }
+  /// Hands the buffer out without copying it.
+  std::string take() && { return std::move(Buf); }
 
 private:
   void writeLE(uint64_t V, int NumBytes) {
     for (int I = 0; I < NumBytes; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
+      Buf.push_back(static_cast<char>(V >> (8 * I)));
   }
-  std::vector<uint8_t> Buf;
+  void patchLE(size_t Offset, uint64_t V, int NumBytes) {
+    for (int I = 0; I < NumBytes; ++I)
+      Buf[Offset + I] = static_cast<char>(V >> (8 * I));
+  }
+  std::string Buf;
 };
 
 /// Bounds-checked little-endian reader over a non-owned byte span. See

@@ -6,6 +6,8 @@
 
 #include "support/StringUtils.h"
 
+#include "support/Geometry.h"
+
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
@@ -53,6 +55,47 @@ void weaver::appendDouble(std::string &Out, double Value) {
   auto R = std::to_chars(Buf, Buf + sizeof(Buf), Value,
                          std::chars_format::general, 17);
   Out.append(Buf, R.ptr);
+}
+
+void weaver::appendMicrons(std::string &Out, int64_t Nm) {
+  uint64_t Mag = Nm < 0 ? 0 - static_cast<uint64_t>(Nm) : Nm;
+  if (Nm < 0)
+    Out += '-';
+  appendInt(Out, static_cast<long long>(Mag / 1000));
+  if (unsigned Frac = Mag % 1000) {
+    char Digits[] = {'.', static_cast<char>('0' + Frac / 100),
+                     static_cast<char>('0' + Frac / 10 % 10),
+                     static_cast<char>('0' + Frac % 10)};
+    Out.append(Digits, Frac % 10 ? 4 : Frac % 100 ? 3 : 2);
+  }
+}
+
+Expected<int32_t> weaver::parseMicrons(std::string_view Tok) {
+  size_t Sign = !Tok.empty() && Tok[0] == '-';
+  size_t Dot = Tok.find('.');
+  std::string_view Int = Tok.substr(Sign, Dot == Tok.npos ? Dot : Dot - Sign);
+  std::string_view Frac = Dot == Tok.npos ? "0" : Tok.substr(Dot + 1);
+  auto Digits = [](std::string_view S) {
+    return !S.empty() && S.find_first_not_of("0123456789") == S.npos;
+  };
+  if (!Digits(Int) || !Digits(Frac) || Frac.size() > 3)
+    return Expected<int32_t>::error("invalid length '" + std::string(Tok) +
+                                    "': expected micrometres with at most "
+                                    "three decimals");
+  // Whole micrometres scale by 1000 per digit; the bound check runs per
+  // digit, so no prefix can overflow.
+  int64_t Nm = 0, Scale = 100;
+  for (char C : Int)
+    if ((Nm = Nm * 10 + (C - '0') * 1000) > MaxCoordinateNm)
+      break;
+  for (char C : Frac) {
+    Nm += (C - '0') * Scale;
+    Scale /= 10;
+  }
+  if (Nm > MaxCoordinateNm)
+    return Expected<int32_t>::error("length '" + std::string(Tok) +
+                                    "' exceeds 1e6 um");
+  return static_cast<int32_t>(Sign ? -Nm : Nm);
 }
 
 void weaver::appendInt(std::string &Out, long long Value) {

@@ -6,7 +6,9 @@
 ///
 /// \file
 /// String splitting/trimming/formatting helpers shared by the QASM front end
-/// and the benchmark table printers.
+/// and the benchmark table printers, plus the one numeral form per value
+/// kind the wQASM text uses: appendDouble (%.17g) for Raman angles and
+/// appendMicrons / parseMicrons for lengths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,7 @@
 
 #include "support/Status.h"
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,9 +37,24 @@ bool startsWith(std::string_view S, std::string_view Prefix);
 /// Appends \p Value exactly as printf("%.17g") renders it (17 significant
 /// digits round-trip any double), via std::to_chars(general, 17), which
 /// the standard defines as that conversion. Every QASM emitter and
-/// diagnostic formats doubles here. Not the shortest-round-trip overload:
-/// it would print 0.29999999999999999 as 0.3 and change every golden.
+/// diagnostic formats doubles here; in wQASM that is the Raman angles,
+/// whose AngleSlot patching relies on the exact 17-digit form. Not the
+/// shortest-round-trip overload: it would print 0.29999999999999999 as
+/// 0.3 and change every golden.
 void appendDouble(std::string &Out, double Value);
+
+/// Appends the length \p Nm (nanometres) in micrometres as an exact
+/// decimal with at most three fractional digits and no trailing zeros:
+/// 14400 -> "14.4", -900 -> "-0.9", 19732 -> "19.732", 6000 -> "6". The
+/// one length renderer of the wQASM printer; parseMicrons inverts it.
+void appendMicrons(std::string &Out, int64_t Nm);
+
+/// Parses a micrometre length into whole nanometres with integer
+/// arithmetic only: an optional '-', one or more digits, and optionally
+/// '.' followed by one to three digits. Rejects exponents, a fourth
+/// fractional digit, a leading '+', a bare '.' or '-', and magnitudes
+/// above MaxCoordinateNm (support/Geometry.h).
+Expected<int32_t> parseMicrons(std::string_view Tok);
 
 /// Appends \p Value in decimal.
 void appendInt(std::string &Out, long long Value);

@@ -408,14 +408,14 @@ TEST(WChecker, DetectsExtraLogicalGate) {
 }
 
 /// Builds a checker input whose only content is an AOD grid (columns at 0,
-/// 5, 10) followed by one parallel shuttle batch — the minimal program
-/// exercising the batched-motion validation path.
+/// 5, 10 um) followed by one parallel shuttle batch (offsets in nm) — the
+/// minimal program exercising the batched-motion validation path.
 static qasm::WqasmProgram
 parallelShuttleProgram(std::vector<int> Indices,
-                       std::vector<double> Offsets) {
+                       std::vector<int32_t> Offsets) {
   qasm::WqasmProgram P;
   P.TrailingAnnotations = {
-      qasm::Annotation::aod({0.0, 5.0, 10.0}, {2.0}),
+      qasm::Annotation::aod({0, 5000, 10000}, {2000}),
       qasm::Annotation::shuttleParallel(false, std::move(Indices),
                                         std::move(Offsets))};
   return P;
@@ -423,13 +423,13 @@ parallelShuttleProgram(std::vector<int> Indices,
 
 TEST(WChecker, AcceptsValidParallelShuttleBatch) {
   CheckReport Report = checkWqasm(
-      parallelShuttleProgram({0, 1, 2}, {3.0, 2.0, 1.0}), {});
+      parallelShuttleProgram({0, 1, 2}, {3000, 2000, 1000}), {});
   EXPECT_TRUE(Report.StructuralOk) << Report.Diagnostic;
 }
 
 TEST(WChecker, RejectsParallelShuttleWithOverlappingColumns) {
   CheckReport Report =
-      checkWqasm(parallelShuttleProgram({1, 1}, {1.0, 1.0}), {});
+      checkWqasm(parallelShuttleProgram({1, 1}, {1000, 1000}), {});
   EXPECT_FALSE(Report.StructuralOk);
   EXPECT_NE(Report.Diagnostic.find("ascending"), std::string::npos)
       << Report.Diagnostic;
@@ -439,7 +439,7 @@ TEST(WChecker, RejectsParallelShuttleOrderInversion) {
   // Column 0 would end at 7, past column 1's unmoved 5: simultaneous
   // traps may not cross.
   CheckReport Report =
-      checkWqasm(parallelShuttleProgram({0}, {7.0}), {});
+      checkWqasm(parallelShuttleProgram({0}, {7000}), {});
   EXPECT_FALSE(Report.StructuralOk);
   EXPECT_NE(Report.Diagnostic.find("cross or crowd"), std::string::npos)
       << Report.Diagnostic;
@@ -449,7 +449,7 @@ TEST(WChecker, RejectsParallelShuttleSubMinimumSpacing) {
   // Columns 0 and 1 both move right but end 0.4 apart — below the
   // minimum AOD separation even though their order is preserved.
   CheckReport Report = checkWqasm(
-      parallelShuttleProgram({0, 1}, {5.6, 1.0}), {});
+      parallelShuttleProgram({0, 1}, {5600, 1000}), {});
   EXPECT_FALSE(Report.StructuralOk);
   EXPECT_NE(Report.Diagnostic.find("crowd"), std::string::npos)
       << Report.Diagnostic;

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 
 using namespace weaver;
 using namespace weaver::fpqa;
@@ -17,11 +19,12 @@ using qasm::Annotation;
 
 namespace {
 
-/// A device with two SLM traps, a 2x1 AOD grid and two bound atoms.
+/// A device with three SLM traps, a 2x1 AOD grid and two bound atoms
+/// (coordinates in nm).
 FpqaDevice makeLoadedDevice(const HardwareParams &P = HardwareParams()) {
   FpqaDevice D(P);
-  EXPECT_FALSE(D.apply(Annotation::slm({{0, 0}, {6, 0}, {12, 0}})));
-  EXPECT_FALSE(D.apply(Annotation::aod({0.0, 6.0}, {2.0})));
+  EXPECT_FALSE(D.apply(Annotation::slm({{0, 0}, {6000, 0}, {12000, 0}})));
+  EXPECT_FALSE(D.apply(Annotation::aod({0, 6000}, {2000})));
   EXPECT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   EXPECT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   return D;
@@ -33,7 +36,7 @@ FpqaDevice makeLoadedDevice(const HardwareParams &P = HardwareParams()) {
 
 TEST(Device, SlmRejectsCrowdedTraps) {
   FpqaDevice D;
-  Status S = D.apply(Annotation::slm({{0, 0}, {2, 0}}));
+  Status S = D.apply(Annotation::slm({{0, 0}, {2000, 0}}));
   EXPECT_TRUE(static_cast<bool>(S));
   EXPECT_NE(S.message().find("separation"), std::string::npos);
 }
@@ -41,15 +44,14 @@ TEST(Device, SlmRejectsCrowdedTraps) {
 TEST(Device, SlmRejectsDoubleInit) {
   FpqaDevice D;
   EXPECT_FALSE(D.apply(Annotation::slm({{0, 0}})));
-  EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::slm({{20, 0}}))));
+  EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::slm({{20000, 0}}))));
 }
 
 TEST(Device, AodRequiresIncreasingCoordinates) {
   FpqaDevice D;
-  EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::aod({3.0, 1.0}, {0.0}))));
-  EXPECT_TRUE(
-      static_cast<bool>(D.apply(Annotation::aod({0.0, 0.5}, {0.0}))));
-  EXPECT_FALSE(D.apply(Annotation::aod({0.0, 2.0}, {0.0, 2.0})));
+  EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::aod({3000, 1000}, {0}))));
+  EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::aod({0, 500}, {0}))));
+  EXPECT_FALSE(D.apply(Annotation::aod({0, 2000}, {0, 2000})));
 }
 
 TEST(Device, BindRejectsOccupiedTrap) {
@@ -66,8 +68,8 @@ TEST(Device, BindAodAndPositions) {
   FpqaDevice D = makeLoadedDevice();
   EXPECT_FALSE(D.apply(Annotation::bindAod(2, 1, 0)));
   Vec2 Pos = D.qubitPosition(2);
-  EXPECT_DOUBLE_EQ(Pos.X, 6.0);
-  EXPECT_DOUBLE_EQ(Pos.Y, 2.0);
+  EXPECT_EQ(Pos.X, 6000);
+  EXPECT_EQ(Pos.Y, 2000);
 }
 
 TEST(Device, TransferMovesAtomBothWays) {
@@ -112,35 +114,36 @@ TEST(Device, TransferRejectsBothEmptyOrBothFull) {
 
 TEST(Device, ShuttleMovesRowAndColumn) {
   FpqaDevice D = makeLoadedDevice();
-  EXPECT_FALSE(D.apply(Annotation::shuttle(/*Row=*/true, 0, 5.0)));
-  EXPECT_DOUBLE_EQ(D.rowY(0), 7.0);
-  EXPECT_FALSE(D.apply(Annotation::shuttle(/*Row=*/false, 0, -1.0)));
-  EXPECT_DOUBLE_EQ(D.columnX(0), -1.0);
+  EXPECT_FALSE(D.apply(Annotation::shuttle(/*Row=*/true, 0, 5000)));
+  EXPECT_EQ(D.rowY(0), 7000);
+  EXPECT_FALSE(D.apply(Annotation::shuttle(/*Row=*/false, 0, -1000)));
+  EXPECT_EQ(D.columnX(0), -1000);
 }
 
 TEST(Device, ShuttleRejectsCrossing) {
   FpqaDevice D = makeLoadedDevice();
-  // Columns at 0 and 6; moving column 0 by +5.5 leaves gap 0.5 < min.
-  Status S = D.apply(Annotation::shuttle(/*Row=*/false, 0, 5.5));
+  // Columns at 0 and 6 um; moving column 0 by +5.5 um leaves a 0.5 um gap,
+  // below the minimum.
+  Status S = D.apply(Annotation::shuttle(/*Row=*/false, 0, 5500));
   EXPECT_TRUE(static_cast<bool>(S));
   // Moving column 1 left across column 0 must also fail.
   EXPECT_TRUE(
-      static_cast<bool>(D.apply(Annotation::shuttle(/*Row=*/false, 1, -6.0))));
+      static_cast<bool>(D.apply(Annotation::shuttle(/*Row=*/false, 1, -6000))));
 }
 
 TEST(Device, ShuttleRejectsBadIndex) {
   FpqaDevice D = makeLoadedDevice();
-  EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::shuttle(true, 3, 1.0))));
+  EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::shuttle(true, 3, 1000))));
 }
 
 TEST(Device, ParallelShuttleMovesColumnsSimultaneously) {
   FpqaDevice D;
-  EXPECT_FALSE(D.apply(Annotation::aod({0.0, 6.0, 12.0}, {2.0})));
+  EXPECT_FALSE(D.apply(Annotation::aod({0, 6000, 12000}, {2000})));
   EXPECT_FALSE(
-      D.apply(Annotation::shuttleParallel(false, {0, 2}, {4.0, -2.0})));
-  EXPECT_DOUBLE_EQ(D.columnX(0), 4.0);
-  EXPECT_DOUBLE_EQ(D.columnX(1), 6.0);
-  EXPECT_DOUBLE_EQ(D.columnX(2), 10.0);
+      D.apply(Annotation::shuttleParallel(false, {0, 2}, {4000, -2000})));
+  EXPECT_EQ(D.columnX(0), 4000);
+  EXPECT_EQ(D.columnX(1), 6000);
+  EXPECT_EQ(D.columnX(2), 10000);
 }
 
 TEST(Device, ParallelShuttleMovesAtomsRidingTheColumns) {
@@ -149,8 +152,8 @@ TEST(Device, ParallelShuttleMovesAtomsRidingTheColumns) {
   FpqaDevice D = makeLoadedDevice();
   EXPECT_FALSE(D.apply(Annotation::transfer(0, 0, 0))); // atom 0 -> AOD
   EXPECT_FALSE(
-      D.apply(Annotation::shuttleParallel(false, {0, 1}, {3.0, 3.0})));
-  EXPECT_DOUBLE_EQ(D.qubitPosition(0).X, 3.0);
+      D.apply(Annotation::shuttleParallel(false, {0, 1}, {3000, 3000})));
+  EXPECT_EQ(D.qubitPosition(0).X, 3000);
   auto Clusters = D.rydbergClusters();
   ASSERT_TRUE(Clusters.ok()) << Clusters.message();
 }
@@ -158,12 +161,12 @@ TEST(Device, ParallelShuttleMovesAtomsRidingTheColumns) {
 TEST(Device, ParallelShuttleRejectsOverlappingIndices) {
   FpqaDevice D = makeLoadedDevice();
   Status S =
-      D.apply(Annotation::shuttleParallel(false, {0, 0}, {1.0, 2.0}));
+      D.apply(Annotation::shuttleParallel(false, {0, 0}, {1000, 2000}));
   ASSERT_TRUE(static_cast<bool>(S));
   EXPECT_NE(S.message().find("ascending"), std::string::npos);
   // Descending spellings are rejected too: one canonical batch form.
   EXPECT_TRUE(static_cast<bool>(
-      D.apply(Annotation::shuttleParallel(false, {1, 0}, {1.0, 1.0}))));
+      D.apply(Annotation::shuttleParallel(false, {1, 0}, {1000, 1000}))));
 }
 
 TEST(Device, ParallelShuttleRejectsOrderInversion) {
@@ -171,21 +174,21 @@ TEST(Device, ParallelShuttleRejectsOrderInversion) {
   // Columns at 0 and 6: sending column 0 past column 1 in one step would
   // cross, even though the batch moves both.
   EXPECT_TRUE(static_cast<bool>(
-      D.apply(Annotation::shuttleParallel(false, {0, 1}, {8.0, 0.0}))));
+      D.apply(Annotation::shuttleParallel(false, {0, 1}, {8000, 0}))));
   // Unchanged on failure.
-  EXPECT_DOUBLE_EQ(D.columnX(0), 0.0);
-  EXPECT_DOUBLE_EQ(D.columnX(1), 6.0);
+  EXPECT_EQ(D.columnX(0), 0);
+  EXPECT_EQ(D.columnX(1), 6000);
 }
 
 TEST(Device, ParallelShuttleRejectsSubMinimumSpacing) {
   HardwareParams P;
   FpqaDevice D = makeLoadedDevice(P);
-  // End positions 5.6 and 6.0: gap 0.4 < MinAodSeparation (0.8).
+  // End positions 5.6 and 6.0 um: gap 0.4 um < MinAodSeparationNm (0.8 um).
   EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::shuttleParallel(
-      false, {0, 1}, {6.0 - P.MinAodSeparation / 2, 0.0}))));
+      false, {0, 1}, {6000 - P.MinAodSeparationNm / 2, 0}))));
   // At/above the minimum separation is allowed.
   EXPECT_FALSE(D.apply(Annotation::shuttleParallel(
-      false, {0, 1}, {6.0 - P.MinAodSeparation - 0.1, 0.0})));
+      false, {0, 1}, {6000 - P.MinAodSeparationNm - 100, 0})));
 }
 
 TEST(Device, ParallelShuttleRejectsMalformedBatches) {
@@ -194,11 +197,11 @@ TEST(Device, ParallelShuttleRejectsMalformedBatches) {
   EXPECT_TRUE(
       static_cast<bool>(D.apply(Annotation::shuttleParallel(false, {}, {}))));
   EXPECT_TRUE(static_cast<bool>(
-      D.apply(Annotation::shuttleParallel(false, {0, 1}, {1.0}))));
+      D.apply(Annotation::shuttleParallel(false, {0, 1}, {1000}))));
   EXPECT_TRUE(static_cast<bool>(
-      D.apply(Annotation::shuttleParallel(false, {0, 2}, {1.0, 1.0}))));
+      D.apply(Annotation::shuttleParallel(false, {0, 2}, {1000, 1000}))));
   EXPECT_TRUE(static_cast<bool>(
-      D.apply(Annotation::shuttleParallel(true, {1}, {1.0}))));
+      D.apply(Annotation::shuttleParallel(true, {1}, {1000}))));
 }
 
 TEST(Device, RamanLocalRequiresBoundQubit) {
@@ -218,8 +221,8 @@ TEST(Device, RydbergClustersPairsAndTriples) {
   HardwareParams P;
   FpqaDevice D(P);
   // Two atoms 2um apart, a third atom far away.
-  ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, {30, 0}, {60, 0}})));
-  ASSERT_FALSE(D.apply(Annotation::aod({2.0}, {0.0})));
+  ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, {30000, 0}, {60000, 0}})));
+  ASSERT_FALSE(D.apply(Annotation::aod({2000}, {0})));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindAod(2, 0, 0)));
@@ -231,10 +234,10 @@ TEST(Device, RydbergClustersPairsAndTriples) {
 
 TEST(Device, RydbergEquilateralTripleAccepted) {
   HardwareParams P;
-  P.MinSlmSeparation = 1.5; // allow a tight triangle of SLM traps
+  P.MinSlmSeparationNm = 1500; // allow a tight triangle of SLM traps
   FpqaDevice D(P);
-  ASSERT_FALSE(D.apply(
-      Annotation::slm({{0, 0}, {2, 0}, {1, 1.7320508075688772}})));
+  // The production triangle: sqrt(3) um height rounded to 1732 nm.
+  ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, {2000, 0}, {1000, 1732}})));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(2, 2)));
@@ -248,9 +251,9 @@ TEST(Device, RydbergRejectsChainedCluster) {
   // Three atoms in a line 2um apart: ends are 4um apart (> radius) but
   // connected through the middle -> invalid chain.
   HardwareParams P;
-  P.MinSlmSeparation = 1.5;
+  P.MinSlmSeparationNm = 1500;
   FpqaDevice D(P);
-  ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, {2, 0}, {4, 0}})));
+  ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, {2000, 0}, {4000, 0}})));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(2, 2)));
@@ -259,9 +262,9 @@ TEST(Device, RydbergRejectsChainedCluster) {
 
 TEST(Device, RydbergRejectsNonEquidistantTriple) {
   HardwareParams P;
-  P.MinSlmSeparation = 1.0;
+  P.MinSlmSeparationNm = 1000;
   FpqaDevice D(P);
-  ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, {2, 0}, {1, 1.0}})));
+  ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, {2000, 0}, {1000, 1000}})));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(2, 2)));
@@ -270,17 +273,98 @@ TEST(Device, RydbergRejectsNonEquidistantTriple) {
 
 TEST(Device, RydbergRejectsOversizedCluster) {
   HardwareParams P;
-  P.MinSlmSeparation = 1.0;
+  P.MinSlmSeparationNm = 1000;
   FpqaDevice D(P);
-  ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, {2, 0}, {0, 2}, {2, 2}})));
+  ASSERT_FALSE(D.apply(
+      Annotation::slm({{0, 0}, {2000, 0}, {0, 2000}, {2000, 2000}})));
   for (int Q = 0; Q < 4; ++Q)
     ASSERT_FALSE(D.apply(Annotation::bindSlm(Q, Q)));
   EXPECT_FALSE(D.rydbergClusters().ok());
 }
 
-// --- Grid path vs. the retained all-pairs reference ---------------------
+// --- Grid path vs. the all-pairs reference ------------------------------
 
 namespace {
+
+/// The pre-grid all-pairs cluster scan, the reference the grid path is
+/// pinned against: union-find over every pair of bound atoms (qubit ids
+/// below 64 in these tests), with the device's validity checks and
+/// diagnostics.
+Expected<std::vector<RydbergCluster>> referenceClusters(const FpqaDevice &D) {
+  const HardwareParams &P = D.params();
+  std::vector<int> Qubits;
+  std::vector<Vec2> Positions;
+  for (int Q = 0; Q < 64; ++Q)
+    if (D.isBound(Q)) {
+      Qubits.push_back(Q);
+      Positions.push_back(D.qubitPosition(Q));
+    }
+  size_t N = Qubits.size();
+  std::vector<size_t> Parent(N);
+  for (size_t I = 0; I < N; ++I)
+    Parent[I] = I;
+  auto Find = [&](size_t X) {
+    while (Parent[X] != X)
+      X = Parent[X] = Parent[Parent[X]];
+    return X;
+  };
+  const int64_t Radius2 = int64_t{P.RydbergRadiusNm} * P.RydbergRadiusNm;
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = I + 1; J < N; ++J)
+      if (distanceSquared(Positions[I], Positions[J]) <= Radius2)
+        Parent[Find(I)] = Find(J);
+
+  std::map<size_t, std::vector<size_t>> Groups;
+  for (size_t I = 0; I < N; ++I)
+    Groups[Find(I)].push_back(I);
+  auto Describe = [&](const std::vector<size_t> &Members) {
+    std::string Out;
+    for (size_t M : Members)
+      Out += " q[" + std::to_string(Qubits[M]) + "]@(" +
+             std::to_string(Positions[M].X) + "," +
+             std::to_string(Positions[M].Y) + ")";
+    return Out;
+  };
+  using Result = Expected<std::vector<RydbergCluster>>;
+  std::vector<RydbergCluster> Clusters;
+  for (auto &[Root, Members] : Groups) {
+    (void)Root;
+    if (Members.size() < 2)
+      continue;
+    if (Members.size() > 3)
+      return Result::error(
+          "@rydberg: interaction cluster with more than three atoms:" +
+          Describe(Members));
+    int64_t MinD2 = INT64_MAX, MaxD2 = 0;
+    for (size_t I = 0; I < Members.size(); ++I)
+      for (size_t J = I + 1; J < Members.size(); ++J) {
+        int64_t D2 =
+            distanceSquared(Positions[Members[I]], Positions[Members[J]]);
+        MinD2 = std::min(MinD2, D2);
+        MaxD2 = std::max(MaxD2, D2);
+      }
+    if (MaxD2 > Radius2)
+      return Result::error("@rydberg: chained interaction cluster (atoms not "
+                           "mutually within the Rydberg radius):" +
+                           Describe(Members));
+    if (Members.size() == 3 &&
+        std::sqrt(static_cast<double>(MaxD2)) -
+                std::sqrt(static_cast<double>(MinD2)) >
+            P.EquidistanceToleranceNm)
+      return Result::error("@rydberg: 3-atom cluster is not equidistant:" +
+                           Describe(Members));
+    RydbergCluster C;
+    for (size_t M : Members)
+      C.Qubits.push_back(Qubits[M]);
+    std::sort(C.Qubits.begin(), C.Qubits.end());
+    Clusters.push_back(std::move(C));
+  }
+  std::sort(Clusters.begin(), Clusters.end(),
+            [](const RydbergCluster &A, const RydbergCluster &B) {
+              return A.Qubits < B.Qubits;
+            });
+  return Clusters;
+}
 
 /// Asserts that the spatial-grid cluster path and the all-pairs reference
 /// agree on the current device state: same verdict, same clusters in the
@@ -290,7 +374,7 @@ namespace {
 /// union-find-root order); don't call this on multi-failure states.
 void expectClustersMatchReference(const FpqaDevice &D) {
   auto Grid = D.rydbergClusters();
-  auto Ref = D.rydbergClustersAllPairs();
+  auto Ref = referenceClusters(D);
   ASSERT_EQ(Grid.ok(), Ref.ok()) << "grid: " << Grid.message()
                                  << " reference: " << Ref.message();
   if (!Grid.ok()) {
@@ -313,10 +397,10 @@ void expectClustersMatchReference(const FpqaDevice &D) {
 TEST(Device, RydbergPairExactlyAtRadiusInteracts) {
   // distance == RydbergRadius is inside the blockade (<=, not <).
   HardwareParams P;
-  P.MinSlmSeparation = 2.0;
+  P.MinSlmSeparationNm = 2000;
   FpqaDevice D(P);
   ASSERT_FALSE(
-      D.apply(Annotation::slm({{0, 0}, {P.RydbergRadius, 0}, {30, 0}})));
+      D.apply(Annotation::slm({{0, 0}, {P.RydbergRadiusNm, 0}, {30000, 0}})));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(2, 2)));
@@ -328,38 +412,37 @@ TEST(Device, RydbergPairExactlyAtRadiusInteracts) {
 }
 
 TEST(Device, RydbergTripleAtEquidistanceToleranceBoundary) {
-  // Isoceles triples straddling the tolerance: side difference just
-  // inside is accepted, just outside rejected, and the knife-edge case
-  // (difference == EquidistanceTolerance) must at least agree with the
-  // reference path bit for bit.
-  for (double Base : {2.149, 2.15, 2.151}) {
+  // Triples with exact integer side lengths straddling the 150 nm
+  // tolerance: longest minus shortest side 148 nm is accepted, exactly
+  // 150 nm (the knife edge, sides 1800/1865.07/1950) is accepted too
+  // since only a difference above the tolerance fails, and 154 nm is
+  // rejected. Both cluster paths must agree on each.
+  struct Triple {
+    Vec2 B, C;
+    bool Accepted;
+  };
+  for (const Triple &T : {Triple{{2232, 0}, {1116, 1760}, true},
+                          Triple{{1800, 0}, {990, 1680}, true},
+                          Triple{{1680, 0}, {840, 1274}, false}}) {
     HardwareParams P;
-    P.MinSlmSeparation = 1.0;
+    P.MinSlmSeparationNm = 1000;
     FpqaDevice D(P);
-    double ApexX = Base / 2;
-    double ApexY = std::sqrt(4.0 - ApexX * ApexX); // equal 2.0-um sides
-    ASSERT_FALSE(
-        D.apply(Annotation::slm({{0, 0}, {Base, 0}, {ApexX, ApexY}})));
+    ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, T.B, T.C})));
     for (int Q = 0; Q < 3; ++Q)
       ASSERT_FALSE(D.apply(Annotation::bindSlm(Q, Q)));
-    if (Base < 2.15) {
-      EXPECT_TRUE(D.rydbergClusters().ok()) << Base;
-    }
-    if (Base > 2.15) {
-      EXPECT_FALSE(D.rydbergClusters().ok()) << Base;
-    }
+    EXPECT_EQ(D.rydbergClusters().ok(), T.Accepted) << T.B.X;
     expectClustersMatchReference(D);
   }
 }
 
 TEST(Device, RydbergChainSpanningGridCellBorders) {
-  // The chain spreads over three grid cells (cell size == RydbergRadius
-  // == 2.5): links of 2 um connect, ends at 4 um do not — an invalid
+  // The chain spreads over three grid cells (cell size == RydbergRadiusNm
+  // == 2.5 um): links of 2 um connect, ends at 4 um do not — an invalid
   // chain, and the grid must find it across cell borders.
   HardwareParams P;
-  P.MinSlmSeparation = 1.5;
+  P.MinSlmSeparationNm = 1500;
   FpqaDevice D(P);
-  ASSERT_FALSE(D.apply(Annotation::slm({{1, 0}, {3, 0}, {5, 0}})));
+  ASSERT_FALSE(D.apply(Annotation::slm({{1000, 0}, {3000, 0}, {5000, 0}})));
   for (int Q = 0; Q < 3; ++Q)
     ASSERT_FALSE(D.apply(Annotation::bindSlm(Q, Q)));
   EXPECT_FALSE(D.rydbergClusters().ok());
@@ -370,9 +453,9 @@ TEST(Device, RydbergPairStraddlingCellBorderInteracts) {
   // 2.4 um apart across the x = 2.5 cell boundary: neighbouring cells,
   // still one pair.
   HardwareParams P;
-  P.MinSlmSeparation = 2.0;
+  P.MinSlmSeparationNm = 2000;
   FpqaDevice D(P);
-  ASSERT_FALSE(D.apply(Annotation::slm({{2.4, 0}, {4.8, 0}})));
+  ASSERT_FALSE(D.apply(Annotation::slm({{2400, 0}, {4800, 0}})));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   auto Clusters = D.rydbergClusters();
@@ -382,14 +465,15 @@ TEST(Device, RydbergPairStraddlingCellBorderInteracts) {
 }
 
 TEST(Device, RydbergClustersSurviveFarOutCoordinates) {
-  // A trap at -1e300 (a hostile wQASM numeral) once reached an overflowing
-  // grid-cell conversion; UBSan reported it. Far-out atoms sit in clamped
-  // cells and, being out of range, join no cluster.
+  // Atoms at the +-1e9 nm coordinate bound: their squared distances to
+  // everything else stay exact in 64 bits, their grid cells are ordinary
+  // floor divisions, and, being out of range, they join no cluster.
   HardwareParams P;
-  P.MinSlmSeparation = 2.0;
+  P.MinSlmSeparationNm = 2000;
   FpqaDevice D(P);
-  ASSERT_FALSE(D.apply(Annotation::slm(
-      {{-1e300, 0}, {1e300, -1e300}, {0, 0}, {2.4, 0}, {1e300, 1e300}})));
+  const int32_t M = MaxCoordinateNm;
+  ASSERT_FALSE(D.apply(
+      Annotation::slm({{-M, 0}, {M, -M}, {0, 0}, {2400, 0}, {M, M}})));
   for (int Q = 0; Q < 5; ++Q)
     ASSERT_FALSE(D.apply(Annotation::bindSlm(Q, Q)));
   auto Clusters = D.rydbergClusters();
@@ -405,8 +489,9 @@ TEST(Device, RydbergClustersTrackIncrementalMovement) {
   // path must agree with the all-pairs reference recomputed from scratch.
   HardwareParams P;
   FpqaDevice D(P);
-  ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, {6, 0}, {12, 0}, {18, 0}})));
-  ASSERT_FALSE(D.apply(Annotation::aod({-6.0, -2.0}, {2.0})));
+  ASSERT_FALSE(
+      D.apply(Annotation::slm({{0, 0}, {6000, 0}, {12000, 0}, {18000, 0}})));
+  ASSERT_FALSE(D.apply(Annotation::aod({-6000, -2000}, {2000})));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindAod(2, 0, 0)));
@@ -416,19 +501,44 @@ TEST(Device, RydbergClustersTrackIncrementalMovement) {
   // Walk the columns right in sub-cell hops; the pair structure changes
   // as they pass over the SLM atoms.
   for (int Step = 0; Step < 14; ++Step) {
-    ASSERT_FALSE(D.apply(Annotation::shuttle(/*Row=*/false, 1, 1.3)));
-    ASSERT_FALSE(D.apply(Annotation::shuttle(/*Row=*/false, 0, 1.3)));
+    ASSERT_FALSE(D.apply(Annotation::shuttle(/*Row=*/false, 1, 1300)));
+    ASSERT_FALSE(D.apply(Annotation::shuttle(/*Row=*/false, 0, 1300)));
     expectClustersMatchReference(D);
   }
   // Lift the row away and back across a cell border.
-  ASSERT_FALSE(D.apply(Annotation::shuttle(/*Row=*/true, 0, 5.0)));
+  ASSERT_FALSE(D.apply(Annotation::shuttle(/*Row=*/true, 0, 5000)));
   expectClustersMatchReference(D);
-  ASSERT_FALSE(D.apply(Annotation::shuttle(/*Row=*/true, 0, -5.0)));
+  ASSERT_FALSE(D.apply(Annotation::shuttle(/*Row=*/true, 0, -5000)));
   expectClustersMatchReference(D);
   // Transfer an atom between layers: column 0 now sits at x = 12.2, so
   // SLM trap 2 at x = 12 is within transfer range. Compare again.
   ASSERT_FALSE(D.apply(Annotation::transfer(2, 0, 0)));
   expectClustersMatchReference(D);
+}
+
+TEST(Device, ShuttleLeavingTheCoordinateBoundIsRejected) {
+  // Coordinates stay within +-MaxCoordinateNm after every move, which
+  // keeps each difference and squared distance inside 64 bits. A move
+  // one nanometre past the bound is rejected and leaves the state alone.
+  const int32_t M = MaxCoordinateNm;
+  FpqaDevice D;
+  ASSERT_FALSE(D.apply(Annotation::aod({-M + 1000, M - 1000}, {M - 5})));
+  EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::shuttle(false, 1, 1001))));
+  EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::shuttle(true, 0, 6))));
+  EXPECT_TRUE(static_cast<bool>(
+      D.apply(Annotation::shuttleParallel(false, {0, 1}, {-1001, 0}))));
+  EXPECT_EQ(D.columnX(0), -M + 1000);
+  EXPECT_EQ(D.columnX(1), M - 1000);
+  EXPECT_EQ(D.rowY(0), M - 5);
+  // Landing exactly on the bound is allowed.
+  EXPECT_FALSE(D.apply(Annotation::shuttle(false, 1, 1000)));
+  EXPECT_FALSE(D.apply(Annotation::shuttleParallel(false, {0}, {-1000})));
+  EXPECT_EQ(D.columnX(0), -M);
+  EXPECT_EQ(D.columnX(1), M);
+  // Setup coordinates past the bound are rejected too.
+  FpqaDevice Fresh;
+  EXPECT_TRUE(static_cast<bool>(Fresh.apply(Annotation::slm({{M + 1, 0}}))));
+  EXPECT_TRUE(static_cast<bool>(Fresh.apply(Annotation::aod({0}, {-M - 1}))));
 }
 
 TEST(Device, NumAtomsIsTrackedIncrementally) {
@@ -452,15 +562,15 @@ TEST(Device, NumAtomsIsTrackedIncrementally) {
 TEST(Analysis, CountsAndDurations) {
   HardwareParams P;
   std::vector<Annotation> Program = {
-      Annotation::slm({{0, 0}, {6, 0}}),
-      Annotation::aod({0.0}, {2.0}),
+      Annotation::slm({{0, 0}, {6000, 0}}),
+      Annotation::aod({0}, {2000}),
       Annotation::bindSlm(0, 0),
       Annotation::bindSlm(1, 1),
       Annotation::ramanGlobal(0.5, 0, 0),
       Annotation::ramanLocal(0, 0.5, 0, 0),
       Annotation::transfer(0, 0, 0),
-      Annotation::shuttle(false, 0, 4.0), // column to x=4
-      Annotation::shuttle(true, 0, -2.0), // row to y=0... crowds? no rows
+      Annotation::shuttle(false, 0, 4000), // column to x = 4 um
+      Annotation::shuttle(true, 0, -2000), // row to y = 0
   };
   auto Stats = analyzePulseProgram(Program, P);
   ASSERT_TRUE(Stats.ok()) << Stats.message();
@@ -471,16 +581,16 @@ TEST(Analysis, CountsAndDurations) {
   EXPECT_EQ(Stats->ShuttleBatches, 1u); // column+row merge into one batch
   EXPECT_EQ(Stats->NumAtoms, 2u);
   double Expected = P.RamanGlobalTime + P.RamanLocalTime + P.TransferTime +
-                    4.0 / P.ShuttleSpeedUmPerSec;
+                    4.0 / P.ShuttleSpeedUmPerSec; // 4 um at um/s
   EXPECT_NEAR(Stats->Duration, Expected, 1e-12);
 }
 
 TEST(Analysis, RepeatedAxisBreaksBatch) {
   HardwareParams P;
   std::vector<Annotation> Program = {
-      Annotation::aod({0.0}, {2.0}),
-      Annotation::shuttle(false, 0, 1.0),
-      Annotation::shuttle(false, 0, 1.0), // same column again: new batch
+      Annotation::aod({0}, {2000}),
+      Annotation::shuttle(false, 0, 1000),
+      Annotation::shuttle(false, 0, 1000), // same column again: new batch
   };
   auto Stats = analyzePulseProgram(Program, P);
   ASSERT_TRUE(Stats.ok()) << Stats.message();
@@ -490,13 +600,13 @@ TEST(Analysis, RepeatedAxisBreaksBatch) {
 TEST(Analysis, ParallelShuttleIsExactlyOneBatch) {
   HardwareParams P;
   std::vector<Annotation> Program = {
-      Annotation::aod({0.0, 6.0, 12.0}, {2.0}),
-      Annotation::shuttleParallel(false, {0, 1, 2}, {4.0, 2.0, 1.0}),
+      Annotation::aod({0, 6000, 12000}, {2000}),
+      Annotation::shuttleParallel(false, {0, 1, 2}, {4000, 2000, 1000}),
       // A second parallel set over the same columns is a second AOD step —
       // no merging across annotations.
-      Annotation::shuttleParallel(false, {0, 1}, {-1.0, -1.0}),
+      Annotation::shuttleParallel(false, {0, 1}, {-1000, -1000}),
       // Single-column shuttles after it still batch-reconstruct normally.
-      Annotation::shuttle(false, 2, 1.0),
+      Annotation::shuttle(false, 2, 1000),
   };
   auto Stats = analyzePulseProgram(Program, P);
   ASSERT_TRUE(Stats.ok()) << Stats.message();
@@ -512,9 +622,9 @@ TEST(Analysis, ParallelShuttleIsExactlyOneBatch) {
 TEST(Analysis, EpsAccumulatesGateErrors) {
   HardwareParams P;
   P.T2 = 1e9;              // neutralise decoherence for this test
-  P.MinSlmSeparation = 1.5; // traps close enough to interact
+  P.MinSlmSeparationNm = 1500; // traps close enough to interact
   std::vector<Annotation> Program = {
-      Annotation::slm({{0, 0}, {2, 0}}),
+      Annotation::slm({{0, 0}, {2000, 0}}),
       Annotation::bindSlm(0, 0),
       Annotation::bindSlm(1, 1),
       Annotation::rydberg(),
@@ -526,7 +636,7 @@ TEST(Analysis, EpsAccumulatesGateErrors) {
 }
 
 TEST(Analysis, RejectsInvalidProgram) {
-  std::vector<Annotation> Program = {Annotation::shuttle(true, 0, 1.0)};
+  std::vector<Annotation> Program = {Annotation::shuttle(true, 0, 1000)};
   EXPECT_FALSE(analyzePulseProgram(Program, HardwareParams()).ok());
 }
 
@@ -541,7 +651,7 @@ TEST(Analysis, ZeroCopyProgramOverloadMatchesVectorOverload) {
   using circuit::GateKind;
   Program.Statements.push_back(
       {Gate(GateKind::H, {0}),
-       {Annotation::slm({{0, 0}, {6, 0}}), Annotation::aod({0.0}, {2.0}),
+       {Annotation::slm({{0, 0}, {6000, 0}}), Annotation::aod({0}, {2000}),
         Annotation::bindSlm(0, 0), Annotation::bindSlm(1, 1),
         Annotation::ramanGlobal(0.5, 0, 0)}});
   Program.Statements.push_back({Gate(GateKind::H, {1}), {}});
@@ -549,8 +659,8 @@ TEST(Analysis, ZeroCopyProgramOverloadMatchesVectorOverload) {
       {Gate(GateKind::X, {0}),
        {Annotation::ramanLocal(0, 3.14159, 0, 0),
         Annotation::transfer(0, 0, 0)}});
-  Program.TrailingAnnotations = {Annotation::shuttle(false, 0, 4.0),
-                                 Annotation::shuttle(true, 0, -2.0)};
+  Program.TrailingAnnotations = {Annotation::shuttle(false, 0, 4000),
+                                 Annotation::shuttle(true, 0, -2000)};
 
   std::vector<Annotation> Flat;
   for (const Annotation &A : qasm::AnnotationView(Program))

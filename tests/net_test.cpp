@@ -23,6 +23,7 @@
 #include "net/Server.h"
 #include "sat/Dimacs.h"
 #include "sat/Generator.h"
+#include "support/BinaryIO.h"
 #include "support/FaultInjection.h"
 
 #include "TestPaths.h"
@@ -228,6 +229,45 @@ TEST(NetProtocol, StatsCancelErrorGoingAwayRoundTrip) {
 }
 
 // --- Hostile payloads -----------------------------------------------------
+
+TEST(NetProtocol, EncodingsAreByteIdenticalToRecordedFrames) {
+  // Length and FNV-1a of fixed encodings, recorded when frames were still
+  // assembled by copying a finished payload behind a separate header.
+  // Writing the payload straight into the frame must not move a byte.
+  auto Fingerprint = [](const std::string &Frame) {
+    return std::make_pair(Frame.size(), fnv1a64(Frame.data(), Frame.size()));
+  };
+  ResultFrame R;
+  R.RequestId = 42;
+  R.Code = ResponseCode::Ok;
+  R.BackoffMs = 7;
+  R.QueueSeconds = 0.25;
+  R.CompileSeconds = 1.5;
+  R.CacheTier = 2;
+  R.Pulses = 1234;
+  R.Diagnostic = "diag";
+  R.Wqasm = "OPENQASM 3.0;\nqubit[2] q;\nh q[0];\n";
+  EXPECT_EQ(Fingerprint(encodeResult(R)),
+            std::make_pair(size_t{97}, uint64_t{0x646321fe877d00acULL}));
+  CompileFrame C;
+  C.RequestId = 9;
+  C.Priority = -3;
+  C.DeadlineMs = 500;
+  C.Gamma = 0.7;
+  C.Beta = 0.3;
+  C.Layers = 2;
+  C.Measure = true;
+  C.Compressed = true;
+  C.Source = FormulaSource::Dimacs;
+  C.Dimacs = "p cnf 3 1\n1 -2 3 0\n";
+  EXPECT_EQ(Fingerprint(encodeCompile(C)),
+            std::make_pair(size_t{80}, uint64_t{0x116de670dd83350bULL}));
+  StatsFrame S;
+  S.Counters = {{"submitted", 5}, {"completed", 4}};
+  S.Text = "table\n";
+  EXPECT_EQ(Fingerprint(encodeStats(S)),
+            std::make_pair(size_t{77}, uint64_t{0xbf9d6f16b8f2e005ULL}));
+}
 
 TEST(NetProtocol, DecodeRejectsTruncatedAndOversuppliedPayloads) {
   std::string Bytes = encodeCompile(satlibRequest(1));

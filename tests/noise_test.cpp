@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace weaver;
 using circuit::Circuit;
 

@@ -168,7 +168,7 @@ TEST(PassCache, FormulaGeometryAndOptionChangesMiss) {
 
   // Different geometry: both tiers miss (zone plan depends on it).
   WeaverOptions Wide = sweepPoint(0.7, 0.3, 1, &Cache);
-  Wide.Geometry.SiteSpacing = 25.0;
+  Wide.Geometry.SiteSpacingNm = 25000;
   auto R = compileWeaver(A, Wide);
   ASSERT_TRUE(R.ok()) << R.message();
   EXPECT_FALSE(R->FrontHalfFromCache);

@@ -249,6 +249,33 @@ TEST(PassCachePersist, WrongMagicAndVersionAreRejected) {
   EXPECT_EQ(C1.size() + C2.size(), 0u);
 }
 
+TEST(PassCachePersist, FormatOneSnapshotLoadsAsVersionErrorThenCompilesCold) {
+  // Format 1 stored lengths as micrometre doubles; format 2 stores whole
+  // nanometres. A file from before the change must be refused at the
+  // version check, never parsed, and the cache must then compile cold.
+  ASSERT_EQ(SnapshotFormatVersion, 2u);
+  std::string DirPath = testTempDir();
+  CnfFormula F = testFormula();
+  PassCache Writer;
+  populate(Writer, F);
+  ASSERT_FALSE(Writer.saveSnapshot(DirPath + "/v2.bin"));
+  std::vector<uint8_t> Old = readFileBytes(DirPath + "/v2.bin");
+  Old[8] = 1; // u32 format version, little-endian
+  writeFileBytes(DirPath + "/v1.bin", Old);
+
+  PassCache Cache;
+  Status S = Cache.loadSnapshot(DirPath + "/v1.bin");
+  ASSERT_TRUE(S);
+  EXPECT_NE(S.message().find("format version 1 != 2"), std::string::npos)
+      << S.message();
+  EXPECT_EQ(Cache.size(), 0u);
+  EXPECT_EQ(compileToText(F, sweepPoint(0.7, 0.3, &Cache)),
+            compileToText(F, sweepPoint(0.7, 0.3, nullptr)));
+  EXPECT_EQ(Cache.stats().ProgramMisses, 1u);
+  EXPECT_EQ(Cache.stats().ProgramHits, 0u);
+  EXPECT_EQ(Cache.stats().Materializations, 0u);
+}
+
 TEST(PassCachePersist, FingerprintMismatchIsRejected) {
   std::string Path = testTempDir() + "/other-build.bin";
   PassCache Writer;

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -113,27 +114,31 @@ TEST_P(GoldenParity, DirectCodegenMatchesGolden) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GoldenParity,
                          ::testing::Values(7, 21, 42));
 
+/// The golden_mixed.wqasm formula: clause widths 1 to 3.
+CnfFormula mixedFormula() {
+  return CnfFormula(5, {Clause{1}, Clause{-2, 3}, Clause{-3, -4, -5},
+                        Clause{2, 4}, Clause{-1, 4, 5}});
+}
+
 TEST(GoldenParity, MixedWidthsTwoLayersMeasured) {
-  CnfFormula Mixed(5, {Clause{1}, Clause{-2, 3}, Clause{-3, -4, -5},
-                       Clause{2, 4}, Clause{-1, 4, 5}});
   WeaverOptions Opt;
   Opt.Qaoa.Layers = 2;
   Opt.Measure = true;
-  auto R = compileWith(Mixed, Opt);
+  auto R = compileWith(mixedFormula(), Opt);
   ASSERT_TRUE(R.ok()) << R.message();
   EXPECT_EQ(qasm::printWqasm(R->Program), readGolden("golden_mixed.wqasm"));
 }
 
 TEST(GoldenParity, PaperScaleUf250ByteIdentity) {
   // The goldens are 12-variable programs; this pins the printer at the
-  // paper's largest size. Length and FNV-1a hash were recorded with the
-  // snprintf-based printer the append-only one replaced. A 4.3 MB text
-  // file would be churn, so only its fingerprint is committed.
+  // paper's largest size, lengths printed as exact micrometres. A 2.7 MB
+  // text file would be churn, so only its length and FNV-1a hash are
+  // committed.
   auto R = compileWith(sat::satlibInstance(250, 1), WeaverOptions());
   ASSERT_TRUE(R.ok()) << R.message();
   std::string Text = qasm::printWqasm(R->Program);
-  EXPECT_EQ(Text.size(), 4281836u);
-  EXPECT_EQ(fnv1a64(Text.data(), Text.size()), 0x3a549667b996504fULL);
+  EXPECT_EQ(Text.size(), 2683446u);
+  EXPECT_EQ(fnv1a64(Text.data(), Text.size()), 0x4da38ff0fee2de2cULL);
   // print -> parse -> print is a fixed point at this size too.
   auto Back = qasm::parseWqasm(Text);
   ASSERT_TRUE(Back.ok()) << Back.message();
@@ -230,6 +235,28 @@ TEST(ZonePlanningPass, RejectsWideClauses) {
   Ctx.Formula = &F;
   ASSERT_TRUE(ClauseColoringPass().run(Ctx).ok());
   EXPECT_FALSE(ZonePlanningPass().run(Ctx).ok());
+}
+
+TEST(ZonePlanningPass, RejectsFormulasWiderThanTheCoordinateBound) {
+  // The default layout spends at most 28.9 um of x per variable plus
+  // 11 um, so 34601 variables fit the +-1e6 um plane and 34602 do not.
+  // A DIMACS header may declare up to a million; positions must never be
+  // computed past the bound, where int32_t arithmetic would overflow.
+  for (int Vars : {34601, 34602, 1000000}) {
+    CnfFormula F(Vars, {Clause{1, -2, Vars}});
+    CompilationContext Ctx;
+    Ctx.Formula = &F;
+    ASSERT_TRUE(ClauseColoringPass().run(Ctx).ok());
+    Status S = ZonePlanningPass().run(Ctx);
+    if (Vars == 34601) {
+      ASSERT_TRUE(S.ok()) << S.message();
+      EXPECT_EQ(Ctx.SlmTraps[Vars - 1].X, 6000 * (Vars - 1));
+      continue;
+    }
+    ASSERT_FALSE(S.ok());
+    EXPECT_NE(S.message().find("do not fit"), std::string::npos)
+        << S.message();
+  }
 }
 
 // --- ShuttleSchedulingPass ----------------------------------------------
@@ -348,34 +375,132 @@ TEST(GateLoweringPass, ReuseToggleThroughPassManager) {
 
 // --- PulseEmissionPass --------------------------------------------------
 
-TEST(PulseEmissionPass, FlattensStreamAndDerivesStats) {
+TEST(PulseEmissionPass, PublishesLoweringStatsWithoutReplay) {
   CnfFormula F = paperExample();
   CompilationContext Ctx;
   Ctx.Formula = &F;
   ASSERT_TRUE(PassManager::standardFpqaPipeline().run(Ctx).ok());
   EXPECT_TRUE(Ctx.HasStats);
-  EXPECT_EQ(Ctx.PulseStream.size(), Ctx.Program.numAnnotations());
   EXPECT_GT(Ctx.Stats.totalPulses(), 0u);
   EXPECT_GT(Ctx.Stats.RydbergPulses, 0u);
   EXPECT_GT(Ctx.Stats.Duration, 0.0);
   EXPECT_GT(Ctx.Stats.Eps, 0.0);
+  // Without gate lowering's statistics the pass refuses to run: it no
+  // longer walks the pulse stream itself.
+  CompilationContext Bare;
+  Bare.Formula = &F;
+  Bare.Program = Ctx.Program;
+  Status S = PulseEmissionPass().run(Bare);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.message().find("run GateLoweringPass first"), std::string::npos)
+      << S.message();
 }
 
-TEST(PulseEmissionPass, StreamIsNonOwningViewIntoProgram) {
-  CnfFormula F = paperExample();
-  CompilationContext Ctx;
-  Ctx.Formula = &F;
-  ASSERT_TRUE(PassManager::standardFpqaPipeline().run(Ctx).ok());
-  ASSERT_FALSE(Ctx.PulseStream.empty());
-  // Every stream element points into the program, in execution order —
-  // the annotations are never copied out of it.
-  size_t I = 0;
-  for (const qasm::Annotation &A : qasm::AnnotationView(Ctx.Program)) {
-    ASSERT_LT(I, Ctx.PulseStream.size());
-    EXPECT_EQ(Ctx.PulseStream[I], &A) << "stream index " << I;
-    ++I;
+/// Bit pattern of a double, so Duration and Eps compare bit for bit.
+uint64_t bitsOf(double V) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  return Bits;
+}
+
+TEST(GateLoweringPass, StatsEqualReplayBitForBit) {
+  // Lowering accumulates the statistics while it emits. They must equal a
+  // separate replay of the finished program field by field: same
+  // annotations, same order, same fresh device.
+  struct Config {
+    CnfFormula F;
+    bool Compress, Reuse;
+    int Layers = 1;
+    bool Measure = false;
+  };
+  std::vector<Config> Configs;
+  for (uint64_t Seed : {7, 21, 42}) {
+    Configs.push_back({goldenFormula(Seed), true, true});
+    Configs.push_back({goldenFormula(Seed), false, true});
+    Configs.push_back({goldenFormula(Seed), true, false});
   }
-  EXPECT_EQ(I, Ctx.PulseStream.size());
+  Configs.push_back({mixedFormula(), true, true, 2, true});
+  for (int I = 1; I <= 3; ++I)
+    for (bool Compress : {true, false})
+      Configs.push_back({sat::satlibInstance(250, I), Compress, true});
+  for (const Config &C : Configs) {
+    CompilationContext Ctx;
+    Ctx.Formula = &C.F;
+    Ctx.Options.UseCompression = C.Compress;
+    Ctx.Options.ReuseAodAtoms = C.Reuse;
+    Ctx.Options.Qaoa.Layers = C.Layers;
+    Ctx.Options.Measure = C.Measure;
+    ASSERT_TRUE(PassManager::standardFpqaPipeline().run(Ctx).ok());
+    auto Replayed = fpqa::analyzePulseProgram(Ctx.Program, Ctx.Hw);
+    ASSERT_TRUE(Replayed.ok()) << Replayed.message();
+    const fpqa::PulseStats &A = Ctx.Stats, &B = *Replayed;
+    SCOPED_TRACE(std::to_string(C.F.numVariables()) + " vars, compress " +
+                 std::to_string(C.Compress) + ", reuse " +
+                 std::to_string(C.Reuse));
+    EXPECT_EQ(A.RamanLocalPulses, B.RamanLocalPulses);
+    EXPECT_EQ(A.RamanGlobalPulses, B.RamanGlobalPulses);
+    EXPECT_EQ(A.RydbergPulses, B.RydbergPulses);
+    EXPECT_EQ(A.ShuttleInstructions, B.ShuttleInstructions);
+    EXPECT_EQ(A.ShuttleBatches, B.ShuttleBatches);
+    EXPECT_EQ(A.ShuttleAnnotations, B.ShuttleAnnotations);
+    EXPECT_EQ(A.MaxParallelShuttleWidth, B.MaxParallelShuttleWidth);
+    EXPECT_EQ(A.TransferInstructions, B.TransferInstructions);
+    EXPECT_EQ(A.TransferBatches, B.TransferBatches);
+    EXPECT_EQ(A.CzGates, B.CzGates);
+    EXPECT_EQ(A.CczGates, B.CczGates);
+    EXPECT_EQ(A.NumAtoms, B.NumAtoms);
+    EXPECT_EQ(bitsOf(A.Duration), bitsOf(B.Duration));
+    EXPECT_EQ(bitsOf(A.Eps), bitsOf(B.Eps));
+  }
+}
+
+TEST(GateLoweringPass, IntegerGeometryKeepsEveryDecision) {
+  // Recorded with the micrometre-double emitter before coordinates became
+  // whole nanometres: exact geometry must not move a single pulse, batch
+  // or gate.
+  struct Pin {
+    int Vars, Index;
+    bool Ladder;
+    size_t Pulses, ShuttleBatches, TransferBatches, Cz, Ccz;
+  };
+  const Pin Pins[] = {
+      {20, 1, false, 1822, 260, 197, 182, 182},
+      {20, 1, true, 3509, 365, 197, 910, 0},
+      {20, 2, false, 1784, 243, 186, 182, 182},
+      {20, 2, true, 3449, 338, 186, 910, 0},
+      {20, 3, false, 1760, 246, 187, 182, 182},
+      {20, 3, true, 3436, 346, 187, 910, 0},
+      {20, 4, false, 1800, 251, 188, 182, 182},
+      {20, 4, true, 3487, 356, 188, 910, 0},
+      {20, 5, false, 1803, 249, 183, 182, 182},
+      {20, 5, true, 3501, 359, 183, 910, 0},
+      {20, 6, false, 1765, 233, 173, 182, 182},
+      {20, 6, true, 3441, 333, 173, 910, 0},
+      {20, 7, false, 1768, 253, 188, 182, 182},
+      {20, 7, true, 3466, 363, 188, 910, 0},
+      {20, 8, false, 1777, 236, 176, 182, 182},
+      {20, 8, true, 3453, 336, 176, 910, 0},
+      {20, 9, false, 1803, 251, 183, 182, 182},
+      {20, 9, true, 3512, 366, 183, 910, 0},
+      {20, 10, false, 1831, 264, 198, 182, 182},
+      {20, 10, true, 3529, 374, 198, 910, 0},
+      {250, 1, false, 18327, 1709, 1637, 2130, 2130},
+      {250, 1, true, 35745, 1943, 1637, 10650, 0},
+  };
+  for (const Pin &P : Pins) {
+    WeaverOptions Opt;
+    if (P.Ladder)
+      Opt.Compression = WeaverOptions::CompressionMode::Off;
+    auto R = compileWith(sat::satlibInstance(P.Vars, P.Index), Opt);
+    ASSERT_TRUE(R.ok()) << R.message();
+    SCOPED_TRACE("uf" + std::to_string(P.Vars) + "-" +
+                 std::to_string(P.Index) + (P.Ladder ? " ladder" : ""));
+    EXPECT_EQ(R->Stats.totalPulses(), P.Pulses);
+    EXPECT_EQ(R->Stats.ShuttleBatches, P.ShuttleBatches);
+    EXPECT_EQ(R->Stats.TransferBatches, P.TransferBatches);
+    EXPECT_EQ(R->Stats.CzGates, P.Cz);
+    EXPECT_EQ(R->Stats.CczGates, P.Ccz);
+  }
 }
 
 TEST(GateLoweringPass, RejectsNonMonotoneColumnTargets) {

@@ -324,7 +324,8 @@ TEST(Wqasm, ParsesAllAnnotationForms) {
   EXPECT_EQ(Anns[4].SlmIndex, 1);
   EXPECT_TRUE(Anns[5].ShuttleRow);
   EXPECT_FALSE(Anns[6].ShuttleRow);
-  EXPECT_DOUBLE_EQ(Anns[6].Offset, -1.5);
+  EXPECT_EQ(Anns[5].Offset, 2500); // micrometres in the text, nm in memory
+  EXPECT_EQ(Anns[6].Offset, -1500);
   EXPECT_EQ(Anns[7].Kind, AnnotationKind::RamanGlobal);
   EXPECT_EQ(Anns[8].Kind, AnnotationKind::RamanLocal);
   EXPECT_EQ(Anns[8].Qubit, 0);
@@ -342,11 +343,32 @@ TEST(Wqasm, ParsesParallelShuttleForms) {
   EXPECT_EQ(Anns[0].Kind, AnnotationKind::ShuttleParallel);
   EXPECT_FALSE(Anns[0].ShuttleRow);
   EXPECT_EQ(Anns[0].ShuttleIndices, (std::vector<int>{0, 2, 3}));
-  EXPECT_EQ(Anns[0].ShuttleOffsets, (std::vector<double>{5, -1.5, 2}));
+  EXPECT_EQ(Anns[0].ShuttleOffsets, (std::vector<int32_t>{5000, -1500, 2000}));
   EXPECT_EQ(Anns[1].Kind, AnnotationKind::ShuttleParallel);
   EXPECT_TRUE(Anns[1].ShuttleRow);
   EXPECT_EQ(Anns[1].ShuttleIndices, (std::vector<int>{1}));
-  EXPECT_EQ(Anns[1].ShuttleOffsets, (std::vector<double>{-4}));
+  EXPECT_EQ(Anns[1].ShuttleOffsets, (std::vector<int32_t>{-4000}));
+}
+
+TEST(Wqasm, RejectsLengthsOffTheNanometreLattice) {
+  // Lengths are micrometres with at most three decimals (whole nm) inside
+  // +-1e6 um; anything else is an error, never a rounded or clamped value.
+  for (const char *Bad :
+       {"@shuttle row 0 0.0005", "@shuttle row 0 1e3",
+        "@shuttle column 0 1.7320508075688772", "@shuttle row 0 1000000.001",
+        "@shuttle row 0 -1000000.001", "@shuttle row 0 2147483.648",
+        "@shuttle row 0 +1", "@shuttle rows [0] [0.0005]",
+        "@slm [(1e3, 0)]", "@aod [0, 2147483.648] [0]"}) {
+    auto P = parseWqasm(std::string("qubit[1] q;\n") + Bad + "\nh q[0];\n");
+    EXPECT_FALSE(P.ok()) << Bad;
+  }
+  auto P = parseWqasm("qubit[1] q;\n@shuttle row 0 -1000000\n"
+                      "@aod [-0.001, 1000000] [19.732]\nh q[0];\n");
+  ASSERT_TRUE(P.ok()) << P.message();
+  const auto &Anns = P->Statements[0].Annotations;
+  EXPECT_EQ(Anns[0].Offset, -1000000000);
+  EXPECT_EQ(Anns[1].AodXs, (std::vector<int32_t>{-1, 1000000000}));
+  EXPECT_EQ(Anns[1].AodYs, (std::vector<int32_t>{19732}));
 }
 
 TEST(Wqasm, RejectsParallelShuttleArityMismatch) {
@@ -433,7 +455,7 @@ TEST(Printer, WqasmRoundTripStable) {
                                              3.141592653589793)}};
   P.Statements.push_back(S);
   GateStatement S2{circuit::Gate(GateKind::CZ, {0, 1}),
-                   {Annotation::shuttle(true, 0, 3.5), Annotation::rydberg()}};
+                   {Annotation::shuttle(true, 0, 3500), Annotation::rydberg()}};
   P.Statements.push_back(S2);
   std::string Text = printWqasm(P);
   auto Back = parseWqasm(Text);
@@ -448,11 +470,11 @@ TEST(AnnotationView, IteratesInExecutionOrderSkippingEmptyStatements) {
   P.Statements.push_back({circuit::Gate(GateKind::H, {0}), {}});
   P.Statements.push_back(
       {circuit::Gate(GateKind::H, {1}),
-       {Annotation::shuttle(true, 0, 1.0), Annotation::rydberg()}});
+       {Annotation::shuttle(true, 0, 1000), Annotation::rydberg()}});
   P.Statements.push_back({circuit::Gate(GateKind::X, {0}), {}});
   P.Statements.push_back({circuit::Gate(GateKind::X, {1}),
                           {Annotation::ramanGlobal(1, 2, 3)}});
-  P.TrailingAnnotations = {Annotation::shuttle(false, 1, -2.0)};
+  P.TrailingAnnotations = {Annotation::shuttle(false, 1, -2000)};
 
   AnnotationView View(P);
   EXPECT_EQ(View.size(), P.numAnnotations());

@@ -245,6 +245,50 @@ TEST(StringUtils, ScanNumeralTakesTheWholeNumberShapedRun) {
   EXPECT_EQ(scanNumeral("e5"), 0u);
 }
 
+TEST(StringUtils, MicronsRenderAndParseExactly) {
+  // Lengths are whole nanometres written as micrometres: an exact decimal
+  // with at most three fractional digits and no trailing zeros.
+  const std::pair<int32_t, const char *> Table[] = {
+      {14400, "14.4"},        {-900, "-0.9"},          {19732, "19.732"},
+      {6000, "6"},            {0, "0"},                {-1, "-0.001"},
+      {1000000000, "1000000"}, {-1000000000, "-1000000"}};
+  for (const auto &[Nm, Text] : Table) {
+    std::string Out;
+    appendMicrons(Out, Nm);
+    EXPECT_EQ(Out, Text);
+    Expected<int32_t> Back = parseMicrons(Text);
+    ASSERT_TRUE(Back.ok()) << Text << ": " << Back.message();
+    EXPECT_EQ(*Back, Nm) << Text;
+  }
+  // Other spellings of lattice values are accepted too.
+  EXPECT_EQ(*parseMicrons("2.50"), 2500);
+  EXPECT_EQ(*parseMicrons("007.5"), 7500);
+  EXPECT_EQ(*parseMicrons("-0"), 0);
+  // Off the lattice, exponents, out of range, or not a plain numeral.
+  for (const char *Bad :
+       {"0.0005", "1e3", "1.7320508075688772", "1000000.001", "-1000000.001",
+        "2147483.648", "99999999999999999999", "+1", ".", "-", "", ".5", "5.",
+        "1.2.3", "--1", "0x10", " 1", "1 ", "nan", "inf"}) {
+    EXPECT_FALSE(parseMicrons(Bad).ok()) << Bad;
+  }
+}
+
+TEST(StringUtils, MicronsRoundTripSeededNanometres) {
+  // print -> parse is the identity over the whole coordinate range, with
+  // small magnitudes (where the fractional digits matter) oversampled.
+  Xoshiro256 Rng(20261017);
+  for (int I = 0; I < 200000; ++I) {
+    uint64_t Span = I % 2 ? 2ull * MaxCoordinateNm + 1 : 200001;
+    int64_t Nm = static_cast<int64_t>(Rng.nextBelow(Span)) -
+                 static_cast<int64_t>(Span / 2);
+    std::string Out;
+    appendMicrons(Out, Nm);
+    Expected<int32_t> Back = parseMicrons(Out);
+    ASSERT_TRUE(Back.ok()) << Out << ": " << Back.message();
+    ASSERT_EQ(*Back, Nm) << Out;
+  }
+}
+
 TEST(StringUtils, AppendAllRendersEachPartByType) {
   std::string Out = ">";
   appendAll(Out, " q[", 3, "] ", 0.5, ' ', -7, std::string(" end"));
@@ -300,8 +344,13 @@ TEST(Rng, NextDoubleInUnitInterval) {
 }
 
 TEST(Geometry, DistanceIsEuclidean) {
-  EXPECT_DOUBLE_EQ(distance({0, 0}, {3, 4}), 5.0);
-  EXPECT_DOUBLE_EQ(distance({1, 1}, {1, 1}), 0.0);
+  EXPECT_EQ(distanceSquared({0, 0}, {3, 4}), 25);
+  EXPECT_EQ(distanceSquared({1, 1}, {1, 1}), 0);
+  EXPECT_EQ(distanceSquared({-3, 2}, {1, -1}), 25);
+  // Opposite corners of the coordinate range: the squared distance is
+  // exact in 64 bits.
+  const int32_t M = MaxCoordinateNm;
+  EXPECT_EQ(distanceSquared({-M, -M}, {M, M}), 8000000000000000000LL);
 }
 
 TEST(Geometry, VectorArithmetic) {

@@ -108,12 +108,15 @@ void flipBytes(std::string &Mutant, std::mt19937_64 &Rng) {
 }
 
 /// The values numeral substitution writes: the bounds of int operands and
-/// of the qubit cap, non-integers where indices go, and doubles far
-/// outside any lattice coordinate or angle.
+/// of the qubit cap, non-integers where indices go, doubles far outside
+/// any coordinate or angle, and lengths just off the nanometre lattice or
+/// just past the +-1e6 um coordinate bound (2147483.648 um is 2^31 nm).
 const char *const HostileNumerals[] = {
-    "0",      "-1",         "0.5",        "4095",        "4096",
-    "65536",  "2147483647", "2147483648", "-2147483649", "1e300",
-    "-1e300", "1e-300",     "1e400",      "99999999999999999999"};
+    "0",           "-1",           "0.5",         "4095",
+    "4096",        "65536",        "2147483647",  "2147483648",
+    "-2147483649", "1e300",        "-1e300",      "1e-300",
+    "1e400",       "99999999999999999999",        "0.0005",
+    "1e3",         "1000000.001",  "-1000000.001", "2147483.648"};
 
 /// Start and length of each numeral in \p Source that is a token of its
 /// own (not the digits of an identifier such as u3).
