@@ -7,9 +7,9 @@
 #include "core/BatchCompiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 using namespace weaver;
@@ -37,55 +37,32 @@ std::vector<baselines::BaselineResult> BatchCompiler::compileAll(
   if (Formulas.empty())
     return Results;
 
-  if (Options.Pool) {
-    // Shared-pool path: one task per batch slot, completion tracked by a
-    // counter + condvar latch. Posting can block on a bounded queue, so
-    // tasks already posted make progress while we enqueue the rest.
-    std::mutex M;
-    std::condition_variable Done;
-    size_t Remaining = Formulas.size();
-    for (size_t I = 0; I < Formulas.size(); ++I) {
-      bool Posted = Options.Pool->post([&, I]() {
-        Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa);
-        std::lock_guard<std::mutex> Lock(M);
-        if (--Remaining == 0)
-          Done.notify_all();
-      });
-      if (!Posted) {
-        // Pool shut down mid-batch: run the remainder inline so every
-        // slot still gets a result.
-        Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa);
-        std::lock_guard<std::mutex> Lock(M);
-        if (--Remaining == 0)
-          Done.notify_all();
-      }
-    }
-    std::unique_lock<std::mutex> Lock(M);
-    Done.wait(Lock, [&]() { return Remaining == 0; });
-    return Results;
-  }
-
-  int Threads = effectiveThreads(Formulas.size());
-  if (Threads == 1) {
-    for (size_t I = 0; I < Formulas.size(); ++I)
-      Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa);
-    return Results;
-  }
-
-  // Dynamic work stealing over the shared index: instance sizes vary
-  // wildly (satlib sweeps mix 20- and 250-variable formulas), so static
-  // partitioning would leave workers idle.
-  std::atomic<size_t> Next{0};
-  auto Worker = [&]() {
-    for (size_t I = Next.fetch_add(1); I < Formulas.size();
-         I = Next.fetch_add(1))
-      Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa);
+  // One task per batch slot on a WorkerPool, completion tracked by a
+  // counter + condvar latch. Without an injected pool the batch gets one
+  // of its own, declared after everything its tasks use so its workers
+  // join before those go away. Workers take slots from one FIFO queue as
+  // they free up, so a long formula never leaves the others idle.
+  std::mutex M;
+  std::condition_variable Done;
+  size_t Remaining = Formulas.size();
+  auto CompileSlot = [&](size_t I) {
+    Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa);
+    std::lock_guard<std::mutex> Lock(M);
+    if (--Remaining == 0)
+      Done.notify_all();
   };
-  std::vector<std::thread> Pool;
-  Pool.reserve(Threads);
-  for (int T = 0; T < Threads; ++T)
-    Pool.emplace_back(Worker);
-  for (std::thread &T : Pool)
-    T.join();
+  std::optional<WorkerPool> Owned;
+  WorkerPool *Pool = Options.Pool;
+  if (!Pool)
+    Pool = &Owned.emplace(PoolOptions{effectiveThreads(Formulas.size()), 0});
+  // Posting can block on a bounded queue, so tasks already posted make
+  // progress while we enqueue the rest. A pool shut down mid-batch
+  // refuses the post; the slot then runs inline so it still gets a
+  // result.
+  for (size_t I = 0; I < Formulas.size(); ++I)
+    if (!Pool->post([&CompileSlot, I]() { CompileSlot(I); }))
+      CompileSlot(I);
+  std::unique_lock<std::mutex> Lock(M);
+  Done.wait(Lock, [&]() { return Remaining == 0; });
   return Results;
 }

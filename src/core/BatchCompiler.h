@@ -42,11 +42,11 @@ struct BatchOptions {
   /// QAOA parameters applied to every instance of the batch.
   qaoa::QaoaParams Qaoa;
   /// Optional shared WorkerPool (not owned; must outlive the compiler).
-  /// When set, compileAll posts its per-formula tasks there instead of
-  /// spawning transient threads — the same pool a CompileService runs its
-  /// jobs on, so batch and service work interleave under one scheduler.
-  /// Must not be used from within a task of that pool (a bounded queue
-  /// could deadlock).
+  /// When set, compileAll posts its per-formula tasks there instead of to
+  /// a pool of its own — the same pool a CompileService runs its jobs on,
+  /// so batch and service work interleave under one scheduler. Must not
+  /// be used from within a task of that pool (a bounded queue could
+  /// deadlock).
   WorkerPool *Pool = nullptr;
 };
 

@@ -40,7 +40,9 @@ struct Expectation {
   sim::Matrix Unitary;  ///< Local/Global: the 2x2 pulse unitary
   int LocalQubit = -1;  ///< Local: the addressed qubit
   int Remaining = 0;    ///< Global: statements left to consume
-  std::set<int> SeenQubits;               ///< Global: coverage tracking
+  /// Global: one flag per qubit, set when it held an atom at the pulse and
+  /// cleared when a statement claims it.
+  std::vector<char> Uncovered;
   std::vector<std::set<int>> Clusters;    ///< Rydberg: unmatched clusters
 };
 
@@ -86,6 +88,9 @@ bool Checker::processAnnotation(const Annotation &A) {
     E.K = Expectation::Kind::Global;
     E.Unitary = ramanUnitary(A);
     E.Remaining = static_cast<int>(Device.numAtoms());
+    E.Uncovered.resize(Program.NumQubits);
+    for (int Q = 0; Q < Program.NumQubits; ++Q)
+      E.Uncovered[Q] = Device.isBound(Q);
     Pending.push_back(std::move(E));
     break;
   }
@@ -142,12 +147,15 @@ bool Checker::matchStatement(const Gate &G) {
     if (!sim::equalUpToGlobalPhase(sim::gateUnitary(G), E.Unitary, 1e-8))
       return fail("global Raman pulse angles do not implement '" + G.str() +
                   "'");
-    if (!E.SeenQubits.insert(G.qubit(0)).second)
-      return fail("global Raman pulse matched twice against qubit " +
-                  std::to_string(G.qubit(0)));
+    int Q = G.qubit(0);
+    if (Q < 0 || Q >= static_cast<int>(E.Uncovered.size()) ||
+        !E.Uncovered[Q])
+      return fail("global Raman pulse does not cover q[" + std::to_string(Q) +
+                  "]: it held no atom at the pulse or was matched already");
+    E.Uncovered[Q] = 0;
     double Theta, Phi, Lambda;
     sim::zyzDecompose(E.Unitary, Theta, Phi, Lambda);
-    Reconstructed.u3(Theta, Phi, Lambda, G.qubit(0));
+    Reconstructed.u3(Theta, Phi, Lambda, Q);
     if (--E.Remaining == 0)
       Pending.pop_front();
     return true;

@@ -234,9 +234,7 @@ CompileService::SubmitStatus
 CompileService::submitImpl(CompileRequest Request, Callback Cb, bool Blocking,
                            JobHandle &Out) {
   auto Now = std::chrono::steady_clock::now();
-  JobKey Key;
-  if (Options.Deduplicate)
-    Key = makeKey(Request);
+  JobKey Key = makeKey(Request);
 
   std::shared_ptr<Job> J;
   bool Coalesced = false;
@@ -253,7 +251,7 @@ CompileService::submitImpl(CompileRequest Request, Callback Cb, bool Blocking,
       if (!Blocking)
         return SubmitStatus::ShutDown;
       Rejected = true;
-    } else if (Options.Deduplicate) {
+    } else {
       auto It = InFlight.find(Key.Hash);
       if (It != InFlight.end())
         for (std::pair<JobKey, std::shared_ptr<Job>> &Entry : It->second)
@@ -293,10 +291,8 @@ CompileService::submitImpl(CompileRequest Request, Callback Cb, bool Blocking,
         J->Callbacks.push_back(std::move(Cb));
       if (!Rejected) {
         Live.emplace(J->Id, J);
-        if (Options.Deduplicate) {
-          InFlight[J->Key.Hash].push_back({J->Key, J});
-          J->InDedupIndex = true;
-        }
+        InFlight[J->Key.Hash].push_back({J->Key, J});
+        J->InDedupIndex = true;
         if (!Blocking) {
           // Post under the service mutex — tryPost never waits, and a
           // failed post must roll the registration back before any

@@ -136,8 +136,6 @@ struct ServiceOptions {
   /// Bounded job-queue capacity; submit() blocks while the queue is
   /// full. 0 means unbounded.
   size_t QueueCapacity = 256;
-  /// Coalesce identical in-flight requests onto one compile.
-  bool Deduplicate = true;
   /// Compile Weaver jobs through a PassCache. False (with Cache unset)
   /// runs every job cold — used by the differential tests to pin
   /// cache-on == cache-off byte identity through the service.

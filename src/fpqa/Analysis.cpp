@@ -25,13 +25,13 @@ Status PulseReplayer::step(const Annotation &A) {
   case AnnotationKind::Shuttle: {
     Stats.ShuttleInstructions++;
     Stats.ShuttleAnnotations++;
-    if (Batches.Batch != BatchTracker::Kind::Shuttle ||
-        Batches.axisSeen(A.ShuttleRow, A.ShuttleIndex)) {
+    uint64_t &Stamp = axisStamp(A.ShuttleRow, A.ShuttleIndex);
+    if (Batch != BatchKind::Shuttle || Stamp == Epoch) {
       closeBatch();
-      Batches.Batch = BatchTracker::Kind::Shuttle;
+      Batch = BatchKind::Shuttle;
     }
-    Batches.markAxis(A.ShuttleRow, A.ShuttleIndex);
-    Batches.MaxDistanceNm = std::max(Batches.MaxDistanceNm, std::abs(A.Offset));
+    Stamp = Epoch;
+    MaxDistanceNm = std::max(MaxDistanceNm, std::abs(A.Offset));
     break;
   }
   case AnnotationKind::ShuttleParallel: {
@@ -51,9 +51,9 @@ Status PulseReplayer::step(const Annotation &A) {
   }
   case AnnotationKind::Transfer: {
     Stats.TransferInstructions++;
-    if (Batches.Batch != BatchTracker::Kind::Transfer) {
+    if (Batch != BatchKind::Transfer) {
       closeBatch();
-      Batches.Batch = BatchTracker::Kind::Transfer;
+      Batch = BatchKind::Transfer;
     }
     EpsLog += std::log(Params.TransferFidelity);
     break;
@@ -106,38 +106,31 @@ PulseStats PulseReplayer::finish() {
 }
 
 void PulseReplayer::closeBatch() {
-  if (Batches.Batch == BatchTracker::Kind::Shuttle) {
+  if (Batch == BatchKind::Shuttle) {
     Stats.ShuttleBatches++;
-    Stats.Duration += Params.shuttleSeconds(Batches.MaxDistanceNm);
-  } else if (Batches.Batch == BatchTracker::Kind::Transfer) {
+    Stats.Duration += Params.shuttleSeconds(MaxDistanceNm);
+  } else if (Batch == BatchKind::Transfer) {
     Stats.TransferBatches++;
     Stats.Duration += Params.TransferTime;
   }
-  Batches.reset();
+  Batch = BatchKind::None;
+  MaxDistanceNm = 0;
+  ++Epoch;
 }
 
-namespace {
-
-template <typename Range>
-Expected<PulseStats> analyzeRange(const Range &Program,
-                                  const HardwareParams &Params) {
-  PulseReplayer Replay(Params);
-  for (const Annotation &A : Program)
-    if (Status S = Replay.step(A))
-      return Expected<PulseStats>(S);
-  return Replay.finish();
-}
-
-} // namespace
-
-Expected<PulseStats>
-fpqa::analyzePulseProgram(const std::vector<Annotation> &Program,
-                          const HardwareParams &Params) {
-  return analyzeRange(Program, Params);
+uint64_t &PulseReplayer::axisStamp(bool Row, int Index) {
+  std::vector<uint64_t> &Stamps = Row ? RowStamps : ColStamps;
+  if (static_cast<size_t>(Index) >= Stamps.size())
+    Stamps.resize(Index + 1, 0);
+  return Stamps[Index];
 }
 
 Expected<PulseStats>
 fpqa::analyzePulseProgram(const qasm::WqasmProgram &Program,
                           const HardwareParams &Params) {
-  return analyzeRange(qasm::AnnotationView(Program), Params);
+  PulseReplayer Replay(Params);
+  for (const Annotation &A : qasm::AnnotationView(Program))
+    if (Status S = Replay.step(A))
+      return Expected<PulseStats>(S);
+  return Replay.finish();
 }

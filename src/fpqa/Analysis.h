@@ -15,19 +15,21 @@
 /// analyzePulseProgram wraps it for a finished program. The same
 /// annotations in the same order give bit-identical statistics either way.
 ///
-/// Consecutive shuttles over distinct rows/columns are merged into one
-/// parallel shuttle batch (Algorithm 2's parallel shuttle sets); the batch
-/// contributes max(|offset|) / speed to the execution time.
+/// It is also the one place that groups instructions into batches:
+/// consecutive single-axis shuttles over distinct rows/columns merge into
+/// one parallel shuttle batch (Algorithm 2's parallel shuttle sets), which
+/// contributes max(|offset|) / speed to the execution time, and
+/// consecutive transfers merge into one transfer batch.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef WEAVER_FPQA_ANALYSIS_H
 #define WEAVER_FPQA_ANALYSIS_H
 
-#include "fpqa/BatchTracker.h"
 #include "fpqa/Device.h"
 #include "qasm/Program.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace weaver {
@@ -82,24 +84,32 @@ public:
   PulseStats finish();
 
 private:
+  /// The open batch: consecutive shuttle or transfer instructions that
+  /// run as one parallel step (Algorithm 2's parallel shuttle sets).
+  enum class BatchKind { None, Shuttle, Transfer };
+
+  /// Accounts for the open batch, if any, and starts the next epoch.
   void closeBatch();
+
+  /// Epoch in which row/column \p Index last shuttled. The caller has
+  /// validated the index on the device; the arrays grow on demand.
+  uint64_t &axisStamp(bool Row, int Index);
 
   HardwareParams Params;
   FpqaDevice Device;
   PulseStats Stats;
   double EpsLog = 0; ///< accumulated log-fidelity, for numerical stability
-  BatchTracker Batches;
+  BatchKind Batch = BatchKind::None;
+  int32_t MaxDistanceNm = 0; ///< max |offset| inside the open shuttle batch
+  /// A single-axis shuttle joins the open batch unless its row/column
+  /// already moved in it, i.e. unless its stamp equals Epoch. Stamps start
+  /// at 0, so the first epoch is 1: O(1) per instruction, no set per batch.
+  uint64_t Epoch = 1;
+  std::vector<uint64_t> RowStamps, ColStamps;
 };
 
-/// Replays \p Program on a fresh device with \p Params; fails when any
-/// instruction violates its pre-conditions.
-Expected<PulseStats>
-analyzePulseProgram(const std::vector<qasm::Annotation> &Program,
-                    const HardwareParams &Params);
-
-/// Zero-copy overload: replays the program's annotations in execution
-/// order through a qasm::AnnotationView without materialising a flattened
-/// stream.
+/// Replays \p Program's annotations in execution order on a fresh device
+/// with \p Params; fails when any instruction violates its pre-conditions.
 Expected<PulseStats> analyzePulseProgram(const qasm::WqasmProgram &Program,
                                          const HardwareParams &Params);
 

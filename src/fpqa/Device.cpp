@@ -46,9 +46,13 @@ Status FpqaDevice::apply(const Annotation &A) {
   case AnnotationKind::Transfer:
     return applyTransfer(A);
   case AnnotationKind::Shuttle:
-    return applyShuttle(A);
+    return applyShuttle(A.ShuttleRow, &A.ShuttleIndex, &A.Offset, 1);
   case AnnotationKind::ShuttleParallel:
-    return applyShuttleParallel(A);
+    if (A.ShuttleIndices.size() != A.ShuttleOffsets.size())
+      return Status::error("@shuttle parallel form needs one offset per "
+                           "index");
+    return applyShuttle(A.ShuttleRow, A.ShuttleIndices.data(),
+                        A.ShuttleOffsets.data(), A.ShuttleIndices.size());
   case AnnotationKind::RamanGlobal:
   case AnnotationKind::RamanLocal:
     return applyRaman(A);
@@ -59,13 +63,6 @@ Status FpqaDevice::apply(const Annotation &A) {
     return ClustersValid ? Status::success() : computeClusters();
   }
   return Status::error("unknown annotation kind");
-}
-
-Status FpqaDevice::applyAll(const std::vector<Annotation> &Annotations) {
-  for (const Annotation &A : Annotations)
-    if (Status S = apply(A))
-      return S;
-  return Status::success();
 }
 
 Status FpqaDevice::applySlm(const Annotation &A) {
@@ -185,103 +182,64 @@ Status FpqaDevice::applyTransfer(const Annotation &A) {
   return Status::success();
 }
 
-Status FpqaDevice::applyShuttle(const Annotation &A) {
-  std::vector<int32_t> &Coords = A.ShuttleRow ? RowY : ColumnX;
-  const char *What = A.ShuttleRow ? "row" : "column";
-  if (A.ShuttleIndex < 0 ||
-      static_cast<size_t>(A.ShuttleIndex) >= Coords.size())
-    return Status::error(std::string("@shuttle: ") + What +
-                         " index out of range");
-  int64_t NewPos = int64_t{Coords[A.ShuttleIndex]} + A.Offset;
-  if (!inCoordinateRange(NewPos))
-    return Status::error(std::string("@shuttle: ") + What +
-                         " would leave the +-1e6 um coordinate range");
-  // The moved row/column must not cross (or crowd) its neighbours
-  // (Table 1 pre-condition: no move over another row/column).
-  if (A.ShuttleIndex > 0 &&
-      NewPos - Coords[A.ShuttleIndex - 1] < Params.MinAodSeparationNm)
-    return Status::error(std::string("@shuttle: ") + What +
-                         " would cross or crowd its left/lower neighbour");
-  if (static_cast<size_t>(A.ShuttleIndex) + 1 < Coords.size() &&
-      Coords[A.ShuttleIndex + 1] - NewPos < Params.MinAodSeparationNm)
-    return Status::error(std::string("@shuttle: ") + What +
-                         " would cross or crowd its right/upper neighbour");
-  // Only the atoms riding the moved column/row change position; a dirty
-  // mark per atom (O(1), no hashing) defers their grid re-index to the
-  // next cluster query. Shuttles of empty columns/rows touch nothing.
-  for (const auto &[Cross, Q] : A.ShuttleRow ? RowAtoms[A.ShuttleIndex]
-                                             : ColumnAtoms[A.ShuttleIndex]) {
-    (void)Cross;
-    markMoved(Q);
-  }
-  Coords[A.ShuttleIndex] = static_cast<int32_t>(NewPos);
-  return Status::success();
-}
-
-Status FpqaDevice::applyShuttleParallel(const Annotation &A) {
-  std::vector<int32_t> &Coords = A.ShuttleRow ? RowY : ColumnX;
-  const char *What = A.ShuttleRow ? "row" : "column";
-  const std::vector<int> &Indices = A.ShuttleIndices;
-  if (Indices.empty())
-    return Status::error("@shuttle parallel form moves no rows/columns");
-  if (Indices.size() != A.ShuttleOffsets.size())
-    return Status::error("@shuttle parallel form needs one offset per "
-                         "index");
+Status FpqaDevice::applyShuttle(bool Row, const int *Indices,
+                                const int32_t *OffsetsNm, size_t Count) {
+  std::vector<int32_t> &Coords = Row ? RowY : ColumnX;
+  const char *What = Row ? "row" : "column";
+  if (Count == 0)
+    return Status::error("@shuttle moves no rows/columns");
   // The moved set must be pairwise distinct; requiring strictly ascending
   // indices makes overlap an O(1)-per-element check and fixes a canonical
-  // spelling for the batch.
-  for (size_t I = 0; I < Indices.size(); ++I) {
+  // spelling for the step.
+  for (size_t I = 0; I < Count; ++I) {
     if (Indices[I] < 0 || static_cast<size_t>(Indices[I]) >= Coords.size())
       return Status::error(std::string("@shuttle: ") + What +
                            " index out of range");
     if (I > 0 && Indices[I] <= Indices[I - 1])
-      return Status::error(std::string("@shuttle: parallel ") + What +
+      return Status::error(std::string("@shuttle: ") + What +
                            " indices must be strictly ascending (distinct "
                            "traps per AOD step)");
   }
-  // Simultaneously moving traps may not cross or crowd: with both the
-  // start and end configurations ascending, the linear interpolation in
-  // between stays ordered, so validating the post-move coordinate array
-  // suffices (Table 1 pre-condition, batched form). Only neighbours of a
-  // moved index can newly violate spacing.
+  // Moving traps may not cross or crowd (Table 1 pre-condition: no move
+  // over another row/column): with both the start and end configurations
+  // ascending, the linear interpolation in between stays ordered, so
+  // validating the post-move coordinate array suffices. Only neighbours of
+  // a moved index can newly violate spacing.
   auto PosAfter = [&](int Index, size_t &Cursor) {
     // Indices ascend and the callers below query ascending neighbours, so
     // a monotone cursor over the moved set keeps this O(1) amortised.
-    while (Cursor < Indices.size() && Indices[Cursor] < Index)
+    while (Cursor < Count && Indices[Cursor] < Index)
       ++Cursor;
-    if (Cursor < Indices.size() && Indices[Cursor] == Index)
-      return int64_t{Coords[Index]} + A.ShuttleOffsets[Cursor];
+    if (Cursor < Count && Indices[Cursor] == Index)
+      return int64_t{Coords[Index]} + OffsetsNm[Cursor];
     return int64_t{Coords[Index]};
   };
   size_t LeftCursor = 0, RightCursor = 0;
-  for (size_t I = 0; I < Indices.size(); ++I) {
+  for (size_t I = 0; I < Count; ++I) {
     int Index = Indices[I];
-    int64_t NewPos = int64_t{Coords[Index]} + A.ShuttleOffsets[I];
+    int64_t NewPos = int64_t{Coords[Index]} + OffsetsNm[I];
     if (!inCoordinateRange(NewPos))
-      return Status::error(std::string("@shuttle: parallel ") + What +
-                           " move would leave the +-1e6 um coordinate "
-                           "range");
+      return Status::error(std::string("@shuttle: ") + What +
+                           " would leave the +-1e6 um coordinate range");
     if (Index > 0 &&
         NewPos - PosAfter(Index - 1, LeftCursor) < Params.MinAodSeparationNm)
-      return Status::error(std::string("@shuttle: parallel ") + What +
-                           " move would cross or crowd a left/lower "
-                           "neighbour");
+      return Status::error(std::string("@shuttle: ") + What +
+                           " would cross or crowd its left/lower neighbour");
     if (static_cast<size_t>(Index) + 1 < Coords.size() &&
         PosAfter(Index + 1, RightCursor) - NewPos < Params.MinAodSeparationNm)
-      return Status::error(std::string("@shuttle: parallel ") + What +
-                           " move would cross or crowd a right/upper "
-                           "neighbour");
+      return Status::error(std::string("@shuttle: ") + What +
+                           " would cross or crowd its right/upper neighbour");
   }
-  // Commit: update coordinates and dirty-mark exactly the atoms riding the
-  // moved rows/columns (same lazy grid contract as the single form).
-  for (size_t I = 0; I < Indices.size(); ++I) {
+  // Commit. Only the atoms riding the moved rows/columns change position;
+  // a dirty mark per atom (O(1), no hashing) defers their grid re-index to
+  // the next cluster query. Shuttles of empty rows/columns touch nothing.
+  for (size_t I = 0; I < Count; ++I) {
     int Index = Indices[I];
-    for (const auto &[Cross, Q] :
-         A.ShuttleRow ? RowAtoms[Index] : ColumnAtoms[Index]) {
+    for (const auto &[Cross, Q] : Row ? RowAtoms[Index] : ColumnAtoms[Index]) {
       (void)Cross;
       markMoved(Q);
     }
-    Coords[Index] += A.ShuttleOffsets[I];
+    Coords[Index] += OffsetsNm[I];
   }
   return Status::success();
 }
@@ -443,13 +401,6 @@ Status FpqaDevice::validateCluster(const std::vector<int> &Members) const {
     return Status::error("@rydberg: 3-atom cluster is not equidistant:" +
                          Describe());
   return Status::success();
-}
-
-Expected<std::vector<RydbergCluster>> FpqaDevice::rydbergClusters() const {
-  if (!ClustersValid)
-    if (Status S = computeClusters())
-      return Expected<std::vector<RydbergCluster>>(S);
-  return ClusterCache;
 }
 
 Expected<const std::vector<RydbergCluster> *>

@@ -24,7 +24,7 @@
 /// atom directly, and a transfer/shuttle dirty-marks exactly the atoms it
 /// moved (O(1) each), which the next query lazily re-indexes — positions
 /// are never regathered from scratch per pulse, and an atom moved many
-/// times between two pulses pays one grid update. \c rydbergClusters()
+/// times between two pulses pays one grid update. \c rydbergClustersRef()
 /// therefore only inspects neighbouring cells (O(atoms) with bounded
 /// occupancy instead of the all-pairs O(atoms^2) scan), and its result is
 /// memoised until the next position change.
@@ -72,9 +72,6 @@ public:
   /// a pre-condition of Table 1 is violated.
   Status apply(const qasm::Annotation &A);
 
-  /// Applies a sequence, stopping at the first error.
-  Status applyAll(const std::vector<qasm::Annotation> &Annotations);
-
   /// Current position of the atom bound to \p Qubit. Requires the qubit to
   /// be bound and placed.
   Vec2 qubitPosition(int Qubit) const;
@@ -91,12 +88,8 @@ public:
   /// least two atoms. Fails when a cluster exceeds three atoms or a 3-atom
   /// cluster is not (approximately) equidistant — the digital-computation
   /// validity conditions of §6/§7. Queries the spatial grid and memoises
-  /// the (successful) result until an atom moves.
-  Expected<std::vector<RydbergCluster>> rydbergClusters() const;
-
-  /// Copy-free variant for per-pulse hot paths: validates like
-  /// \c rydbergClusters() but returns a pointer to the memoised
-  /// decomposition, valid until the next position change.
+  /// the (successful) result until an atom moves; the returned pointer is
+  /// to that memo, valid until the next position change.
   Expected<const std::vector<RydbergCluster> *> rydbergClustersRef() const;
 
   // --- Introspection used by codegen and tests -------------------------
@@ -114,8 +107,12 @@ private:
   Status applyAod(const qasm::Annotation &A);
   Status applyBind(const qasm::Annotation &A);
   Status applyTransfer(const qasm::Annotation &A);
-  Status applyShuttle(const qasm::Annotation &A);
-  Status applyShuttleParallel(const qasm::Annotation &A);
+  /// The one shuttle validator: moves \p Count rows (\p Row) or columns,
+  /// \p Indices[i] by \p OffsetsNm[i], as one AOD step. A single @shuttle
+  /// is the one-element step, so both forms accept and reject exactly the
+  /// same moves.
+  Status applyShuttle(bool Row, const int *Indices, const int32_t *OffsetsNm,
+                      size_t Count);
   Status applyRaman(const qasm::Annotation &A);
 
   int aodOccupant(int Col, int Row) const;

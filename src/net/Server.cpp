@@ -113,6 +113,8 @@ StatsFrame Server::buildStats() {
       {"compiles_started", S.CompilesStarted},
       {"front_tier_hits", S.FrontTierHits},
       {"program_tier_hits", S.ProgramTierHits},
+      {"watchdog_timeouts", S.WatchdogTimeouts},
+      {"cache_entries_loaded", S.CacheEntriesLoaded},
       {"queue_depth", Service.queueDepth()},
       {"connections", Clients.size()},
       {"accepted", T.Accepted},

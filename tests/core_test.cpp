@@ -455,6 +455,29 @@ TEST(WChecker, RejectsParallelShuttleSubMinimumSpacing) {
       << Report.Diagnostic;
 }
 
+TEST(WChecker, GlobalRamanCoversOnlyBoundAtoms) {
+  // A global Raman pulse rotates the atoms present at the pulse (paper
+  // §6), so the statements it implements must act on exactly the qubits
+  // bound at that moment: matching the atom count is not enough.
+  const std::string Head = "OPENQASM 3.0;\nqubit[7] q;\n"
+                           "@slm [(0, 0), (6, 0)]\n"
+                           "@bind q[0] slm 0\n@bind q[1] slm 1\n"
+                           "@raman global 3.1415926535897931 0 0\n";
+  auto Good = qasm::parseWqasm(Head + "x q[0];\nx q[1];\n");
+  ASSERT_TRUE(Good.ok()) << Good.message();
+  CheckReport Covered = checkWqasm(*Good, {});
+  EXPECT_TRUE(Covered.StructuralOk) << Covered.Diagnostic;
+  for (const char *Tail :
+       {"x q[5];\nx q[6];\n", "x q[0];\nx q[5];\n", "x q[1];\nx q[1];\n"}) {
+    auto Bad = qasm::parseWqasm(Head + Tail);
+    ASSERT_TRUE(Bad.ok()) << Bad.message();
+    CheckReport Report = checkWqasm(*Bad, {});
+    EXPECT_FALSE(Report.StructuralOk) << Tail;
+    EXPECT_NE(Report.Diagnostic.find("does not cover"), std::string::npos)
+        << Report.Diagnostic;
+  }
+}
+
 TEST(WChecker, UnitaryCheckCatchesSemanticDrift) {
   // Build a program whose pulses are self-consistent but implement a
   // different unitary than the reference.

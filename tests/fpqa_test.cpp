@@ -6,6 +6,7 @@
 
 #include "fpqa/Analysis.h"
 #include "fpqa/Device.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,13 @@ FpqaDevice makeLoadedDevice(const HardwareParams &P = HardwareParams()) {
   EXPECT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   EXPECT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   return D;
+}
+
+/// A program whose annotations all sit in the trailing block.
+qasm::WqasmProgram trailingProgram(std::vector<Annotation> Annotations) {
+  qasm::WqasmProgram P;
+  P.TrailingAnnotations = std::move(Annotations);
+  return P;
 }
 
 } // namespace
@@ -154,7 +162,7 @@ TEST(Device, ParallelShuttleMovesAtomsRidingTheColumns) {
   EXPECT_FALSE(
       D.apply(Annotation::shuttleParallel(false, {0, 1}, {3000, 3000})));
   EXPECT_EQ(D.qubitPosition(0).X, 3000);
-  auto Clusters = D.rydbergClusters();
+  auto Clusters = D.rydbergClustersRef();
   ASSERT_TRUE(Clusters.ok()) << Clusters.message();
 }
 
@@ -226,10 +234,10 @@ TEST(Device, RydbergClustersPairsAndTriples) {
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindAod(2, 0, 0)));
-  auto Clusters = D.rydbergClusters();
+  auto Clusters = D.rydbergClustersRef();
   ASSERT_TRUE(Clusters.ok()) << Clusters.message();
-  ASSERT_EQ(Clusters->size(), 1u);
-  EXPECT_EQ((*Clusters)[0].Qubits, (std::vector<int>{0, 2}));
+  ASSERT_EQ((*Clusters)->size(), 1u);
+  EXPECT_EQ((**Clusters)[0].Qubits, (std::vector<int>{0, 2}));
 }
 
 TEST(Device, RydbergEquilateralTripleAccepted) {
@@ -241,10 +249,10 @@ TEST(Device, RydbergEquilateralTripleAccepted) {
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(2, 2)));
-  auto Clusters = D.rydbergClusters();
+  auto Clusters = D.rydbergClustersRef();
   ASSERT_TRUE(Clusters.ok()) << Clusters.message();
-  ASSERT_EQ(Clusters->size(), 1u);
-  EXPECT_EQ((*Clusters)[0].Qubits.size(), 3u);
+  ASSERT_EQ((*Clusters)->size(), 1u);
+  EXPECT_EQ((**Clusters)[0].Qubits.size(), 3u);
 }
 
 TEST(Device, RydbergRejectsChainedCluster) {
@@ -257,7 +265,7 @@ TEST(Device, RydbergRejectsChainedCluster) {
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(2, 2)));
-  EXPECT_FALSE(D.rydbergClusters().ok());
+  EXPECT_FALSE(D.rydbergClustersRef().ok());
 }
 
 TEST(Device, RydbergRejectsNonEquidistantTriple) {
@@ -268,7 +276,7 @@ TEST(Device, RydbergRejectsNonEquidistantTriple) {
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(2, 2)));
-  EXPECT_FALSE(D.rydbergClusters().ok());
+  EXPECT_FALSE(D.rydbergClustersRef().ok());
 }
 
 TEST(Device, RydbergRejectsOversizedCluster) {
@@ -279,7 +287,7 @@ TEST(Device, RydbergRejectsOversizedCluster) {
       Annotation::slm({{0, 0}, {2000, 0}, {0, 2000}, {2000, 2000}})));
   for (int Q = 0; Q < 4; ++Q)
     ASSERT_FALSE(D.apply(Annotation::bindSlm(Q, Q)));
-  EXPECT_FALSE(D.rydbergClusters().ok());
+  EXPECT_FALSE(D.rydbergClustersRef().ok());
 }
 
 // --- Grid path vs. the all-pairs reference ------------------------------
@@ -373,7 +381,7 @@ Expected<std::vector<RydbergCluster>> referenceClusters(const FpqaDevice &D) {
 /// two paths may report a different one first (min-member order vs.
 /// union-find-root order); don't call this on multi-failure states.
 void expectClustersMatchReference(const FpqaDevice &D) {
-  auto Grid = D.rydbergClusters();
+  auto Grid = D.rydbergClustersRef();
   auto Ref = referenceClusters(D);
   ASSERT_EQ(Grid.ok(), Ref.ok()) << "grid: " << Grid.message()
                                  << " reference: " << Ref.message();
@@ -381,15 +389,9 @@ void expectClustersMatchReference(const FpqaDevice &D) {
     EXPECT_EQ(Grid.message(), Ref.message());
     return;
   }
-  ASSERT_EQ(Grid->size(), Ref->size());
-  for (size_t I = 0; I < Grid->size(); ++I)
-    EXPECT_EQ((*Grid)[I].Qubits, (*Ref)[I].Qubits) << "cluster " << I;
-  // The copy-free variant sees the same memoised decomposition.
-  auto Ptr = D.rydbergClustersRef();
-  ASSERT_TRUE(Ptr.ok());
-  ASSERT_EQ((*Ptr)->size(), Grid->size());
-  for (size_t I = 0; I < Grid->size(); ++I)
-    EXPECT_EQ((**Ptr)[I].Qubits, (*Grid)[I].Qubits) << "cluster " << I;
+  ASSERT_EQ((*Grid)->size(), Ref->size());
+  for (size_t I = 0; I < Ref->size(); ++I)
+    EXPECT_EQ((**Grid)[I].Qubits, (*Ref)[I].Qubits) << "cluster " << I;
 }
 
 } // namespace
@@ -404,10 +406,10 @@ TEST(Device, RydbergPairExactlyAtRadiusInteracts) {
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(2, 2)));
-  auto Clusters = D.rydbergClusters();
+  auto Clusters = D.rydbergClustersRef();
   ASSERT_TRUE(Clusters.ok()) << Clusters.message();
-  ASSERT_EQ(Clusters->size(), 1u);
-  EXPECT_EQ((*Clusters)[0].Qubits, (std::vector<int>{0, 1}));
+  ASSERT_EQ((*Clusters)->size(), 1u);
+  EXPECT_EQ((**Clusters)[0].Qubits, (std::vector<int>{0, 1}));
   expectClustersMatchReference(D);
 }
 
@@ -430,7 +432,7 @@ TEST(Device, RydbergTripleAtEquidistanceToleranceBoundary) {
     ASSERT_FALSE(D.apply(Annotation::slm({{0, 0}, T.B, T.C})));
     for (int Q = 0; Q < 3; ++Q)
       ASSERT_FALSE(D.apply(Annotation::bindSlm(Q, Q)));
-    EXPECT_EQ(D.rydbergClusters().ok(), T.Accepted) << T.B.X;
+    EXPECT_EQ(D.rydbergClustersRef().ok(), T.Accepted) << T.B.X;
     expectClustersMatchReference(D);
   }
 }
@@ -445,7 +447,7 @@ TEST(Device, RydbergChainSpanningGridCellBorders) {
   ASSERT_FALSE(D.apply(Annotation::slm({{1000, 0}, {3000, 0}, {5000, 0}})));
   for (int Q = 0; Q < 3; ++Q)
     ASSERT_FALSE(D.apply(Annotation::bindSlm(Q, Q)));
-  EXPECT_FALSE(D.rydbergClusters().ok());
+  EXPECT_FALSE(D.rydbergClustersRef().ok());
   expectClustersMatchReference(D);
 }
 
@@ -458,9 +460,9 @@ TEST(Device, RydbergPairStraddlingCellBorderInteracts) {
   ASSERT_FALSE(D.apply(Annotation::slm({{2400, 0}, {4800, 0}})));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(0, 0)));
   ASSERT_FALSE(D.apply(Annotation::bindSlm(1, 1)));
-  auto Clusters = D.rydbergClusters();
+  auto Clusters = D.rydbergClustersRef();
   ASSERT_TRUE(Clusters.ok()) << Clusters.message();
-  ASSERT_EQ(Clusters->size(), 1u);
+  ASSERT_EQ((*Clusters)->size(), 1u);
   expectClustersMatchReference(D);
 }
 
@@ -476,10 +478,10 @@ TEST(Device, RydbergClustersSurviveFarOutCoordinates) {
       Annotation::slm({{-M, 0}, {M, -M}, {0, 0}, {2400, 0}, {M, M}})));
   for (int Q = 0; Q < 5; ++Q)
     ASSERT_FALSE(D.apply(Annotation::bindSlm(Q, Q)));
-  auto Clusters = D.rydbergClusters();
+  auto Clusters = D.rydbergClustersRef();
   ASSERT_TRUE(Clusters.ok()) << Clusters.message();
-  ASSERT_EQ(Clusters->size(), 1u);
-  EXPECT_EQ((*Clusters)[0].Qubits, (std::vector<int>{2, 3}));
+  ASSERT_EQ((*Clusters)->size(), 1u);
+  EXPECT_EQ((**Clusters)[0].Qubits, (std::vector<int>{2, 3}));
   expectClustersMatchReference(D);
 }
 
@@ -541,6 +543,49 @@ TEST(Device, ShuttleLeavingTheCoordinateBoundIsRejected) {
   EXPECT_TRUE(static_cast<bool>(Fresh.apply(Annotation::aod({0}, {-M - 1}))));
 }
 
+TEST(Device, SingleShuttleIsTheOneElementParallelStep) {
+  // Seeded single moves, applied as Annotation::shuttle on one device and
+  // as a one-element shuttleParallel on another, must get the same verdict
+  // and leave every row, column and atom in the same place. The moves
+  // cover out-of-range indices, crossing and crowding neighbours, and
+  // leaving the coordinate bound (the outer columns start 2 um inside it).
+  const int32_t M = MaxCoordinateNm;
+  const std::vector<int32_t> Xs = {-M + 2000, 0, 3000, 6000, 9000, M - 2000};
+  const std::vector<int32_t> Ys = {0, 4000, 8000};
+  FpqaDevice Single, Step;
+  for (FpqaDevice *D : {&Single, &Step}) {
+    ASSERT_FALSE(D->apply(Annotation::aod(Xs, Ys)));
+    ASSERT_FALSE(D->apply(Annotation::bindAod(0, 2, 1)));
+    ASSERT_FALSE(D->apply(Annotation::bindAod(1, 3, 0)));
+  }
+  Xoshiro256 Rng(20251017);
+  size_t Accepted = 0;
+  const int Moves = 4000;
+  for (int I = 0; I < Moves; ++I) {
+    bool Row = Rng.nextBelow(2) == 0;
+    size_t Axes = Row ? Ys.size() : Xs.size();
+    int Index = static_cast<int>(Rng.nextBelow(Axes + 2)) - 1;
+    int32_t Offset = static_cast<int32_t>(Rng.nextBelow(8001)) - 4000;
+    bool SingleOk = !Single.apply(Annotation::shuttle(Row, Index, Offset));
+    bool StepOk =
+        !Step.apply(Annotation::shuttleParallel(Row, {Index}, {Offset}));
+    ASSERT_EQ(SingleOk, StepOk) << "move " << I << ": row=" << Row
+                                << " index=" << Index << " offset=" << Offset;
+    Accepted += SingleOk;
+    for (size_t C = 0; C < Xs.size(); ++C)
+      ASSERT_EQ(Single.columnX(C), Step.columnX(C)) << "move " << I;
+    for (size_t R = 0; R < Ys.size(); ++R)
+      ASSERT_EQ(Single.rowY(R), Step.rowY(R)) << "move " << I;
+    for (int Q = 0; Q < 2; ++Q) {
+      ASSERT_EQ(Single.qubitPosition(Q).X, Step.qubitPosition(Q).X);
+      ASSERT_EQ(Single.qubitPosition(Q).Y, Step.qubitPosition(Q).Y);
+    }
+  }
+  // Both verdicts occur often enough for the comparison to mean something.
+  EXPECT_GT(Accepted, static_cast<size_t>(Moves / 10));
+  EXPECT_LT(Accepted, static_cast<size_t>(Moves - Moves / 10));
+}
+
 TEST(Device, NumAtomsIsTrackedIncrementally) {
   FpqaDevice D = makeLoadedDevice();
   EXPECT_EQ(D.numAtoms(), 2u);
@@ -561,7 +606,7 @@ TEST(Device, NumAtomsIsTrackedIncrementally) {
 
 TEST(Analysis, CountsAndDurations) {
   HardwareParams P;
-  std::vector<Annotation> Program = {
+  qasm::WqasmProgram Program = trailingProgram({
       Annotation::slm({{0, 0}, {6000, 0}}),
       Annotation::aod({0}, {2000}),
       Annotation::bindSlm(0, 0),
@@ -571,7 +616,7 @@ TEST(Analysis, CountsAndDurations) {
       Annotation::transfer(0, 0, 0),
       Annotation::shuttle(false, 0, 4000), // column to x = 4 um
       Annotation::shuttle(true, 0, -2000), // row to y = 0
-  };
+  });
   auto Stats = analyzePulseProgram(Program, P);
   ASSERT_TRUE(Stats.ok()) << Stats.message();
   EXPECT_EQ(Stats->RamanGlobalPulses, 1u);
@@ -587,11 +632,11 @@ TEST(Analysis, CountsAndDurations) {
 
 TEST(Analysis, RepeatedAxisBreaksBatch) {
   HardwareParams P;
-  std::vector<Annotation> Program = {
+  qasm::WqasmProgram Program = trailingProgram({
       Annotation::aod({0}, {2000}),
       Annotation::shuttle(false, 0, 1000),
       Annotation::shuttle(false, 0, 1000), // same column again: new batch
-  };
+  });
   auto Stats = analyzePulseProgram(Program, P);
   ASSERT_TRUE(Stats.ok()) << Stats.message();
   EXPECT_EQ(Stats->ShuttleBatches, 2u);
@@ -599,7 +644,7 @@ TEST(Analysis, RepeatedAxisBreaksBatch) {
 
 TEST(Analysis, ParallelShuttleIsExactlyOneBatch) {
   HardwareParams P;
-  std::vector<Annotation> Program = {
+  qasm::WqasmProgram Program = trailingProgram({
       Annotation::aod({0, 6000, 12000}, {2000}),
       Annotation::shuttleParallel(false, {0, 1, 2}, {4000, 2000, 1000}),
       // A second parallel set over the same columns is a second AOD step —
@@ -607,7 +652,7 @@ TEST(Analysis, ParallelShuttleIsExactlyOneBatch) {
       Annotation::shuttleParallel(false, {0, 1}, {-1000, -1000}),
       // Single-column shuttles after it still batch-reconstruct normally.
       Annotation::shuttle(false, 2, 1000),
-  };
+  });
   auto Stats = analyzePulseProgram(Program, P);
   ASSERT_TRUE(Stats.ok()) << Stats.message();
   EXPECT_EQ(Stats->ShuttleInstructions, 6u);
@@ -623,12 +668,12 @@ TEST(Analysis, EpsAccumulatesGateErrors) {
   HardwareParams P;
   P.T2 = 1e9;              // neutralise decoherence for this test
   P.MinSlmSeparationNm = 1500; // traps close enough to interact
-  std::vector<Annotation> Program = {
+  qasm::WqasmProgram Program = trailingProgram({
       Annotation::slm({{0, 0}, {2000, 0}}),
       Annotation::bindSlm(0, 0),
       Annotation::bindSlm(1, 1),
       Annotation::rydberg(),
-  };
+  });
   auto Stats = analyzePulseProgram(Program, P);
   ASSERT_TRUE(Stats.ok()) << Stats.message();
   EXPECT_EQ(Stats->CzGates, 1u);
@@ -636,48 +681,73 @@ TEST(Analysis, EpsAccumulatesGateErrors) {
 }
 
 TEST(Analysis, RejectsInvalidProgram) {
-  std::vector<Annotation> Program = {Annotation::shuttle(true, 0, 1000)};
+  qasm::WqasmProgram Program =
+      trailingProgram({Annotation::shuttle(true, 0, 1000)});
   EXPECT_FALSE(analyzePulseProgram(Program, HardwareParams()).ok());
 }
 
-TEST(Analysis, ZeroCopyProgramOverloadMatchesVectorOverload) {
+TEST(Analysis, StatementPlacementDoesNotChangeReplay) {
   // The same annotations spread over statements (some without any) plus a
-  // trailing block must replay identically through the zero-copy
-  // AnnotationView overload and the flat-vector overload.
+  // trailing block replay bit-identically to all of them in the trailing
+  // block: only execution order matters, not which statement carries an
+  // annotation.
   HardwareParams P;
-  qasm::WqasmProgram Program;
-  Program.NumQubits = 2;
+  std::vector<Annotation> Stream = {
+      Annotation::slm({{0, 0}, {6000, 0}, {12000, 0}}),
+      Annotation::aod({0, 9000}, {2000}),
+      Annotation::bindSlm(0, 0),
+      Annotation::bindSlm(1, 1),
+      Annotation::bindAod(2, 1, 0),
+      Annotation::ramanGlobal(0.5, 0, 0),
+      Annotation::ramanLocal(0, 3.14159, 0, 0),
+      Annotation::transfer(0, 0, 0),        // q0 onto the AOD
+      Annotation::shuttle(false, 0, 4000),  // column 0 to x = 4 um
+      Annotation::shuttle(true, 0, -2000),  // row to y = 0: merges
+      Annotation::shuttleParallel(false, {0, 1}, {-1000, 1000}),
+      Annotation::shuttle(false, 0, 1000),  // q0 2 um from q1
+      Annotation::rydberg(),
+  };
+  auto Flat = analyzePulseProgram(trailingProgram(Stream), P);
+  ASSERT_TRUE(Flat.ok()) << Flat.message();
+  EXPECT_EQ(Flat->ShuttleBatches, 3u);
+  EXPECT_EQ(Flat->CzGates, 1u);
+
   using circuit::Gate;
   using circuit::GateKind;
-  Program.Statements.push_back(
-      {Gate(GateKind::H, {0}),
-       {Annotation::slm({{0, 0}, {6000, 0}}), Annotation::aod({0}, {2000}),
-        Annotation::bindSlm(0, 0), Annotation::bindSlm(1, 1),
-        Annotation::ramanGlobal(0.5, 0, 0)}});
-  Program.Statements.push_back({Gate(GateKind::H, {1}), {}});
-  Program.Statements.push_back(
-      {Gate(GateKind::X, {0}),
-       {Annotation::ramanLocal(0, 3.14159, 0, 0),
-        Annotation::transfer(0, 0, 0)}});
-  Program.TrailingAnnotations = {Annotation::shuttle(false, 0, 4000),
-                                 Annotation::shuttle(true, 0, -2000)};
-
-  std::vector<Annotation> Flat;
-  for (const Annotation &A : qasm::AnnotationView(Program))
-    Flat.push_back(A);
-  EXPECT_EQ(Flat.size(), Program.numAnnotations());
-
-  auto FromProgram = analyzePulseProgram(Program, P);
-  auto FromVector = analyzePulseProgram(Flat, P);
-  ASSERT_TRUE(FromProgram.ok()) << FromProgram.message();
-  ASSERT_TRUE(FromVector.ok()) << FromVector.message();
-  EXPECT_EQ(FromProgram->totalPulses(), FromVector->totalPulses());
-  EXPECT_EQ(FromProgram->ShuttleInstructions,
-            FromVector->ShuttleInstructions);
-  EXPECT_EQ(FromProgram->ShuttleBatches, FromVector->ShuttleBatches);
-  EXPECT_EQ(FromProgram->NumAtoms, FromVector->NumAtoms);
-  EXPECT_DOUBLE_EQ(FromProgram->Duration, FromVector->Duration);
-  EXPECT_DOUBLE_EQ(FromProgram->Eps, FromVector->Eps);
+  // Cut the stream at every pair of points: statements get [0, First) and
+  // [First, Second), an empty statement sits between them, and the rest
+  // trails.
+  for (size_t First = 0; First <= Stream.size(); ++First)
+    for (size_t Second = First; Second <= Stream.size(); ++Second) {
+      qasm::WqasmProgram Program;
+      Program.NumQubits = 3;
+      Program.Statements.push_back(
+          {Gate(GateKind::H, {0}),
+           {Stream.begin(), Stream.begin() + First}});
+      Program.Statements.push_back({Gate(GateKind::H, {1}), {}});
+      Program.Statements.push_back(
+          {Gate(GateKind::X, {0}),
+           {Stream.begin() + First, Stream.begin() + Second}});
+      Program.TrailingAnnotations = {Stream.begin() + Second, Stream.end()};
+      auto Spread = analyzePulseProgram(Program, P);
+      ASSERT_TRUE(Spread.ok()) << Spread.message();
+      EXPECT_EQ(Spread->RamanLocalPulses, Flat->RamanLocalPulses);
+      EXPECT_EQ(Spread->RamanGlobalPulses, Flat->RamanGlobalPulses);
+      EXPECT_EQ(Spread->RydbergPulses, Flat->RydbergPulses);
+      EXPECT_EQ(Spread->ShuttleInstructions, Flat->ShuttleInstructions);
+      EXPECT_EQ(Spread->ShuttleBatches, Flat->ShuttleBatches);
+      EXPECT_EQ(Spread->ShuttleAnnotations, Flat->ShuttleAnnotations);
+      EXPECT_EQ(Spread->MaxParallelShuttleWidth,
+                Flat->MaxParallelShuttleWidth);
+      EXPECT_EQ(Spread->TransferInstructions, Flat->TransferInstructions);
+      EXPECT_EQ(Spread->TransferBatches, Flat->TransferBatches);
+      EXPECT_EQ(Spread->CzGates, Flat->CzGates);
+      EXPECT_EQ(Spread->CczGates, Flat->CczGates);
+      EXPECT_EQ(Spread->NumAtoms, Flat->NumAtoms);
+      // Exact double equality: the same operations in the same order.
+      EXPECT_EQ(Spread->Duration, Flat->Duration);
+      EXPECT_EQ(Spread->Eps, Flat->Eps);
+    }
 }
 
 TEST(HardwareParams, CompressionProfitability) {

@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -395,7 +396,18 @@ TEST(NetServer, CompileRoundTripIsByteIdenticalToDirect) {
 }
 
 TEST(NetServer, PingStatsAndMalformedDimacs) {
-  TestServer S;
+  // Warm-start the service from a snapshot so the Stats frame has a
+  // non-zero cache_entries_loaded to report.
+  std::string CacheFile = testTempDir() + "/warm.bin";
+  core::pipeline::PassCache Warm;
+  core::WeaverOptions WarmOpt;
+  WarmOpt.Cache = &Warm;
+  ASSERT_TRUE(core::compileWeaver(sat::satlibInstance(20, 2), WarmOpt).ok());
+  ASSERT_FALSE(Warm.saveSnapshot(CacheFile));
+  ASSERT_GT(Warm.size(), 0u);
+  ServerOptions Opt;
+  Opt.Service.CacheFile = CacheFile;
+  TestServer S(Opt);
   Client C = makeClient(S);
   ASSERT_FALSE(C.connect());
 
@@ -426,6 +438,11 @@ TEST(NetServer, PingStatsAndMalformedDimacs) {
   // Only the valid request reached the service; the bad DIMACS failed
   // at the transport's parse step.
   EXPECT_GE(Stats->counter("completed"), 1u);
+  // Every ServiceStats counter the text table shows has a pair too.
+  EXPECT_EQ(Stats->counter("cache_entries_loaded"), Warm.size());
+  EXPECT_TRUE(std::any_of(
+      Stats->Counters.begin(), Stats->Counters.end(),
+      [](const auto &Pair) { return Pair.first == "watchdog_timeouts"; }));
   EXPECT_FALSE(Stats->Text.empty());
 }
 
@@ -534,7 +551,6 @@ TEST(NetServer, FullQueueShedsWithBackoffHint) {
   ServerOptions Opt;
   Opt.Service.NumThreads = 1;
   Opt.Service.QueueCapacity = 1;
-  Opt.Service.Deduplicate = false;
   Opt.MaxInFlightPerConnection = 64;
   TestServer S(Opt);
   Client C = makeClient(S);
@@ -592,7 +608,6 @@ TEST(NetServer, PerConnectionInFlightCapSheds) {
   ServerOptions Opt;
   Opt.Service.NumThreads = 1;
   Opt.Service.QueueCapacity = 256;
-  Opt.Service.Deduplicate = false;
   Opt.MaxInFlightPerConnection = 2;
   TestServer S(Opt);
   Client C = makeClient(S);

@@ -1,11 +1,10 @@
-//===- tests/noise_test.cpp - noisy simulation + pulse schedule tests -----===//
+//===- tests/noise_test.cpp - noisy simulation and AOD reuse tests --------===//
 //
 // Part of the weaver-cpp reproduction of "Weaver" (CGO 2025). MIT License.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/WeaverCompiler.h"
-#include "fpqa/PulseSchedule.h"
 #include "qaoa/Builder.h"
 #include "sat/Generator.h"
 #include "sim/Noise.h"
@@ -76,61 +75,6 @@ TEST(Noise, DistributionNormalised) {
   for (double P : R.Distribution)
     Sum += P;
   EXPECT_NEAR(Sum, 1.0, 1e-9);
-}
-
-// --- Pulse schedule ----------------------------------------------------------
-
-namespace {
-/// Every annotation of \p Program in execution order, as one flat list.
-std::vector<qasm::Annotation> pulseStream(const qasm::WqasmProgram &Program) {
-  std::vector<qasm::Annotation> Stream;
-  for (const qasm::Annotation &A : qasm::AnnotationView(Program))
-    Stream.push_back(A);
-  return Stream;
-}
-} // namespace
-
-TEST(PulseSchedule, MakespanMatchesAnalysisDuration) {
-  sat::CnfFormula F = sat::RandomSatGenerator(31).generate(8, 20);
-  core::WeaverOptions Opt;
-  auto R = core::compileWeaver(F, Opt);
-  ASSERT_TRUE(R.ok()) << R.message();
-  auto Schedule = fpqa::schedulePulseProgram(pulseStream(R->Program), Opt.Hw);
-  ASSERT_TRUE(Schedule.ok()) << Schedule.message();
-  EXPECT_NEAR(Schedule->Makespan, R->Stats.Duration, 1e-12);
-}
-
-TEST(PulseSchedule, EventsAreContiguousAndOrdered) {
-  sat::CnfFormula F(6, {sat::Clause{-1, -2, -3}, sat::Clause{4, -5, 6}});
-  core::WeaverOptions Opt;
-  auto R = core::compileWeaver(F, Opt);
-  ASSERT_TRUE(R.ok());
-  auto Schedule = fpqa::schedulePulseProgram(pulseStream(R->Program), Opt.Hw);
-  ASSERT_TRUE(Schedule.ok()) << Schedule.message();
-  double Clock = 0;
-  for (const auto &P : Schedule->Pulses) {
-    EXPECT_NEAR(P.StartTime, Clock, 1e-12);
-    EXPECT_GE(P.Duration, 0);
-    Clock = P.StartTime + P.Duration;
-  }
-  EXPECT_NEAR(Clock, Schedule->Makespan, 1e-12);
-}
-
-TEST(PulseSchedule, RendersTable) {
-  sat::CnfFormula F(3, {sat::Clause{-1, -2, -3}});
-  core::WeaverOptions Opt;
-  auto R = core::compileWeaver(F, Opt);
-  ASSERT_TRUE(R.ok());
-  auto Schedule = fpqa::schedulePulseProgram(pulseStream(R->Program), Opt.Hw);
-  ASSERT_TRUE(Schedule.ok());
-  std::string Text = Schedule->str();
-  EXPECT_NE(Text.find("rydberg"), std::string::npos);
-  EXPECT_NE(Text.find("makespan"), std::string::npos);
-}
-
-TEST(PulseSchedule, RejectsInvalidProgram) {
-  std::vector<qasm::Annotation> Bad = {qasm::Annotation::shuttle(true, 0, 1)};
-  EXPECT_FALSE(fpqa::schedulePulseProgram(Bad, fpqa::HardwareParams()).ok());
 }
 
 // --- Colour shuttling reuse (Algorithm 2) ------------------------------------

@@ -1,125 +1,18 @@
-//===- tests/opt_test.cpp - peephole / max-cut / QAOA optimiser tests -----===//
+//===- tests/opt_test.cpp - max-cut / QAOA optimiser tests ----------------===//
 //
 // Part of the weaver-cpp reproduction of "Weaver" (CGO 2025). MIT License.
 //
 //===----------------------------------------------------------------------===//
 
-#include "circuit/Peephole.h"
 #include "qaoa/Builder.h"
 #include "qaoa/MaxCut.h"
 #include "qaoa/Optimizer.h"
 #include "sat/Evaluator.h"
 #include "sat/Generator.h"
-#include "sim/StateVector.h"
-#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 using namespace weaver;
-using circuit::Circuit;
-using circuit::GateKind;
-using circuit::PeepholeStats;
-
-// --- Peephole ----------------------------------------------------------------
-
-TEST(Peephole, CancelsSelfInversePairs) {
-  Circuit C(3);
-  C.h(0).h(0).cz(1, 2).cz(2, 1).ccz(0, 1, 2).ccz(1, 0, 2);
-  PeepholeStats Stats;
-  Circuit Out = circuit::peepholeOptimize(C, &Stats);
-  EXPECT_TRUE(Out.empty()) << Out.str();
-  EXPECT_EQ(Stats.CancelledPairs, 3u);
-}
-
-TEST(Peephole, RespectsInterveningGates) {
-  Circuit C(2);
-  C.h(0).cz(0, 1).h(0); // CZ touches qubit 0: H's are not adjacent
-  Circuit Out = circuit::peepholeOptimize(C);
-  EXPECT_EQ(Out.size(), 3u);
-}
-
-TEST(Peephole, CancelsAcrossUntouchedQubits) {
-  Circuit C(3);
-  C.h(0).x(1).h(0); // X on qubit 1 does not block the H pair on qubit 0
-  Circuit Out = circuit::peepholeOptimize(C);
-  EXPECT_EQ(Out.size(), 1u);
-  EXPECT_EQ(Out.gate(0).kind(), GateKind::X);
-}
-
-TEST(Peephole, MergesRotations) {
-  Circuit C(2);
-  C.rz(0.25, 0).rz(0.5, 0).rzz(0.1, 0, 1).rzz(0.2, 1, 0);
-  PeepholeStats Stats;
-  Circuit Out = circuit::peepholeOptimize(C, &Stats);
-  ASSERT_EQ(Out.size(), 2u);
-  EXPECT_NEAR(Out.gate(0).param(0), 0.75, 1e-12);
-  EXPECT_NEAR(Out.gate(1).param(0), 0.3, 1e-12);
-  EXPECT_EQ(Stats.MergedRotations, 2u);
-}
-
-TEST(Peephole, DropsZeroRotationsAndIdentities) {
-  Circuit C(1);
-  C.rz(0, 0).id(0).rx(0.4, 0).rx(-0.4, 0);
-  Circuit Out = circuit::peepholeOptimize(C);
-  EXPECT_TRUE(Out.empty()) << Out.str();
-}
-
-TEST(Peephole, KeepsMeasureAndBarrier) {
-  Circuit C(1);
-  C.h(0).barrier().h(0).measure(0);
-  Circuit Out = circuit::peepholeOptimize(C);
-  EXPECT_EQ(Out.count(GateKind::Barrier), 1u);
-  EXPECT_EQ(Out.count(GateKind::Measure), 1u);
-  // Barriers overlap everything, so the H pair must NOT cancel.
-  EXPECT_EQ(Out.count(GateKind::H), 2u);
-}
-
-TEST(Peephole, PreservesRandomCircuitUnitaries) {
-  Xoshiro256 Rng(5150);
-  for (int Trial = 0; Trial < 8; ++Trial) {
-    Circuit C(4);
-    for (int I = 0; I < 60; ++I) {
-      int Q = static_cast<int>(Rng.nextBelow(4));
-      int R = static_cast<int>((Q + 1 + Rng.nextBelow(3)) % 4);
-      switch (Rng.nextBelow(6)) {
-      case 0:
-        C.h(Q);
-        break;
-      case 1:
-        C.x(Q);
-        break;
-      case 2:
-        C.rz(Rng.nextDouble() < 0.3 ? 0.0 : 0.7, Q);
-        break;
-      case 3:
-        C.cz(Q, R);
-        break;
-      case 4:
-        C.cx(Q, R);
-        break;
-      default:
-        C.rzz(0.4, Q, R);
-        break;
-      }
-    }
-    Circuit Out = circuit::peepholeOptimize(C);
-    EXPECT_LE(Out.size(), C.size());
-    EXPECT_TRUE(sim::circuitsEquivalent(C, Out)) << "trial " << Trial;
-  }
-}
-
-TEST(Peephole, ShrinksQaoaDoubleLayer) {
-  // Two identical QAOA phase layers back to back contain cancelling CX
-  // ladders at the seam.
-  sat::CnfFormula F = sat::RandomSatGenerator(3).generate(5, 10);
-  Circuit C = qaoa::buildQaoaCircuit(F, qaoa::QaoaParams());
-  Circuit DoubleSeam(5);
-  DoubleSeam.appendCircuit(C);
-  DoubleSeam.appendCircuit(C);
-  Circuit Out = circuit::peepholeOptimize(DoubleSeam);
-  EXPECT_LT(Out.size(), DoubleSeam.size());
-  EXPECT_TRUE(sim::circuitsEquivalent(DoubleSeam, Out));
-}
 
 // --- Max-cut front end ----------------------------------------------------------
 
