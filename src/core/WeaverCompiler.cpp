@@ -6,11 +6,89 @@
 
 #include "core/WeaverCompiler.h"
 
+#include "core/pipeline/ClauseColoringPass.h"
+#include "core/pipeline/GateLoweringPass.h"
+#include "core/pipeline/PassCache.h"
 #include "core/pipeline/PassManager.h"
+#include "core/pipeline/PulseEmissionPass.h"
+#include "core/pipeline/ShuttleSchedulingPass.h"
+#include "core/pipeline/ZonePlanningPass.h"
 #include "qaoa/Builder.h"
+
+#include <chrono>
 
 using namespace weaver;
 using namespace weaver::core;
+using namespace weaver::core::pipeline;
+
+namespace {
+
+/// Runs the Fig. 3 pipeline over \p Ctx through \p Cache (may be null)
+/// and records in \p Result which tier served it. A program-template hit
+/// runs no pass, a front-half hit runs the three back-half passes, and a
+/// miss runs all five and inserts both tiers only once the last pass has
+/// succeeded, so a failed or cancelled compile publishes nothing.
+Status runPipeline(CompilationContext &Ctx, PassCache *Cache,
+                   WeaverResult &Result) {
+  PassCacheKey FrontKey, ProgramKey;
+  PassCacheEntry Hit;
+  if (Cache) {
+    FrontKey = PassCacheKey::frontHalf(Ctx);
+    ProgramKey = PassCacheKey::program(FrontKey, Ctx);
+    Hit = Cache->lookupProgram(ProgramKey);
+    if (!Hit.Back)
+      Hit.Front = Cache->lookupFront(FrontKey);
+    Result.FrontHalfFromCache = Hit.Front != nullptr;
+    Result.ProgramFromCache = Hit.Back != nullptr;
+  }
+
+  if (Hit.Back) {
+    // One checkpoint before the copy; it crosses no pass boundary, so it
+    // does not consult the pipeline.hang fault site.
+    if (Ctx.Cancel && Ctx.Cancel->checkpoint())
+      return Status::error(std::string(CancelledDiagnostic) +
+                           " before program-template");
+    auto Start = std::chrono::steady_clock::now();
+    Ctx.Coloring = Hit.Front->Coloring; // nothing reads the zone plan
+    Hit.Back->restore(Ctx);
+    std::chrono::duration<double> Took =
+        std::chrono::steady_clock::now() - Start;
+    Ctx.Timings.push_back({"program-template", Took.count()});
+    return Status::success();
+  }
+
+  // Colouring -> zone planning, then colour shuttling -> gate lowering ->
+  // pulse emission (the replayed metrics of §8).
+  PassManager FrontHalf, BackHalf;
+  FrontHalf.add<ClauseColoringPass>().add<ZonePlanningPass>();
+  BackHalf.add<ShuttleSchedulingPass>()
+      .add<GateLoweringPass>()
+      .add<PulseEmissionPass>();
+  std::shared_ptr<const FrontHalfSections> Front = Hit.Front;
+  FrontHalfSections Captured;
+  if (Front) {
+    Front->restore(Ctx);
+  } else {
+    if (Status S = FrontHalf.run(Ctx))
+      return S;
+    if (Cache) // before gate lowering edits the plans
+      Captured = FrontHalfSections::capture(Ctx);
+  }
+  // Gate lowering records where gamma/beta live in the program, so the
+  // template can serve other parameter points.
+  Ctx.CollectAngleSlots = Cache != nullptr;
+  if (Status S = BackHalf.run(Ctx))
+    return S;
+  if (Cache) {
+    if (!Front)
+      Front = Cache->insertFront(FrontKey, std::move(Captured));
+    Cache->insertProgram(ProgramKey, FrontKey, std::move(Front),
+                         ProgramSections::capture(Ctx));
+  }
+  return Status::success();
+}
+
+} // namespace
 
 Expected<WeaverResult> core::compileWeaver(const sat::CnfFormula &Formula,
                                            const WeaverOptions &Options) {
@@ -30,11 +108,10 @@ Expected<WeaverResult> core::compileWeaver(const sat::CnfFormula &Formula,
     break;
   }
 
-  pipeline::CompilationContext Ctx;
+  CompilationContext Ctx;
   Ctx.Formula = &Formula;
   Ctx.Hw = Options.Hw;
   Ctx.UseDSatur = Options.UseDSatur;
-  Ctx.Cache = Options.Cache;
   Ctx.Cancel = Options.Cancel;
   Ctx.Options.Geometry = Options.Geometry;
   Ctx.Options.Qaoa = Options.Qaoa;
@@ -42,9 +119,7 @@ Expected<WeaverResult> core::compileWeaver(const sat::CnfFormula &Formula,
   Ctx.Options.ReuseAodAtoms = Options.ReuseAodAtoms;
   Ctx.Options.Measure = Options.Measure;
 
-  // Fig. 3 pipeline: colouring -> zone planning -> colour shuttling ->
-  // gate lowering -> pulse emission (the replayed metrics of §8).
-  if (Status S = pipeline::PassManager::standardFpqaPipeline().run(Ctx))
+  if (Status S = runPipeline(Ctx, Options.Cache, Result))
     return Expected<WeaverResult>(S);
 
   Result.Coloring = std::move(Ctx.Coloring);
@@ -54,8 +129,6 @@ Expected<WeaverResult> core::compileWeaver(const sat::CnfFormula &Formula,
   // as compile time; the pulse-emission pass that publishes them does not.
   Result.CompileSeconds = Ctx.elapsedSeconds("pulse-emission");
   Result.PassTimings = std::move(Ctx.Timings);
-  Result.FrontHalfFromCache = Ctx.FrontHalfFromCache;
-  Result.ProgramFromCache = Ctx.ProgramFromCache;
 
   if (Options.RunChecker) {
     // Reference: the hardware-agnostic (uncompressed ladder) circuit.

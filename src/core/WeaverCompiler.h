@@ -25,6 +25,10 @@
 namespace weaver {
 namespace core {
 
+namespace pipeline {
+class PassCache;
+} // namespace pipeline
+
 /// Pipeline configuration.
 struct WeaverOptions {
   fpqa::HardwareParams Hw;
@@ -57,9 +61,10 @@ struct WeaverOptions {
   pipeline::PassCache *Cache = nullptr;
 
   /// Optional cooperative cancellation (not owned; must outlive the
-  /// compile). The pipeline checks the token between passes; a cancelled
-  /// compile returns a Status recognised by isCancelledStatus() and
-  /// publishes nothing into the cache. See support/CancelToken.h.
+  /// compile). The pipeline checks the token before each pass, and a
+  /// program-template hit once before its copy; a cancelled compile
+  /// returns a Status recognised by isCancelledStatus() and publishes
+  /// nothing into the cache. See support/CancelToken.h.
   const CancelToken *Cancel = nullptr;
 };
 
@@ -71,7 +76,9 @@ struct WeaverResult {
   fpqa::PulseStats Stats;       ///< pulses / duration / EPS (§8)
   double CompileSeconds = 0;    ///< wall-clock compile time
   /// Per-pass wall-clock breakdown of the pipeline run (diagnostics; the
-  /// pulse-emission pass is excluded from CompileSeconds).
+  /// pulse-emission pass is excluded from CompileSeconds). A front-half
+  /// cache hit records only the three back-half passes; a program-template
+  /// hit runs no pass and records one "program-template" entry.
   std::vector<pipeline::PassTiming> PassTimings;
   /// Cache diagnostics: whether the colouring/zone plan, respectively the
   /// whole program template, were restored instead of recomputed.

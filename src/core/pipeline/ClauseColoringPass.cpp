@@ -24,18 +24,3 @@ Status ClauseColoringPass::run(CompilationContext &Ctx) {
   Ctx.HasColoring = true;
   return Status::success();
 }
-
-void ClauseColoringPass::saveSections(const CompilationContext &Ctx,
-                                      PassCacheEntryBuilder &Builder) const {
-  Builder.Front.Coloring = Ctx.Coloring;
-  Builder.SavedColoring = true;
-}
-
-bool ClauseColoringPass::restoreSections(const PassCacheEntry &Entry,
-                                         CompilationContext &Ctx) const {
-  if (!Entry.Front)
-    return false;
-  Ctx.Coloring = Entry.Front->Coloring;
-  Ctx.HasColoring = true;
-  return true;
-}

@@ -25,13 +25,6 @@ class ClauseColoringPass : public Pass {
 public:
   const char *name() const override { return "clause-coloring"; }
   Status run(CompilationContext &Ctx) override;
-
-  /// The colouring depends only on the front-half key (formula, colouring
-  /// options); it is cached and restored without re-validation.
-  void saveSections(const CompilationContext &Ctx,
-                    PassCacheEntryBuilder &Builder) const override;
-  bool restoreSections(const PassCacheEntry &Entry,
-                       CompilationContext &Ctx) const override;
 };
 
 } // namespace pipeline

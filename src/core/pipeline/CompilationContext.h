@@ -10,8 +10,8 @@
 /// the zone/site placement plan (§5.3, Fig. 5), the per-boundary shuttle
 /// schedules (Algorithm 2), the emitted wQASM program, the replayed pulse
 /// statistics, and per-pass timing diagnostics. Passes communicate only
-/// through this context, so each stage can be tested (and eventually
-/// cached) in isolation.
+/// through this context, so each stage can be tested in isolation, and
+/// PassCache can capture and restore whole sections of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -123,8 +123,6 @@ struct AngleSlot {
   double Coeff = 0;
 };
 
-class PassCache;
-
 /// All state shared between the pipeline passes. Inputs are set by the
 /// driver before PassManager::run; each pass fills its output section.
 struct CompilationContext {
@@ -135,13 +133,8 @@ struct CompilationContext {
   /// Colouring heuristic selection when the pipeline colours the formula
   /// itself (ClauseColoringPass); ignored when HasColoring is set.
   bool UseDSatur = true;
-  /// Optional memoisation of pass results across compilations sharing the
-  /// same formula/geometry (parameter sweeps). Not owned; must outlive the
-  /// pipeline run. Ignored when the driver supplied a colouring.
-  PassCache *Cache = nullptr;
   /// Optional cooperative cancellation token (not owned). PassManager::run
-  /// checks it between passes and aborts with a CancelledDiagnostic status;
-  /// a cancelled run inserts nothing into the PassCache.
+  /// checks it between passes and aborts with a CancelledDiagnostic status.
   const CancelToken *Cancel = nullptr;
 
   // --- ClauseColoringPass -----------------------------------------------
@@ -163,8 +156,9 @@ struct CompilationContext {
 
   // --- GateLoweringPass -------------------------------------------------
   qasm::WqasmProgram Program;
-  /// When set (by PassManager while building a cache entry), the emitter
-  /// records where every gamma/beta-dependent angle lives in Program.
+  /// When set (by compileWeaver while building a program template), the
+  /// emitter records where every gamma/beta-dependent angle lives in
+  /// Program.
   bool CollectAngleSlots = false;
   std::vector<AngleSlot> AngleSlots;
   /// The replay of Program on a fresh device, accumulated by the emitter
@@ -174,11 +168,6 @@ struct CompilationContext {
 
   // --- Diagnostics ------------------------------------------------------
   std::vector<PassTiming> Timings;
-  /// Set when the colouring/zone-planning sections were restored from the
-  /// cache instead of recomputed.
-  bool FrontHalfFromCache = false;
-  /// Set when the whole program was instantiated from a cached template.
-  bool ProgramFromCache = false;
 
   /// Sum of recorded pass durations, excluding \p ExcludedPass (pass an
   /// empty string to sum everything).

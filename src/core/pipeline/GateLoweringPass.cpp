@@ -900,20 +900,3 @@ Status GateLoweringPass::run(CompilationContext &Ctx) {
   Emitter E(Ctx);
   return E.run();
 }
-
-void GateLoweringPass::saveSections(const CompilationContext &Ctx,
-                                    PassCacheEntryBuilder &Builder) const {
-  Builder.Back.Program = Ctx.Program;
-  Builder.Back.AngleSlots = Ctx.AngleSlots;
-  Builder.SavedProgram = true;
-}
-
-bool GateLoweringPass::restoreSections(const PassCacheEntry &Entry,
-                                       CompilationContext &Ctx) const {
-  if (!Entry.Back)
-    return false;
-  Ctx.Program = Entry.Back->Program;
-  patchProgramAngles(Ctx.Program, Entry.Back->AngleSlots,
-                     Ctx.Options.Qaoa.Gamma, Ctx.Options.Qaoa.Beta);
-  return true;
-}

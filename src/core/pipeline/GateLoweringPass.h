@@ -14,7 +14,9 @@
 /// satisfies all Table 1 pre-conditions by construction, and the same walk
 /// yields the pulse statistics (Ctx.Stats) that PulseEmissionPass
 /// publishes. Positions are whole nanometres, so shuttle offsets are exact
-/// differences and cannot drift.
+/// differences and cannot drift. When Ctx.CollectAngleSlots is set, the
+/// emitter also records where every gamma/beta-dependent angle lives
+/// (Ctx.AngleSlots), which makes the program a PassCache template.
 ///
 /// Raman pulse convention: @raman (x, y, z) applies RZ(z) * RY(y) * RX(x)
 /// (RX first). The gates the generator needs map to:
@@ -39,16 +41,6 @@ class GateLoweringPass : public Pass {
 public:
   const char *name() const override { return "gate-lowering"; }
   Status run(CompilationContext &Ctx) override;
-
-  /// At fixed non-angle inputs the emitted program is a template: gamma
-  /// and beta appear only as exact power-of-two multiples at positions the
-  /// emitter records (Ctx.AngleSlots when Ctx.CollectAngleSlots is set).
-  /// Restoring copies the cached template and patches the slots, which is
-  /// bit-identical to re-emission.
-  void saveSections(const CompilationContext &Ctx,
-                    PassCacheEntryBuilder &Builder) const override;
-  bool restoreSections(const PassCacheEntry &Entry,
-                       CompilationContext &Ctx) const override;
 };
 
 } // namespace pipeline

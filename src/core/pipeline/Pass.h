@@ -16,7 +16,6 @@
 #define WEAVER_CORE_PIPELINE_PASS_H
 
 #include "core/pipeline/CompilationContext.h"
-#include "core/pipeline/PassCache.h"
 #include "support/Status.h"
 
 namespace weaver {
@@ -34,32 +33,6 @@ public:
   /// Runs the pass over \p Ctx. On failure the context is left in an
   /// unspecified (but destructible) state and the pipeline stops.
   virtual Status run(CompilationContext &Ctx) = 0;
-
-  // --- Memoisation hooks (see PassCache.h) ------------------------------
-  // A pass declares its context sections cacheable by overriding this
-  // pair. saveSections copies the sections the pass just produced into the
-  // entry under construction; restoreSections writes the cached sections
-  // back into the context and returns true, or returns false when the
-  // entry does not carry the pass's tier — the pass then runs normally.
-  // Passes that stay silent (the default) always run.
-
-  /// Copies this pass's output sections into \p Builder. Called by
-  /// PassManager immediately after a successful run() while a cache entry
-  /// is being built (so later passes cannot have mutated the sections).
-  virtual void saveSections(const CompilationContext &Ctx,
-                            PassCacheEntryBuilder &Builder) const {
-    (void)Ctx;
-    (void)Builder;
-  }
-
-  /// Restores this pass's sections from \p Entry into \p Ctx; returns
-  /// false when the entry lacks them (the pass must run instead).
-  virtual bool restoreSections(const PassCacheEntry &Entry,
-                               CompilationContext &Ctx) const {
-    (void)Entry;
-    (void)Ctx;
-    return false;
-  }
 };
 
 } // namespace pipeline

@@ -229,6 +229,34 @@ void PassCache::clear() {
   NumEntries = 0;
 }
 
+// --- Sections ------------------------------------------------------------
+
+FrontHalfSections FrontHalfSections::capture(const CompilationContext &Ctx) {
+  return {Ctx.Coloring, Ctx.Plans, Ctx.SlmTraps, Ctx.ZoneSiteTrap,
+          Ctx.NumColumns};
+}
+
+void FrontHalfSections::restore(CompilationContext &Ctx) const {
+  Ctx.Coloring = Coloring;
+  Ctx.HasColoring = true;
+  Ctx.Plans = Plans; // deep copy: lowering edits the plans
+  Ctx.SlmTraps = SlmTraps;
+  Ctx.ZoneSiteTrap = ZoneSiteTrap;
+  Ctx.NumColumns = NumColumns;
+}
+
+ProgramSections ProgramSections::capture(const CompilationContext &Ctx) {
+  return {Ctx.Program, Ctx.AngleSlots, Ctx.Stats};
+}
+
+void ProgramSections::restore(CompilationContext &Ctx) const {
+  Ctx.Program = Program;
+  patchProgramAngles(Ctx.Program, AngleSlots, Ctx.Options.Qaoa.Gamma,
+                     Ctx.Options.Qaoa.Beta);
+  Ctx.Stats = Stats;
+  Ctx.HasStats = true;
+}
+
 // --- Template instantiation ----------------------------------------------
 
 void pipeline::patchProgramAngles(qasm::WqasmProgram &Program,

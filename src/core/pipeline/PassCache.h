@@ -8,20 +8,23 @@
 /// Memoisation of pass results across compilations that share inputs — the
 /// ROADMAP "Per-pass caching" item. A QAOA parameter sweep recompiles the
 /// same (formula, geometry) under varying gamma/beta/layers; the cache
-/// lets the pipeline skip everything those parameters do not influence.
+/// lets compileWeaver skip everything those parameters do not influence.
 ///
 /// Two tiers, under two keys:
 ///
 ///  * Front half — the clause colouring and zone plan depend only on
 ///    (formula, geometry, colouring options). Keyed on exactly those; a
-///    hit skips straight to ShuttleSchedulingPass.
+///    hit restores them and runs only the three back-half passes.
 ///  * Program template — at fixed layers the emitted program differs
 ///    across gamma/beta only in angle values, each an exact power-of-two
 ///    multiple of one parameter (AngleSlot). The tier caches the program
 ///    with its recorded angle slots plus the angle-independent pulse
-///    stats, keyed on every pipeline input except gamma/beta; a hit
-///    copies the template, patches the slots (bit-identical to direct
-///    emission), and skips gate lowering with its pulse replay.
+///    stats, keyed on every pipeline input except gamma/beta; a hit runs
+///    no pass: it copies the template and patches the slots, which is
+///    bit-identical to direct emission.
+///
+/// FrontHalfSections and ProgramSections list the context fields of each
+/// tier; their capture() and restore() alone move them in and out.
 ///
 /// Keys hash the full input payload and compare it exactly on lookup, so
 /// hash collisions cannot alias entries. All operations are mutex-guarded:
@@ -104,6 +107,12 @@ struct FrontHalfSections {
   std::vector<Vec2> SlmTraps;
   std::map<std::pair<int, int>, int> ZoneSiteTrap;
   int NumColumns = 0;
+
+  /// Copies the sections out of \p Ctx. Capture right after zone planning:
+  /// gate lowering records column assignments on the plans.
+  static FrontHalfSections capture(const CompilationContext &Ctx);
+  /// Writes the sections into \p Ctx as if both passes had run.
+  void restore(CompilationContext &Ctx) const;
 };
 
 /// Context sections produced by GateLoweringPass and PulseEmissionPass:
@@ -113,24 +122,20 @@ struct ProgramSections {
   qasm::WqasmProgram Program;
   std::vector<AngleSlot> AngleSlots;
   fpqa::PulseStats Stats;
+
+  /// Copies the sections out of \p Ctx once the last pass has run (gate
+  /// lowering must have collected the angle slots).
+  static ProgramSections capture(const CompilationContext &Ctx);
+  /// Writes the program with its angles patched to Ctx's gamma and beta,
+  /// and the angle-independent stats, into \p Ctx as if both had run.
+  void restore(CompilationContext &Ctx) const;
 };
 
-/// A cache hit handed to Pass::restoreSections. Front is set on both
-/// tiers; Back only on a program-template hit.
+/// The result of a program-tier lookup. Front is set on both tiers; Back
+/// only on a program-template hit.
 struct PassCacheEntry {
   std::shared_ptr<const FrontHalfSections> Front;
   std::shared_ptr<const ProgramSections> Back;
-};
-
-/// Mutable entry under construction: passes fill their sections via
-/// Pass::saveSections as they run; PassManager inserts the finished tiers.
-struct PassCacheEntryBuilder {
-  FrontHalfSections Front;
-  ProgramSections Back;
-  bool SavedColoring = false;
-  bool SavedPlan = false;
-  bool SavedProgram = false;
-  bool SavedStats = false;
 };
 
 // --- Persistence constants (on-disk snapshot format v2) ------------------
@@ -200,36 +205,32 @@ public:
 
   // --- Persistence (implemented in PassCachePersist.cpp) ----------------
 
-  /// Serializes both tiers to \p Path atomically (temp + rename). Entries
-  /// that were loaded from a snapshot and never materialized are copied
-  /// byte-for-byte, so a load-then-save round trip (the shard merge path)
-  /// never parses section payloads. \p Fingerprint defaults to this
-  /// build's compilerFingerprint(); tests override it to forge mismatches.
+  /// Serializes both tiers to \p Path atomically (temp + rename), stamped
+  /// with this build's compilerFingerprint(). Entries that were loaded
+  /// from a snapshot and never materialized are copied byte-for-byte, so
+  /// a load-then-save round trip (the shard merge path) never parses
+  /// section payloads.
   Status saveSnapshot(const std::string &Path) const;
-  Status saveSnapshot(const std::string &Path, uint64_t Fingerprint) const;
 
   /// Maps \p Path and merges its entries into this cache (keys already
   /// present are kept, not overwritten — first writer wins). Only the key
   /// index is deserialized here; section payloads materialize lazily on
   /// first hit. On any validation failure (unreadable, truncated, bad
-  /// magic/version/checksum, fingerprint != \p ExpectFingerprint) nothing
-  /// is inserted and the error is returned — callers fall back to a cold
+  /// magic/version/checksum, another build's fingerprint) nothing is
+  /// inserted and the error is returned — callers fall back to a cold
   /// compile.
   Status loadSnapshot(const std::string &Path);
-  Status loadSnapshot(const std::string &Path, uint64_t ExpectFingerprint);
 
   /// Compacts shard segment files into one snapshot: loads every input
   /// (first file wins on duplicate keys) and saves the union to
-  /// \p Output. Fails on the first unreadable/invalid input.
-  static Status mergeSnapshots(const std::vector<std::string> &Inputs,
-                               const std::string &Output);
-  /// Tolerant variant for crash-recovery paths: when \p Skipped is
-  /// non-null, an unreadable/invalid input is recorded there ("path:
-  /// reason") and skipped instead of failing the merge — its entries
-  /// simply recompute as cold misses on the next run.
+  /// \p Output. Without \p Skipped it fails on the first unreadable or
+  /// invalid input. Crash-recovery paths pass \p Skipped: such an input is
+  /// then recorded there ("path: reason") and skipped instead of failing
+  /// the merge — its entries simply recompute as cold misses on the next
+  /// run.
   static Status mergeSnapshots(const std::vector<std::string> &Inputs,
                                const std::string &Output,
-                               std::vector<std::string> *Skipped);
+                               std::vector<std::string> *Skipped = nullptr);
 
   CacheStats stats() const;
   /// Total entries across both tiers.

@@ -466,11 +466,6 @@ bool PassCache::materializeProgramLocked(ProgramCell &Cell) {
 // --- Snapshot save -------------------------------------------------------
 
 Status PassCache::saveSnapshot(const std::string &Path) const {
-  return saveSnapshot(Path, compilerFingerprint());
-}
-
-Status PassCache::saveSnapshot(const std::string &Path,
-                               uint64_t Fingerprint) const {
   // Simulated crash before any serialization work: the save "fails"
   // leaving whatever snapshot was previously at Path untouched.
   if (fault::fire("persist.save.abort"))
@@ -520,7 +515,7 @@ Status PassCache::saveSnapshot(const std::string &Path,
   W.writeU64(SnapshotMagic);
   W.writeU32(SnapshotFormatVersion);
   W.writeU32(0);
-  W.writeU64(Fingerprint);
+  W.writeU64(compilerFingerprint());
   W.writeU64(0); // payload bytes, patched below
   W.writeU64(0); // payload checksum, patched below
 
@@ -575,11 +570,6 @@ Status PassCache::saveSnapshot(const std::string &Path,
 // --- Snapshot load -------------------------------------------------------
 
 Status PassCache::loadSnapshot(const std::string &Path) {
-  return loadSnapshot(Path, compilerFingerprint());
-}
-
-Status PassCache::loadSnapshot(const std::string &Path,
-                               uint64_t ExpectFingerprint) {
   // Simulated unreadable snapshot: same contract as every real reject —
   // nothing inserted, the caller degrades to cold compiles.
   if (fault::fire("persist.load.reject"))
@@ -600,8 +590,7 @@ Status PassCache::loadSnapshot(const std::string &Path,
     return Status::error("cache file " + Path + ": format version " +
                          std::to_string(Version) + " != " +
                          std::to_string(SnapshotFormatVersion));
-  uint64_t Fingerprint = Header.readU64();
-  if (Fingerprint != ExpectFingerprint)
+  if (Header.readU64() != compilerFingerprint())
     return Status::error("cache file " + Path +
                          ": compiler fingerprint mismatch (stale cache "
                          "from another build)");
@@ -689,11 +678,6 @@ Status PassCache::loadSnapshot(const std::string &Path,
     ++NumEntries;
   }
   return Status::success();
-}
-
-Status PassCache::mergeSnapshots(const std::vector<std::string> &Inputs,
-                                 const std::string &Output) {
-  return mergeSnapshots(Inputs, Output, /*Skipped=*/nullptr);
 }
 
 Status PassCache::mergeSnapshots(const std::vector<std::string> &Inputs,

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs an ordered list of passes over one CompilationContext, recording a
-/// wall-clock timing entry per pass and stopping at the first failure with
-/// the failing pass named in the diagnostic.
+/// Runs an ordered list of passes over one CompilationContext. Before each
+/// pass it consults the pipeline.hang fault site and the context's cancel
+/// token; it records a wall-clock timing entry per pass and stops at the
+/// first failure with the failing pass named in the diagnostic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,21 +27,18 @@ namespace pipeline {
 /// Sequences passes over a compilation context.
 class PassManager {
 public:
-  /// Appends \p P to the pipeline; returns *this for chaining.
-  PassManager &addPass(std::unique_ptr<Pass> P);
-
-  /// Convenience: constructs and appends a pass in place.
+  /// Constructs a pass in place and appends it; returns *this for
+  /// chaining.
   template <typename PassT, typename... ArgTs>
   PassManager &add(ArgTs &&...Args) {
-    return addPass(std::make_unique<PassT>(std::forward<ArgTs>(Args)...));
+    Passes.push_back(std::make_unique<PassT>(std::forward<ArgTs>(Args)...));
+    return *this;
   }
-
-  /// Number of registered passes.
-  size_t size() const { return Passes.size(); }
 
   /// Runs every pass in order. Each pass appends a PassTiming to
   /// Ctx.Timings (also for the failing pass). The first failure aborts the
-  /// pipeline with the pass name prefixed to the diagnostic.
+  /// pipeline with the pass name prefixed to the diagnostic; a cancelled
+  /// token aborts it before the next pass with a CancelledDiagnostic.
   Status run(CompilationContext &Ctx) const;
 
   /// Builds the standard FPQA pipeline of the paper's Fig. 3:

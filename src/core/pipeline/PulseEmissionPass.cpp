@@ -15,18 +15,3 @@ Status PulseEmissionPass::run(CompilationContext &Ctx) {
     return Status::error("no pulse statistics; run GateLoweringPass first");
   return Status::success();
 }
-
-void PulseEmissionPass::saveSections(const CompilationContext &Ctx,
-                                     PassCacheEntryBuilder &Builder) const {
-  Builder.Back.Stats = Ctx.Stats;
-  Builder.SavedStats = true;
-}
-
-bool PulseEmissionPass::restoreSections(const PassCacheEntry &Entry,
-                                        CompilationContext &Ctx) const {
-  if (!Entry.Back)
-    return false;
-  Ctx.Stats = Entry.Back->Stats;
-  Ctx.HasStats = true;
-  return true;
-}

@@ -10,8 +10,7 @@
 /// lowering already replayed every annotation on a fresh device model
 /// through fpqa::PulseReplayer while it emitted them, validating every
 /// Table 1 pre-condition end to end, so this pass does not walk the pulse
-/// stream again: it requires the lowering's statistics and owns their
-/// cache tier.
+/// stream again: it requires the lowering's statistics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,15 +27,6 @@ class PulseEmissionPass : public Pass {
 public:
   const char *name() const override { return "pulse-emission"; }
   Status run(CompilationContext &Ctx) override;
-
-  /// Pulse statistics never read angle values (durations and fidelities
-  /// are per pulse kind), so they are cached with the program template;
-  /// restoring skips the replay — the template was validated when it was
-  /// built.
-  void saveSections(const CompilationContext &Ctx,
-                    PassCacheEntryBuilder &Builder) const override;
-  bool restoreSections(const PassCacheEntry &Entry,
-                       CompilationContext &Ctx) const override;
 };
 
 } // namespace pipeline

@@ -112,25 +112,3 @@ Status ZonePlanningPass::run(CompilationContext &Ctx) {
   // colour left on the row.
   return Status::success();
 }
-
-void ZonePlanningPass::saveSections(const CompilationContext &Ctx,
-                                    PassCacheEntryBuilder &Builder) const {
-  // Called right after run(), before GateLoweringPass records column
-  // assignments on the plans — the cached copy stays pristine.
-  Builder.Front.Plans = Ctx.Plans;
-  Builder.Front.SlmTraps = Ctx.SlmTraps;
-  Builder.Front.ZoneSiteTrap = Ctx.ZoneSiteTrap;
-  Builder.Front.NumColumns = Ctx.NumColumns;
-  Builder.SavedPlan = true;
-}
-
-bool ZonePlanningPass::restoreSections(const PassCacheEntry &Entry,
-                                       CompilationContext &Ctx) const {
-  if (!Entry.Front)
-    return false;
-  Ctx.Plans = Entry.Front->Plans; // deep copy: lowering mutates the plans
-  Ctx.SlmTraps = Entry.Front->SlmTraps;
-  Ctx.ZoneSiteTrap = Entry.Front->ZoneSiteTrap;
-  Ctx.NumColumns = Entry.Front->NumColumns;
-  return true;
-}

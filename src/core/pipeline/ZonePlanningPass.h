@@ -26,13 +26,6 @@ class ZonePlanningPass : public Pass {
 public:
   const char *name() const override { return "zone-planning"; }
   Status run(CompilationContext &Ctx) override;
-
-  /// The zone plan depends only on the front-half key (formula, geometry,
-  /// colouring); its sections are cached alongside the colouring.
-  void saveSections(const CompilationContext &Ctx,
-                    PassCacheEntryBuilder &Builder) const override;
-  bool restoreSections(const PassCacheEntry &Entry,
-                       CompilationContext &Ctx) const override;
 };
 
 } // namespace pipeline

@@ -15,7 +15,6 @@
 #include "core/BatchCompiler.h"
 #include "core/WeaverCompiler.h"
 #include "core/pipeline/PassCache.h"
-#include "core/pipeline/PassManager.h"
 #include "qasm/Printer.h"
 #include "sat/Generator.h"
 
@@ -86,6 +85,14 @@ TEST(PassCache, LayersChangeReusesFrontHalfOnly) {
   compileToText(F, sweepPoint(0.7, 0.3, 2, &Cache), &TwoLayers);
   EXPECT_TRUE(TwoLayers.FrontHalfFromCache);
   EXPECT_FALSE(TwoLayers.ProgramFromCache);
+  // The restored colouring and zone plan are not timed: only the three
+  // back-half passes run.
+  std::vector<std::string> Names;
+  for (const PassTiming &T : TwoLayers.PassTimings)
+    Names.push_back(T.PassName);
+  EXPECT_EQ(Names, (std::vector<std::string>{
+                       "shuttle-scheduling", "gate-lowering",
+                       "pulse-emission"}));
 
   PassCache::CacheStats S = Cache.stats();
   EXPECT_EQ(S.ProgramMisses, 2u);
@@ -93,20 +100,18 @@ TEST(PassCache, LayersChangeReusesFrontHalfOnly) {
   EXPECT_EQ(S.FrontMisses, 1u);
 }
 
-TEST(PassCache, TimingsKeepOneEntryPerPassOnHits) {
+TEST(PassCache, TemplateHitRunsNoPass) {
   CnfFormula F = testFormula();
   PassCache Cache;
   compileToText(F, sweepPoint(0.7, 0.3, 1, &Cache));
   WeaverResult Hit;
-  compileToText(F, sweepPoint(0.6, 0.25, 1, &Cache), &Hit);
-  ASSERT_EQ(Hit.PassTimings.size(), 5u);
-  EXPECT_EQ(Hit.PassTimings[0].PassName, "clause-coloring");
-  EXPECT_EQ(Hit.PassTimings[4].PassName, "pulse-emission");
-  double Sum = 0;
-  for (const PassTiming &T : Hit.PassTimings)
-    if (T.PassName != "pulse-emission")
-      Sum += T.Seconds;
-  EXPECT_DOUBLE_EQ(Hit.CompileSeconds, Sum);
+  std::string HitText = compileToText(F, sweepPoint(0.6, 0.25, 1, &Cache),
+                                      &Hit);
+  ASSERT_TRUE(Hit.ProgramFromCache);
+  ASSERT_EQ(Hit.PassTimings.size(), 1u);
+  EXPECT_EQ(Hit.PassTimings[0].PassName, "program-template");
+  EXPECT_EQ(Hit.CompileSeconds, Hit.PassTimings[0].Seconds);
+  EXPECT_EQ(HitText, compileToText(F, sweepPoint(0.6, 0.25)));
 }
 
 // --- Byte identity across a sweep ---------------------------------------
@@ -188,21 +193,6 @@ TEST(PassCache, FormulaGeometryAndOptionChangesMiss) {
   ASSERT_TRUE(R.ok()) << R.message();
   EXPECT_TRUE(R->FrontHalfFromCache);
   EXPECT_FALSE(R->ProgramFromCache);
-}
-
-TEST(PassCache, SuppliedColoringBypassesTheCache) {
-  CnfFormula F = testFormula();
-  PassCache Cache;
-  CompilationContext Ctx;
-  Ctx.Formula = &F;
-  Ctx.Cache = &Cache;
-  Ctx.Coloring = colorClausesDSatur(F);
-  Ctx.HasColoring = true;
-  ASSERT_TRUE(PassManager::standardFpqaPipeline().run(Ctx).ok());
-  PassCache::CacheStats S = Cache.stats();
-  EXPECT_EQ(S.ProgramHits + S.ProgramMisses + S.FrontHits + S.FrontMisses,
-            0u);
-  EXPECT_EQ(Cache.size(), 0u);
 }
 
 TEST(PassCache, CapFlushesInsteadOfGrowingUnbounded) {

@@ -277,20 +277,26 @@ TEST(PassCachePersist, FormatOneSnapshotLoadsAsVersionErrorThenCompilesCold) {
 }
 
 TEST(PassCachePersist, FingerprintMismatchIsRejected) {
-  std::string Path = testTempDir() + "/other-build.bin";
+  std::string DirPath = testTempDir();
   PassCache Writer;
   populate(Writer, testFormula());
-  // As if another compiler build had written the file.
-  ASSERT_FALSE(Writer.saveSnapshot(Path, compilerFingerprint() + 1));
+  ASSERT_FALSE(Writer.saveSnapshot(DirPath + "/good.bin"));
+  std::vector<uint8_t> Bytes = readFileBytes(DirPath + "/good.bin");
 
+  // As if another compiler build had written the file.
+  patchU64At(Bytes, 16, compilerFingerprint() + 1);
+  writeFileBytes(DirPath + "/other-build.bin", Bytes);
   PassCache Cache;
-  Status S = Cache.loadSnapshot(Path);
+  Status S = Cache.loadSnapshot(DirPath + "/other-build.bin");
   ASSERT_TRUE(S);
   EXPECT_NE(S.message().find("fingerprint"), std::string::npos)
       << S.message();
   EXPECT_EQ(Cache.size(), 0u);
-  // The same file loads when the caller expects that fingerprint.
-  EXPECT_FALSE(Cache.loadSnapshot(Path, compilerFingerprint() + 1));
+
+  // The same file loads once it carries this build's fingerprint again.
+  patchU64At(Bytes, 16, compilerFingerprint());
+  writeFileBytes(DirPath + "/restored.bin", Bytes);
+  EXPECT_FALSE(Cache.loadSnapshot(DirPath + "/restored.bin"));
   EXPECT_EQ(Cache.size(), Writer.size());
 }
 
@@ -583,8 +589,8 @@ TEST(PassCachePersist, FaultedLoadDegradesToColdCompile) {
 
 TEST(PassCachePersist, TolerantMergeSkipsFaultRejectedSegment) {
   // The crash-recovery merge: one segment rejected (here by injection,
-  // in production by a crash mid-write), the other good. The tolerant
-  // overload records the loss and still merges the survivors.
+  // in production by a crash mid-write), the other good. Given a Skipped
+  // list, the merge records the loss and still merges the survivors.
   FaultGuard Guard;
   std::string DirPath = testTempDir();
   PassCache A, B;
@@ -609,8 +615,8 @@ TEST(PassCachePersist, TolerantMergeSkipsFaultRejectedSegment) {
   ASSERT_FALSE(Merged.loadSnapshot(DirPath + "/merged.bin"));
   EXPECT_EQ(Merged.size(), B.size()) << "survivor segment must be kept";
 
-  // The strict overload refuses instead — callers that need every
-  // segment still get the hard error.
+  // Without a Skipped list the merge refuses instead — callers that need
+  // every segment still get the hard error.
   ASSERT_FALSE(
       fault::configureGlobal("seed=1;persist.load.reject:count=1"));
   EXPECT_TRUE(static_cast<bool>(PassCache::mergeSnapshots(

@@ -165,10 +165,13 @@ TEST(ServiceStress, ShutdownCancelUnderLoadResolvesEverything) {
   Opt.QueueCapacity = 0; // unbounded: shutdown must cancel a deep queue
   CompileService Service(Opt);
 
+  // Every submission is a distinct formula: a duplicate would attach to a
+  // job already in flight, and the queue would hold too few jobs for the
+  // workers not to start them all before shutdown lands.
   std::vector<CompileService::JobHandle> Handles;
   for (int I = 0; I < C.Producers * C.JobsPerProducer; ++I) {
     CompileRequest R;
-    R.Formula = sat::satlibInstance(I % 2 ? 50 : 20, 1 + I % 6);
+    R.Formula = sat::satlibInstance(I % 2 ? 50 : 20, 1 + I);
     Handles.push_back(Service.submit(std::move(R)));
   }
   Service.shutdown(/*Drain=*/false);
@@ -184,8 +187,9 @@ TEST(ServiceStress, ShutdownCancelUnderLoadResolvesEverything) {
   // With a deep queue and an immediate cancel-shutdown, at least part of
   // the queue must have been cancelled rather than compiled (how much
   // depends on how far the workers got before shutdown landed).
-  EXPECT_GT(Cancelled, 0u);
   CompileService::ServiceStats S = Service.stats();
+  EXPECT_EQ(S.Coalesced, 0u) << "the queue was not as deep as submitted";
+  EXPECT_GT(Cancelled, 0u);
   EXPECT_EQ(S.Completed + S.Cancelled + S.Failed,
             S.Submitted - S.Coalesced);
 }

@@ -30,6 +30,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ArgReader.h"
 #include "baselines/Backend.h"
 #include "core/WeaverCompiler.h"
 #include "core/pipeline/PassCache.h"
@@ -446,26 +447,15 @@ int main(int Argc, char **Argv) {
   uint64_t Seed = 1;
   std::string Family;
   std::string Dir = ".";
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 < Argc)
-        return Argv[++I];
-      std::fprintf(stderr, "error: %s needs a value\n%s", Arg.c_str(), Usage);
-      std::exit(1);
-    };
-    if (Arg == "--seed") {
-      Expected<long long> V = parseInt(Next(), 0, (1LL << 62));
-      if (!V) {
-        std::fprintf(stderr, "error: --seed: %s\n%s", V.message().c_str(),
-                     Usage);
-        return 1;
-      }
-      Seed = static_cast<uint64_t>(*V);
-    } else if (Arg == "--family")
-      Family = Next();
+  ArgReader Args(Argc, Argv, Usage);
+  while (Args.next()) {
+    const std::string &Arg = Args.arg();
+    if (Arg == "--seed")
+      Seed = static_cast<uint64_t>(Args.intValue(0, (1LL << 62)));
+    else if (Arg == "--family")
+      Family = Args.value();
     else if (Arg == "--dir")
-      Dir = Next();
+      Dir = Args.value();
     else if (Arg == "--verify")
       ; // verification is always on; accepted for driver symmetry
     else {

@@ -28,6 +28,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ArgReader.h"
 #include "baselines/Backend.h"
 #include "net/Client.h"
 #include "sat/Generator.h"
@@ -102,69 +103,46 @@ const char *Usage =
     "[--mix 20,50,75] [--deadline-ms N] [--seed N] "
     "[--verify] [--expect-drain] [--json PATH]\n";
 
-/// Parses an argv flag value as a range-checked integer; a malformed or
-/// out-of-range value is a hard usage error, never a silent zero.
-long long argInt(const std::string &Flag, const char *Text, long long Min,
-                 long long Max) {
-  Expected<long long> V = parseInt(Text, Min, Max);
-  if (!V) {
-    std::fprintf(stderr, "error: %s: %s\n%s", Flag.c_str(),
-                 V.message().c_str(), Usage);
-    std::exit(1);
-  }
-  return *V;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   GenConfig Config;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 < Argc)
-        return Argv[++I];
-      std::fprintf(stderr, "error: %s needs a value\n%s", Arg.c_str(), Usage);
-      std::exit(1);
-    };
+  ArgReader Args(Argc, Argv, Usage);
+  while (Args.next()) {
+    const std::string &Arg = Args.arg();
     if (Arg == "--port")
-      Config.Port = static_cast<uint16_t>(argInt(Arg, Next(), 1, 65535));
+      Config.Port = static_cast<uint16_t>(Args.intValue(1, 65535));
     else if (Arg == "--host")
-      Config.Host = Next();
+      Config.Host = Args.value();
     else if (Arg == "--connections")
-      Config.Connections =
-          static_cast<size_t>(argInt(Arg, Next(), 1, 4096));
+      Config.Connections = static_cast<size_t>(Args.intValue(1, 4096));
     else if (Arg == "--inflight")
       Config.InFlightPerConnection =
-          static_cast<size_t>(argInt(Arg, Next(), 1, 65536));
+          static_cast<size_t>(Args.intValue(1, 65536));
     else if (Arg == "--requests")
-      Config.TotalRequests =
-          static_cast<size_t>(argInt(Arg, Next(), 1, 100000000));
+      Config.TotalRequests = static_cast<size_t>(Args.intValue(1, 100000000));
     else if (Arg == "--mix") {
       // A typo'd mix must fail loudly: a silently-zero entry would skew
       // every latency number the tool exists to measure.
       Config.Mix.clear();
-      std::string MixSpec = Next();
+      std::string MixSpec = Args.value();
       for (std::string_view Tok : split(MixSpec, ',', /*KeepEmpty=*/true))
-        Config.Mix.push_back(
-            static_cast<int>(argInt("--mix entry", std::string(Tok).c_str(),
-                                    1, 1000)));
+        Config.Mix.push_back(static_cast<int>(
+            Args.checked("--mix entry", parseInt(Tok, 1, 1000))));
       if (Config.Mix.empty()) {
         std::fprintf(stderr, "error: --mix: empty size list\n%s", Usage);
         return 1;
       }
     } else if (Arg == "--deadline-ms")
-      Config.DeadlineMs =
-          static_cast<uint32_t>(argInt(Arg, Next(), 0, 3600000));
+      Config.DeadlineMs = static_cast<uint32_t>(Args.intValue(0, 3600000));
     else if (Arg == "--seed")
-      Config.Seed =
-          static_cast<uint64_t>(argInt(Arg, Next(), 0, (1LL << 62)));
+      Config.Seed = static_cast<uint64_t>(Args.intValue(0, (1LL << 62)));
     else if (Arg == "--verify")
       Config.Verify = true;
     else if (Arg == "--expect-drain")
       Config.ExpectDrain = true;
     else if (Arg == "--json")
-      Config.JsonPath = Next();
+      Config.JsonPath = Args.value();
     else {
       std::fprintf(stderr, "%s", Usage);
       return Arg == "--help" ? 0 : 1;

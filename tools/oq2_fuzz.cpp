@@ -18,6 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ArgReader.h"
 #include "core/WChecker.h"
 #include "fpqa/Analysis.h"
 #include "oq2/Frontend.h"
@@ -47,17 +48,6 @@ const char *Usage =
     "  --mutations N  mutants per good file, and per mutator per wQASM\n"
     "                 golden (default 200)\n"
     "  --seed S       PRNG seed (default 1)\n";
-
-long long argInt(const std::string &Flag, const char *Text, long long Min,
-                 long long Max) {
-  Expected<long long> V = parseInt(Text, Min, Max);
-  if (!V) {
-    std::fprintf(stderr, "error: %s: %s\n%s", Flag.c_str(),
-                 V.message().c_str(), Usage);
-    std::exit(1);
-  }
-  return *V;
-}
 
 std::vector<std::string> listFiles(const std::string &Dir) {
   std::vector<std::string> Files;
@@ -163,21 +153,15 @@ int main(int Argc, char **Argv) {
   std::string Corpus = std::string(WEAVER_GOLDEN_DIR) + "/oq2";
   long long Mutations = 200;
   unsigned long long Seed = 1;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 < Argc)
-        return Argv[++I];
-      std::fprintf(stderr, "error: %s needs a value\n%s", Arg.c_str(), Usage);
-      std::exit(1);
-    };
+  ArgReader Args(Argc, Argv, Usage);
+  while (Args.next()) {
+    const std::string &Arg = Args.arg();
     if (Arg == "--corpus")
-      Corpus = Next();
+      Corpus = Args.value();
     else if (Arg == "--mutations")
-      Mutations = argInt(Arg, Next(), 0, 1000000);
+      Mutations = Args.intValue(0, 1000000);
     else if (Arg == "--seed")
-      Seed = static_cast<unsigned long long>(
-          argInt(Arg, Next(), 0, (1LL << 62)));
+      Seed = static_cast<unsigned long long>(Args.intValue(0, (1LL << 62)));
     else {
       std::fprintf(stderr, "%s", Usage);
       return Arg == "--help" ? 0 : 1;

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ArgReader.h"
 #include "baselines/Backend.h"
 #include "core/WeaverCompiler.h"
 #include "oq2/Frontend.h"
@@ -60,16 +61,11 @@ int main(int Argc, char **Argv) {
   std::string Path;
   std::string BackendName = "weaver";
   bool Check = false, Emit = false;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 < Argc)
-        return Argv[++I];
-      std::fprintf(stderr, "error: %s needs a value\n%s", Arg.c_str(), Usage);
-      std::exit(1);
-    };
+  ArgReader Args(Argc, Argv, Usage);
+  while (Args.next()) {
+    const std::string &Arg = Args.arg();
     if (Arg == "--backend")
-      BackendName = Next();
+      BackendName = Args.value();
     else if (Arg == "--check")
       Check = true;
     else if (Arg == "--emit")

@@ -48,6 +48,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ArgReader.h"
 #include "baselines/Backend.h"
 #include "core/BatchCompiler.h"
 #include "core/WeaverCompiler.h"
@@ -521,50 +522,31 @@ const char *Usage =
     "[--check] [--expect-warm] [--retries N] [--faults SPEC] "
     "[--crash-shard K]\n";
 
-/// Parses an argv flag value as a range-checked integer; a malformed or
-/// out-of-range value (negative shard counts, overflow, garbage) is a
-/// hard usage error, never a silent zero.
-long long argInt(const std::string &Flag, const char *Text, long long Min,
-                 long long Max) {
-  Expected<long long> V = parseInt(Text, Min, Max);
-  if (!V) {
-    std::fprintf(stderr, "error: %s: %s\n%s", Flag.c_str(),
-                 V.message().c_str(), Usage);
-    std::exit(1);
-  }
-  return *V;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   Config C;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 < Argc)
-        return Argv[++I];
-      std::fprintf(stderr, "error: %s needs a value\n%s", Arg.c_str(), Usage);
-      std::exit(1);
-    };
+  ArgReader Args(Argc, Argv, Usage);
+  while (Args.next()) {
+    const std::string &Arg = Args.arg();
     if (Arg == "--shards")
-      C.Shards = static_cast<int>(argInt(Arg, Next(), 1, 256));
+      C.Shards = static_cast<int>(Args.intValue(1, 256));
     else if (Arg == "--shard")
-      C.Shard = static_cast<int>(argInt(Arg, Next(), 0, 255));
+      C.Shard = static_cast<int>(Args.intValue(0, 255));
     else if (Arg == "--rows-out")
-      C.RowsOut = Next();
+      C.RowsOut = Args.value();
     else if (Arg == "--cache-file")
-      C.CacheFile = Next();
+      C.CacheFile = Args.value();
     else if (Arg == "--instances")
-      C.Instances = static_cast<int>(argInt(Arg, Next(), 1, 10000));
+      C.Instances = static_cast<int>(Args.intValue(1, 10000));
     else if (Arg == "--points")
-      C.Points = static_cast<int>(argInt(Arg, Next(), 1, 10000));
+      C.Points = static_cast<int>(Args.intValue(1, 10000));
     else if (Arg == "--retries")
-      C.Retries = static_cast<int>(argInt(Arg, Next(), 0, 100));
+      C.Retries = static_cast<int>(Args.intValue(0, 100));
     else if (Arg == "--crash-shard")
-      C.CrashShard = static_cast<int>(argInt(Arg, Next(), 0, 255));
+      C.CrashShard = static_cast<int>(Args.intValue(0, 255));
     else if (Arg == "--faults")
-      C.FaultSpec = Next();
+      C.FaultSpec = Args.value();
     else if (Arg == "--check")
       C.Check = true;
     else if (Arg == "--expect-warm")

@@ -28,10 +28,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ArgReader.h"
 #include "net/Server.h"
 
 #include "support/FaultInjection.h"
-#include "support/StringUtils.h"
 
 #include <csignal>
 #include <cstdio>
@@ -50,31 +50,6 @@ const char *Usage =
     "[--queue N] [--cache-file PATH] [--drain-budget SECONDS] "
     "[--max-connections N] [--max-inflight N] [--faults SPEC]\n";
 
-/// Parses an argv flag value as a range-checked integer; a malformed or
-/// out-of-range value is a hard usage error, never a silent zero.
-long long argInt(const std::string &Flag, const char *Text, long long Min,
-                 long long Max) {
-  Expected<long long> V = parseInt(Text, Min, Max);
-  if (!V) {
-    std::fprintf(stderr, "error: %s: %s\n%s", Flag.c_str(),
-                 V.message().c_str(), Usage);
-    std::exit(1);
-  }
-  return *V;
-}
-
-/// The double-typed sibling of argInt, for --drain-budget.
-double argDouble(const std::string &Flag, const char *Text, double Min,
-                 double Max) {
-  Expected<double> V = parseDouble(Text, Min, Max);
-  if (!V) {
-    std::fprintf(stderr, "error: %s: %s\n%s", Flag.c_str(),
-                 V.message().c_str(), Usage);
-    std::exit(1);
-  }
-  return *V;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -88,38 +63,31 @@ int main(int Argc, char **Argv) {
   if (const char *Env = std::getenv("WEAVER_FAULTS"))
     FaultSpec = Env;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 < Argc)
-        return Argv[++I];
-      std::fprintf(stderr, "error: %s needs a value\n%s", Arg.c_str(), Usage);
-      std::exit(1);
-    };
+  ArgReader Args(Argc, Argv, Usage);
+  while (Args.next()) {
+    const std::string &Arg = Args.arg();
     if (Arg == "--port")
       // 0 binds an ephemeral port (the subprocess tests rely on it).
-      Options.Port = static_cast<uint16_t>(argInt(Arg, Next(), 0, 65535));
+      Options.Port = static_cast<uint16_t>(Args.intValue(0, 65535));
     else if (Arg == "--bind")
-      Options.BindAddress = Next();
+      Options.BindAddress = Args.value();
     else if (Arg == "--threads")
       // 0 selects hardware concurrency (the ServiceOptions default).
-      Options.Service.NumThreads =
-          static_cast<int>(argInt(Arg, Next(), 0, 512));
+      Options.Service.NumThreads = static_cast<int>(Args.intValue(0, 512));
     else if (Arg == "--queue")
       Options.Service.QueueCapacity =
-          static_cast<size_t>(argInt(Arg, Next(), 1, 1048576));
+          static_cast<size_t>(Args.intValue(1, 1048576));
     else if (Arg == "--cache-file")
-      Options.Service.CacheFile = Next();
+      Options.Service.CacheFile = Args.value();
     else if (Arg == "--drain-budget")
-      Options.DrainBudgetSeconds = argDouble(Arg, Next(), 0.0, 3600.0);
+      Options.DrainBudgetSeconds = Args.doubleValue(0.0, 3600.0);
     else if (Arg == "--max-connections")
-      Options.MaxConnections =
-          static_cast<size_t>(argInt(Arg, Next(), 1, 65536));
+      Options.MaxConnections = static_cast<size_t>(Args.intValue(1, 65536));
     else if (Arg == "--max-inflight")
       Options.MaxInFlightPerConnection =
-          static_cast<size_t>(argInt(Arg, Next(), 1, 65536));
+          static_cast<size_t>(Args.intValue(1, 65536));
     else if (Arg == "--faults") {
-      FaultSpec = Next();
+      FaultSpec = Args.value();
       if (Status S = fault::configureGlobal(FaultSpec)) {
         std::fprintf(stderr, "error: --faults: %s\n%s", S.message().c_str(),
                      Usage);
