@@ -4,12 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Measures the two front-half optimisations of the compile path:
+/// Measures two optimisations of the compile path:
 ///
 ///  * PassCache: a 10-point gamma/beta sweep over SATLIB-style instances,
 ///    end to end, with the cache enabled vs. disabled. The first point
-///    builds the colouring/zone-plan entry and the program template; the
-///    remaining nine restore and angle-patch instead of recompiling.
+///    builds the program template; the remaining nine restore and
+///    angle-patch it instead of recompiling.
 ///    Output is byte-identical either way (tests/pass_cache_test.cpp).
 ///
 ///  * DSatur: selection cost growth of the bucketed rewrite on generated

@@ -9,9 +9,8 @@
 /// (gamma, beta) points, printing per-size averages — a miniature of the
 /// Fig. 8b/10b/11b/12b series for quick exploration. Each sweep point is
 /// compiled as one batch across the BatchCompiler's thread pool, and all
-/// workers share one PassCache: the front half (colouring + zone plan)
-/// and the program template are computed once per formula, then restored
-/// and angle-patched for every later point. The table's last column
+/// workers share one PassCache: the program template is computed once
+/// per formula, then restored and angle-patched for every later point. The table's last column
 /// reports the measured compile-time speedup against an uncached sweep.
 /// Optionally reads a real DIMACS file instead:
 ///   satlib_sweep path/to/instance.cnf

@@ -49,7 +49,6 @@ CompileOutput WeaverBackend::compileFull(const sat::CnfFormula &Formula,
   }
   Out.Metrics = toBaselineResult(*W);
   Out.Wqasm = qasm::printWqasm(W->Program);
-  Out.FrontHalfFromCache = W->FrontHalfFromCache;
   Out.ProgramFromCache = W->ProgramFromCache;
   return Out;
 }

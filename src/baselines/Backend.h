@@ -45,8 +45,8 @@ struct CompileOutput {
   std::string Wqasm;
   /// The compile observed its CancelToken and aborted between passes.
   bool Cancelled = false;
-  /// PassCache tier diagnostics (Weaver only; see WeaverResult).
-  bool FrontHalfFromCache = false;
+  /// A PassCache template served the compile (Weaver only; see
+  /// WeaverResult).
   bool ProgramFromCache = false;
 };
 

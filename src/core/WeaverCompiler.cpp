@@ -6,13 +6,8 @@
 
 #include "core/WeaverCompiler.h"
 
-#include "core/pipeline/ClauseColoringPass.h"
-#include "core/pipeline/GateLoweringPass.h"
 #include "core/pipeline/PassCache.h"
 #include "core/pipeline/PassManager.h"
-#include "core/pipeline/PulseEmissionPass.h"
-#include "core/pipeline/ShuttleSchedulingPass.h"
-#include "core/pipeline/ZonePlanningPass.h"
 #include "qaoa/Builder.h"
 
 #include <chrono>
@@ -24,67 +19,38 @@ using namespace weaver::core::pipeline;
 namespace {
 
 /// Runs the Fig. 3 pipeline over \p Ctx through \p Cache (may be null)
-/// and records in \p Result which tier served it. A program-template hit
-/// runs no pass, a front-half hit runs the three back-half passes, and a
-/// miss runs all five and inserts both tiers only once the last pass has
-/// succeeded, so a failed or cancelled compile publishes nothing.
+/// and records in \p Result whether a template served it. A template hit
+/// runs no pass; a miss runs all five and inserts the template only once
+/// the last pass has succeeded, so a failed or cancelled compile publishes
+/// nothing.
 Status runPipeline(CompilationContext &Ctx, PassCache *Cache,
                    WeaverResult &Result) {
-  PassCacheKey FrontKey, ProgramKey;
-  PassCacheEntry Hit;
+  PassCacheKey Key;
   if (Cache) {
-    FrontKey = PassCacheKey::frontHalf(Ctx);
-    ProgramKey = PassCacheKey::program(FrontKey, Ctx);
-    Hit = Cache->lookupProgram(ProgramKey);
-    if (!Hit.Back)
-      Hit.Front = Cache->lookupFront(FrontKey);
-    Result.FrontHalfFromCache = Hit.Front != nullptr;
-    Result.ProgramFromCache = Hit.Back != nullptr;
+    Key = PassCacheKey::of(Ctx);
+    if (std::shared_ptr<const ProgramSections> Hit = Cache->lookup(Key)) {
+      Result.ProgramFromCache = true;
+      // One checkpoint before the copy; it crosses no pass boundary, so it
+      // does not consult the pipeline.hang fault site.
+      if (Ctx.Cancel && Ctx.Cancel->checkpoint())
+        return Status::error(std::string(CancelledDiagnostic) +
+                             " before program-template");
+      auto Start = std::chrono::steady_clock::now();
+      Hit->restore(Ctx);
+      std::chrono::duration<double> Took =
+          std::chrono::steady_clock::now() - Start;
+      Ctx.Timings.push_back({"program-template", Took.count()});
+      return Status::success();
+    }
   }
 
-  if (Hit.Back) {
-    // One checkpoint before the copy; it crosses no pass boundary, so it
-    // does not consult the pipeline.hang fault site.
-    if (Ctx.Cancel && Ctx.Cancel->checkpoint())
-      return Status::error(std::string(CancelledDiagnostic) +
-                           " before program-template");
-    auto Start = std::chrono::steady_clock::now();
-    Ctx.Coloring = Hit.Front->Coloring; // nothing reads the zone plan
-    Hit.Back->restore(Ctx);
-    std::chrono::duration<double> Took =
-        std::chrono::steady_clock::now() - Start;
-    Ctx.Timings.push_back({"program-template", Took.count()});
-    return Status::success();
-  }
-
-  // Colouring -> zone planning, then colour shuttling -> gate lowering ->
-  // pulse emission (the replayed metrics of §8).
-  PassManager FrontHalf, BackHalf;
-  FrontHalf.add<ClauseColoringPass>().add<ZonePlanningPass>();
-  BackHalf.add<ShuttleSchedulingPass>()
-      .add<GateLoweringPass>()
-      .add<PulseEmissionPass>();
-  std::shared_ptr<const FrontHalfSections> Front = Hit.Front;
-  FrontHalfSections Captured;
-  if (Front) {
-    Front->restore(Ctx);
-  } else {
-    if (Status S = FrontHalf.run(Ctx))
-      return S;
-    if (Cache) // before gate lowering edits the plans
-      Captured = FrontHalfSections::capture(Ctx);
-  }
   // Gate lowering records where gamma/beta live in the program, so the
   // template can serve other parameter points.
   Ctx.CollectAngleSlots = Cache != nullptr;
-  if (Status S = BackHalf.run(Ctx))
+  if (Status S = PassManager::standardFpqaPipeline().run(Ctx))
     return S;
-  if (Cache) {
-    if (!Front)
-      Front = Cache->insertFront(FrontKey, std::move(Captured));
-    Cache->insertProgram(ProgramKey, FrontKey, std::move(Front),
-                         ProgramSections::capture(Ctx));
-  }
+  if (Cache)
+    Cache->insert(std::move(Key), ProgramSections::capture(Ctx));
   return Status::success();
 }
 

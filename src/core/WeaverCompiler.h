@@ -54,10 +54,10 @@ struct WeaverOptions {
 
   /// Optional pass-result memoisation shared across compilations (not
   /// owned; must outlive every compile using it). Parameter sweeps over
-  /// the same formula reuse the colouring/zone plan and, across
-  /// gamma/beta points, the whole program template — output stays byte
-  /// identical with the cache on or off. Safe to share between threads
-  /// (the cache is internally mutex-guarded); see pipeline/PassCache.h.
+  /// the same formula reuse, across gamma/beta points, the whole program
+  /// template — output stays byte identical with the cache on or off.
+  /// Safe to share between threads (the cache is internally
+  /// mutex-guarded); see pipeline/PassCache.h.
   pipeline::PassCache *Cache = nullptr;
 
   /// Optional cooperative cancellation (not owned; must outlive the
@@ -76,13 +76,12 @@ struct WeaverResult {
   fpqa::PulseStats Stats;       ///< pulses / duration / EPS (§8)
   double CompileSeconds = 0;    ///< wall-clock compile time
   /// Per-pass wall-clock breakdown of the pipeline run (diagnostics; the
-  /// pulse-emission pass is excluded from CompileSeconds). A front-half
-  /// cache hit records only the three back-half passes; a program-template
-  /// hit runs no pass and records one "program-template" entry.
+  /// pulse-emission pass is excluded from CompileSeconds). A
+  /// program-template hit runs no pass and records one "program-template"
+  /// entry.
   std::vector<pipeline::PassTiming> PassTimings;
-  /// Cache diagnostics: whether the colouring/zone plan, respectively the
-  /// whole program template, were restored instead of recomputed.
-  bool FrontHalfFromCache = false;
+  /// Cache diagnostic: the program template was restored instead of
+  /// recomputed.
   bool ProgramFromCache = false;
   std::optional<CheckReport> Check; ///< present when RunChecker was set
 };

@@ -6,6 +6,8 @@
 
 #include "core/pipeline/PassCache.h"
 
+#include "support/BinaryIO.h"
+
 #include <cstring>
 
 using namespace weaver;
@@ -24,28 +26,22 @@ void PassCacheKey::add(double Value) {
 }
 
 void PassCacheKey::finish() {
-  // FNV-1a over the payload words.
-  uint64_t H = 1469598103934665603ull;
-  for (uint64_t W : Words)
-    for (int B = 0; B < 8; ++B) {
-      H ^= (W >> (8 * B)) & 0xff;
-      H *= 1099511628211ull;
-    }
-  Hash = H;
+  // FNV-1a over the payload words; never persisted (fromWords rehashes).
+  Hash = fnv1a64(Words.data(), Words.size() * sizeof(uint64_t));
 }
 
-// The key serializers below enumerate every field of Layout and
+// The key serializer below enumerates every field of Layout and
 // HardwareParams by hand. These asserts fail the build when a field is
 // added to either struct, forcing the new field into the key (or an
 // explicit exemption here) — a forgotten field would mean silent stale
 // hits.
 static_assert(sizeof(core::Layout) == 13 * sizeof(int32_t),
-              "Layout changed: update PassCacheKey::frontHalf");
+              "Layout changed: update PassCacheKey::of");
 // Five int32_t lengths (padded to 24 bytes) and ten doubles.
 static_assert(sizeof(fpqa::HardwareParams) == 24 + 10 * sizeof(double),
-              "HardwareParams changed: update PassCacheKey::program");
+              "HardwareParams changed: update PassCacheKey::of");
 
-PassCacheKey PassCacheKey::frontHalf(const CompilationContext &Ctx) {
+PassCacheKey PassCacheKey::of(const CompilationContext &Ctx) {
   PassCacheKey K;
   const sat::CnfFormula &F = *Ctx.Formula;
   K.add(static_cast<uint64_t>(F.numVariables()));
@@ -71,13 +67,6 @@ PassCacheKey PassCacheKey::frontHalf(const CompilationContext &Ctx) {
   K.add(G.BumpGapNm);
   K.add(G.ParkSpacingNm);
   K.add(static_cast<uint64_t>(Ctx.UseDSatur));
-  K.finish();
-  return K;
-}
-
-PassCacheKey PassCacheKey::program(const PassCacheKey &FrontKey,
-                                   const CompilationContext &Ctx) {
-  PassCacheKey K = FrontKey;
   K.add(static_cast<uint64_t>(Ctx.Options.Qaoa.Layers));
   K.add(static_cast<uint64_t>(Ctx.Options.UseCompression));
   K.add(static_cast<uint64_t>(Ctx.Options.ReuseAodAtoms));
@@ -106,110 +95,31 @@ PassCacheKey PassCacheKey::program(const PassCacheKey &FrontKey,
 
 // --- Store ---------------------------------------------------------------
 
-namespace {
-
-template <typename T, typename MapT>
-const T *findExact(MapT &Map, const PassCacheKey &Key) {
-  auto It = Map.find(Key.hash());
-  if (It == Map.end())
-    return nullptr;
-  for (const std::pair<PassCacheKey, T> &Entry : It->second)
-    if (Entry.first == Key)
-      return &Entry.second;
-  return nullptr;
-}
-
-} // namespace
-
-PassCacheEntry PassCache::lookupProgram(const PassCacheKey &Key) {
+std::shared_ptr<const ProgramSections>
+PassCache::lookup(const PassCacheKey &Key) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (const auto *Cell =
-          findExact<std::shared_ptr<ProgramCell>>(ProgramMap, Key))
-    if (materializeProgramLocked(**Cell)) {
-      ++Counts.ProgramHits;
-      return {(*Cell)->Front->Value, (*Cell)->Value};
-    }
+  auto It = Map.find(Key);
+  if (It != Map.end() && materializeLocked(It->second)) {
+    ++Counts.ProgramHits;
+    return It->second.Value;
+  }
   ++Counts.ProgramMisses;
-  return {};
-}
-
-std::shared_ptr<const FrontHalfSections>
-PassCache::lookupFront(const PassCacheKey &Key) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (const auto *Cell = findExact<std::shared_ptr<FrontCell>>(FrontMap, Key))
-    if (materializeFrontLocked(**Cell)) {
-      ++Counts.FrontHits;
-      return (*Cell)->Value;
-    }
-  ++Counts.FrontMisses;
   return nullptr;
 }
 
-void PassCache::evictForInsertLocked() {
-  if (MaxEntries && NumEntries + 1 > MaxEntries) {
-    FrontMap.clear();
-    ProgramMap.clear(); // also drops any mapped snapshot references
-    NumEntries = 0;
-  }
-}
-
-std::shared_ptr<const FrontHalfSections>
-PassCache::insertFront(const PassCacheKey &Key, FrontHalfSections Sections) {
+void PassCache::insert(PassCacheKey Key, ProgramSections Sections) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (const auto *Cell =
-          findExact<std::shared_ptr<FrontCell>>(FrontMap, Key)) {
-    // Another worker compiled the same formula first — or the slot came
-    // from a snapshot whose payload failed to parse; refill it then.
-    if (!(*Cell)->Value)
-      (*Cell)->Value =
-          std::make_shared<const FrontHalfSections>(std::move(Sections));
-    return (*Cell)->Value;
+  auto It = Map.find(Key);
+  if (It == Map.end()) {
+    if (MaxEntries && Map.size() >= MaxEntries)
+      Map.clear(); // also drops any mapped snapshot references
+    It = Map.emplace(std::move(Key), Cell()).first;
+  } else if (It->second.Value) {
+    return; // another worker compiled the same template first
   }
-  evictForInsertLocked();
-  auto Cell = std::make_shared<FrontCell>();
-  Cell->Value = std::make_shared<const FrontHalfSections>(std::move(Sections));
-  FrontMap[Key.hash()].push_back({Key, Cell});
-  ++NumEntries;
-  return Cell->Value;
-}
-
-void PassCache::insertProgram(const PassCacheKey &Key,
-                              const PassCacheKey &FrontKey,
-                              std::shared_ptr<const FrontHalfSections> Front,
-                              ProgramSections Sections) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (const auto *Cell =
-          findExact<std::shared_ptr<ProgramCell>>(ProgramMap, Key)) {
-    if ((*Cell)->Value)
-      return;
-    // Unparseable snapshot slot: refill it in place.
-    (*Cell)->Value =
-        std::make_shared<const ProgramSections>(std::move(Sections));
-    if (!(*Cell)->Front->Value)
-      (*Cell)->Front->Value = std::move(Front);
-    return;
-  }
-  evictForInsertLocked();
-  // Link the template to the front cell stored under FrontKey so one
-  // front payload serves both tiers (in memory and in a snapshot).
-  std::shared_ptr<FrontCell> FCell;
-  if (const auto *Existing =
-          findExact<std::shared_ptr<FrontCell>>(FrontMap, FrontKey)) {
-    FCell = *Existing;
-    if (!FCell->Value)
-      FCell->Value = std::move(Front);
-  } else {
-    FCell = std::make_shared<FrontCell>();
-    FCell->Value = std::move(Front);
-    evictForInsertLocked();
-    FrontMap[FrontKey.hash()].push_back({FrontKey, FCell});
-    ++NumEntries;
-  }
-  auto PCell = std::make_shared<ProgramCell>();
-  PCell->Front = std::move(FCell);
-  PCell->Value = std::make_shared<const ProgramSections>(std::move(Sections));
-  ProgramMap[Key.hash()].push_back({Key, std::move(PCell)});
-  ++NumEntries;
+  // A new slot, or one whose snapshot payload failed to parse.
+  It->second.Value =
+      std::make_shared<const ProgramSections>(std::move(Sections));
 }
 
 PassCache::CacheStats PassCache::stats() const {
@@ -219,37 +129,23 @@ PassCache::CacheStats PassCache::stats() const {
 
 size_t PassCache::size() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return NumEntries;
+  return Map.size();
 }
 
 void PassCache::clear() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  FrontMap.clear();
-  ProgramMap.clear();
-  NumEntries = 0;
+  Map.clear();
 }
 
 // --- Sections ------------------------------------------------------------
 
-FrontHalfSections FrontHalfSections::capture(const CompilationContext &Ctx) {
-  return {Ctx.Coloring, Ctx.Plans, Ctx.SlmTraps, Ctx.ZoneSiteTrap,
-          Ctx.NumColumns};
-}
-
-void FrontHalfSections::restore(CompilationContext &Ctx) const {
-  Ctx.Coloring = Coloring;
-  Ctx.HasColoring = true;
-  Ctx.Plans = Plans; // deep copy: lowering edits the plans
-  Ctx.SlmTraps = SlmTraps;
-  Ctx.ZoneSiteTrap = ZoneSiteTrap;
-  Ctx.NumColumns = NumColumns;
-}
-
 ProgramSections ProgramSections::capture(const CompilationContext &Ctx) {
-  return {Ctx.Program, Ctx.AngleSlots, Ctx.Stats};
+  return {Ctx.Coloring, Ctx.Program, Ctx.AngleSlots, Ctx.Stats};
 }
 
 void ProgramSections::restore(CompilationContext &Ctx) const {
+  Ctx.Coloring = Coloring;
+  Ctx.HasColoring = true;
   Ctx.Program = Program;
   patchProgramAngles(Ctx.Program, AngleSlots, Ctx.Options.Qaoa.Gamma,
                      Ctx.Options.Qaoa.Beta);

@@ -7,30 +7,23 @@
 /// \file
 /// Memoisation of pass results across compilations that share inputs — the
 /// ROADMAP "Per-pass caching" item. A QAOA parameter sweep recompiles the
-/// same (formula, geometry) under varying gamma/beta/layers; the cache
-/// lets compileWeaver skip everything those parameters do not influence.
+/// same (formula, geometry) under varying gamma/beta; the cache lets
+/// compileWeaver skip every pass for all but the first point.
 ///
-/// Two tiers, under two keys:
-///
-///  * Front half — the clause colouring and zone plan depend only on
-///    (formula, geometry, colouring options). Keyed on exactly those; a
-///    hit restores them and runs only the three back-half passes.
-///  * Program template — at fixed layers the emitted program differs
-///    across gamma/beta only in angle values, each an exact power-of-two
-///    multiple of one parameter (AngleSlot). The tier caches the program
-///    with its recorded angle slots plus the angle-independent pulse
-///    stats, keyed on every pipeline input except gamma/beta; a hit runs
-///    no pass: it copies the template and patches the slots, which is
-///    bit-identical to direct emission.
-///
-/// FrontHalfSections and ProgramSections list the context fields of each
-/// tier; their capture() and restore() alone move them in and out.
+/// One tier of program templates, keyed on every pipeline input except
+/// gamma/beta. At fixed layers the emitted program differs across
+/// gamma/beta only in angle values, each an exact power-of-two multiple of
+/// one parameter (AngleSlot). An entry holds the colouring, the program
+/// with its recorded angle slots and the angle-independent pulse stats; a
+/// hit runs no pass: it copies the template and patches the slots, which
+/// is bit-identical to direct emission. ProgramSections lists those
+/// context fields; its capture() and restore() alone move them in and out.
 ///
 /// Keys hash the full input payload and compare it exactly on lookup, so
 /// hash collisions cannot alias entries. All operations are mutex-guarded:
 /// one cache may be shared by every worker of a BatchCompiler sweep.
 ///
-/// The cache is also durable: saveSnapshot() serializes both tiers to a
+/// The cache is also durable: saveSnapshot() serializes the templates to a
 /// versioned, checksummed file keyed by the key payloads plus a compiler
 /// fingerprint (git hash + format/schema versions), and loadSnapshot()
 /// mmaps such a file back. Loading deserializes only the key index; the
@@ -66,13 +59,8 @@ namespace pipeline {
 /// plus its hash. Lookups compare the payload, never just the hash.
 class PassCacheKey {
 public:
-  /// Key of the front half: formula + geometry + colouring options.
-  static PassCacheKey frontHalf(const CompilationContext &Ctx);
   /// Key of the program template: every pipeline input except gamma/beta.
-  /// Extends an already-built front-half key so the formula payload is
-  /// serialized and hashed only once per compile.
-  static PassCacheKey program(const PassCacheKey &FrontKey,
-                              const CompilationContext &Ctx);
+  static PassCacheKey of(const CompilationContext &Ctx);
 
   uint64_t hash() const { return Hash; }
   friend bool operator==(const PassCacheKey &A, const PassCacheKey &B) {
@@ -100,25 +88,11 @@ private:
   uint64_t Hash = 0;
 };
 
-/// Context sections produced by ClauseColoringPass and ZonePlanningPass.
-struct FrontHalfSections {
-  ClauseColoring Coloring;
-  std::vector<ColorPlan> Plans;
-  std::vector<Vec2> SlmTraps;
-  std::map<std::pair<int, int>, int> ZoneSiteTrap;
-  int NumColumns = 0;
-
-  /// Copies the sections out of \p Ctx. Capture right after zone planning:
-  /// gate lowering records column assignments on the plans.
-  static FrontHalfSections capture(const CompilationContext &Ctx);
-  /// Writes the sections into \p Ctx as if both passes had run.
-  void restore(CompilationContext &Ctx) const;
-};
-
-/// Context sections produced by GateLoweringPass and PulseEmissionPass:
-/// the program template with its parameterised angle slots, and the
-/// gamma/beta-independent pulse statistics.
+/// The context fields a template hit restores: the clause colouring, the
+/// program with its parameterised angle slots, and the gamma/beta-
+/// independent pulse statistics.
 struct ProgramSections {
+  ClauseColoring Coloring;
   qasm::WqasmProgram Program;
   std::vector<AngleSlot> AngleSlots;
   fpqa::PulseStats Stats;
@@ -126,19 +100,13 @@ struct ProgramSections {
   /// Copies the sections out of \p Ctx once the last pass has run (gate
   /// lowering must have collected the angle slots).
   static ProgramSections capture(const CompilationContext &Ctx);
-  /// Writes the program with its angles patched to Ctx's gamma and beta,
-  /// and the angle-independent stats, into \p Ctx as if both had run.
+  /// Writes the colouring, the program with its angles patched to Ctx's
+  /// gamma and beta, and the angle-independent stats into \p Ctx as if
+  /// the pipeline had run.
   void restore(CompilationContext &Ctx) const;
 };
 
-/// The result of a program-tier lookup. Front is set on both tiers; Back
-/// only on a program-template hit.
-struct PassCacheEntry {
-  std::shared_ptr<const FrontHalfSections> Front;
-  std::shared_ptr<const ProgramSections> Back;
-};
-
-// --- Persistence constants (on-disk snapshot format v2) ------------------
+// --- Persistence constants (on-disk snapshot format v3) ------------------
 //
 // Layout: a 40-byte header followed by the payload.
 //   [0]  u64 magic ("WVRCACHE", little-endian)
@@ -147,16 +115,18 @@ struct PassCacheEntry {
 //   [16] u64 compiler fingerprint (see compilerFingerprint())
 //   [24] u64 payload byte count
 //   [32] u64 FNV-1a checksum of the payload
-//   [40] payload: front-section pool, front-tier index, program-tier
-//        index (see PassCachePersist.cpp)
+//   [40] payload: one index of (key, ProgramSections blob) entries (see
+//        PassCachePersist.cpp)
 // Tests patch these offsets directly to forge hostile headers.
 //
-// Version 2 stores every length (trap and AOD coordinates, shuttle
-// offsets, site and rest positions) as a whole number of nanometres in an
-// i64; version 1 stored micrometre doubles, so a v1 file fails the
-// version check and the cache compiles cold.
+// Version 3 holds one entry per template, with the colouring in its blob,
+// and stores every length (trap and AOD coordinates, shuttle offsets) as
+// a whole number of nanometres in an i64. Version 2 also held a pool of
+// colourings and zone plans beside the templates, and version 1 stored
+// micrometre doubles; a file of either fails the version check and the
+// cache compiles cold.
 inline constexpr uint64_t SnapshotMagic = 0x4548434143525657ull; // "WVRCACHE"
-inline constexpr uint32_t SnapshotFormatVersion = 2;
+inline constexpr uint32_t SnapshotFormatVersion = 3;
 inline constexpr size_t SnapshotHeaderBytes = 40;
 
 /// Identity of the compiler that wrote a snapshot: git hash baked in at
@@ -166,15 +136,11 @@ inline constexpr size_t SnapshotHeaderBytes = 40;
 /// be instantiated.
 uint64_t compilerFingerprint();
 
-/// Thread-safe two-tier memoisation store. See file comment.
+/// Thread-safe template store. See file comment.
 class PassCache {
 public:
-  /// Hit/miss counters. A program-tier hit does not consult (or count)
-  /// the front tier; a program-tier miss falls through to a counted
-  /// front-tier lookup.
+  /// Hit/miss counters; every compile through the cache counts one.
   struct CacheStats {
-    uint64_t FrontHits = 0;
-    uint64_t FrontMisses = 0;
     uint64_t ProgramHits = 0;
     uint64_t ProgramMisses = 0;
     /// Sections parsed on demand out of a mapped snapshot — how many
@@ -182,34 +148,25 @@ public:
     uint64_t Materializations = 0;
   };
 
-  /// \p MaxEntries bounds the total entry count across both tiers; the
-  /// cache is flushed when an insertion would exceed it (sweep working
-  /// sets are far smaller). 0 means unbounded.
-  explicit PassCache(size_t MaxEntries = 1024) : MaxEntries(MaxEntries) {}
+  /// \p MaxEntries bounds the template count; the cache is flushed when
+  /// an insertion would exceed it (sweep working sets are far smaller, and
+  /// a uf250 template holds about 8 MB). 0 means unbounded.
+  explicit PassCache(size_t MaxEntries = 512) : MaxEntries(MaxEntries) {}
 
-  /// Program-template lookup; on a hit both Front and Back are set.
-  PassCacheEntry lookupProgram(const PassCacheKey &Key);
-  /// Front-half lookup (counted only after a program-tier miss).
-  std::shared_ptr<const FrontHalfSections> lookupFront(const PassCacheKey &Key);
-
-  /// Inserts the front sections; returns the stored copy (the previously
-  /// cached one when another worker raced the insertion).
-  std::shared_ptr<const FrontHalfSections>
-  insertFront(const PassCacheKey &Key, FrontHalfSections Sections);
-  /// Inserts a program template linked to the front sections stored under
-  /// \p FrontKey (inserting \p Front there first when absent — the link
-  /// is what lets a snapshot share one front payload between tiers).
-  void insertProgram(const PassCacheKey &Key, const PassCacheKey &FrontKey,
-                     std::shared_ptr<const FrontHalfSections> Front,
-                     ProgramSections Sections);
+  /// Template lookup; null on a miss.
+  std::shared_ptr<const ProgramSections> lookup(const PassCacheKey &Key);
+  /// Inserts a template. A key already present keeps its entry (another
+  /// worker raced the insertion) unless its snapshot payload failed to
+  /// parse; then \p Sections refill it.
+  void insert(PassCacheKey Key, ProgramSections Sections);
 
   // --- Persistence (implemented in PassCachePersist.cpp) ----------------
 
-  /// Serializes both tiers to \p Path atomically (temp + rename), stamped
-  /// with this build's compilerFingerprint(). Entries that were loaded
-  /// from a snapshot and never materialized are copied byte-for-byte, so
-  /// a load-then-save round trip (the shard merge path) never parses
-  /// section payloads.
+  /// Serializes every template to \p Path atomically (temp + rename),
+  /// stamped with this build's compilerFingerprint(). Entries that were
+  /// loaded from a snapshot and never materialized are copied
+  /// byte-for-byte, so a load-then-save round trip (the shard merge path)
+  /// never parses section payloads.
   Status saveSnapshot(const std::string &Path) const;
 
   /// Maps \p Path and merges its entries into this cache (keys already
@@ -233,7 +190,6 @@ public:
                                std::vector<std::string> *Skipped = nullptr);
 
   CacheStats stats() const;
-  /// Total entries across both tiers.
   size_t size() const;
   void clear();
 
@@ -245,39 +201,24 @@ private:
     size_t Offset = 0;
     size_t Len = 0;
   };
-  /// One stored front-half section set: either materialized (Value set),
-  /// or still a byte range of the snapshot it was loaded from. Shared by
-  /// the front tier and every program entry built on it.
-  struct FrontCell {
-    std::shared_ptr<const FrontHalfSections> Value;
-    LazyBlob Blob;
-  };
-  /// One stored program template, linked to its front cell.
-  struct ProgramCell {
-    std::shared_ptr<FrontCell> Front;
+  /// One stored template: either materialized (Value set), or still a
+  /// byte range of the snapshot it was loaded from.
+  struct Cell {
     std::shared_ptr<const ProgramSections> Value;
     LazyBlob Blob;
   };
+  struct KeyHash {
+    size_t operator()(const PassCacheKey &K) const { return K.hash(); }
+  };
 
-  template <typename T>
-  using KeyedMap =
-      std::unordered_map<uint64_t, std::vector<std::pair<PassCacheKey, T>>>;
-
-  /// Parse-on-demand of a loaded cell; return false (a miss) on a parse
-  /// failure — insertFront/insertProgram then refill the slot. Callers
-  /// hold Mutex.
-  bool materializeFrontLocked(FrontCell &Cell);
-  bool materializeProgramLocked(ProgramCell &Cell);
-  /// Flushes both tiers when an insertion would exceed MaxEntries;
-  /// caller holds Mutex.
-  void evictForInsertLocked();
+  /// Parse-on-demand of a loaded cell; returns false (a miss) on a parse
+  /// failure — insert() then refills the slot. Callers hold Mutex.
+  bool materializeLocked(Cell &C);
 
   mutable std::mutex Mutex;
-  KeyedMap<std::shared_ptr<FrontCell>> FrontMap;
-  KeyedMap<std::shared_ptr<ProgramCell>> ProgramMap;
+  std::unordered_map<PassCacheKey, Cell, KeyHash> Map;
   CacheStats Counts;
   size_t MaxEntries;
-  size_t NumEntries = 0;
 };
 
 /// Writes Coeff * (Gamma or Beta) into every recorded slot of \p Program.

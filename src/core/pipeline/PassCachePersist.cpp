@@ -5,24 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The durable half of the PassCache: serialization of both cache tiers
-/// to the versioned, checksummed snapshot format described in
-/// PassCache.h, mmap-backed loading with a lazily materialized section
-/// index, and the shard-segment merge step.
+/// The durable half of the PassCache: serialization of the templates to
+/// the versioned, checksummed snapshot format described in PassCache.h,
+/// mmap-backed loading with a lazily materialized section index, and the
+/// shard-segment merge step.
 ///
 /// Payload layout (after the 40-byte header):
 ///
-///   u64 pool count
-///     per pool slot: u64 byte length + FrontHalfSections payload
-///   u64 front-tier entry count
-///     per entry: key (u64 word count + words) + u64 pool index
-///   u64 program-tier entry count
-///     per entry: key + u64 pool index (the linked front sections)
+///   u64 entry count
+///     per entry: key (u64 word count + words)
 ///                + u64 byte length + ProgramSections payload
 ///
-/// The pool deduplicates front sections shared between a front-tier
-/// entry and the program templates built on it. Entries are sorted by
-/// key payload, so saving the same cache twice produces identical bytes.
+/// Entries are sorted by key payload, so saving the same cache twice
+/// produces identical bytes.
 ///
 /// Every parse runs through the bounds-checked BinaryReader and
 /// validates enum ranges and angle-slot indices, so even a crafted
@@ -37,7 +32,6 @@
 #include "support/FaultInjection.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 using namespace weaver;
 using namespace weaver::core;
@@ -67,19 +61,6 @@ uint64_t pipeline::compilerFingerprint() {
 // --- Section serializers -------------------------------------------------
 
 namespace {
-
-/// Exact-payload lookup over one hash bucket (same helper as the
-/// in-memory store in PassCache.cpp).
-template <typename T, typename MapT>
-const T *findExact(MapT &Map, const PassCacheKey &Key) {
-  auto It = Map.find(Key.hash());
-  if (It == Map.end())
-    return nullptr;
-  for (const std::pair<PassCacheKey, T> &Entry : It->second)
-    if (Entry.first == Key)
-      return &Entry.second;
-  return nullptr;
-}
 
 /// Reads a length (nm) written as an i64; anything outside the coordinate
 /// bound fails the reader, so a crafted payload cannot plant a position
@@ -183,110 +164,32 @@ bool readAnnotationList(BinaryReader &R, std::vector<qasm::Annotation> &List) {
   return R.ok();
 }
 
-void serializeFront(const FrontHalfSections &S, BinaryWriter &W) {
-  W.writeU64(S.Coloring.ColorOf.size());
-  for (int C : S.Coloring.ColorOf)
-    W.writeI64(C);
-  W.writeU64(S.Coloring.ClausesByColor.size());
-  for (const std::vector<size_t> &Group : S.Coloring.ClausesByColor) {
+void serializeColoring(const ClauseColoring &C, BinaryWriter &W) {
+  W.writeU64(C.ColorOf.size());
+  for (int Color : C.ColorOf)
+    W.writeI64(Color);
+  W.writeU64(C.ClausesByColor.size());
+  for (const std::vector<size_t> &Group : C.ClausesByColor) {
     W.writeU64(Group.size());
     for (size_t I : Group)
       W.writeU64(I);
   }
-  W.writeU64(S.Plans.size());
-  for (const ColorPlan &P : S.Plans) {
-    W.writeU64(P.Clauses.size());
-    for (const ClausePlan &C : P.Clauses) {
-      W.writeU64(C.ClauseIndex);
-      W.writeI64(C.Width);
-      W.writeI64(C.Site);
-      W.writeI64(C.SiteX);
-      W.writeI64(C.Left);
-      W.writeI64(C.Target);
-      W.writeI64(C.Right);
-      W.writeI64(C.ColLeft);
-      W.writeI64(C.ColTarget);
-      W.writeI64(C.ColRight);
-      W.writeI64(C.TargetTrap);
-    }
-    W.writeU64(P.Slots.size());
-    for (const Slot &S2 : P.Slots) {
-      W.writeI64(S2.Qubit);
-      W.writeI64(S2.Column);
-      W.writeI64(S2.RestX);
-    }
-  }
-  W.writeU64(S.SlmTraps.size());
-  for (const Vec2 &T : S.SlmTraps) {
-    W.writeI64(T.X);
-    W.writeI64(T.Y);
-  }
-  W.writeU64(S.ZoneSiteTrap.size());
-  for (const auto &Entry : S.ZoneSiteTrap) {
-    W.writeI64(Entry.first.first);
-    W.writeI64(Entry.first.second);
-    W.writeI64(Entry.second);
-  }
-  W.writeI64(S.NumColumns);
 }
 
-bool parseFront(BinaryReader &R, FrontHalfSections &S) {
-  size_t N = R.readLength(8);
-  S.Coloring.ColorOf.resize(N);
-  for (int &C : S.Coloring.ColorOf)
-    C = static_cast<int>(R.readI64());
-  N = R.readLength(8);
-  S.Coloring.ClausesByColor.resize(N);
-  for (std::vector<size_t> &Group : S.Coloring.ClausesByColor) {
-    size_t M = R.readLength(8);
-    Group.resize(M);
+void parseColoring(BinaryReader &R, ClauseColoring &C) {
+  C.ColorOf.resize(R.readLength(8));
+  for (int &Color : C.ColorOf)
+    Color = static_cast<int>(R.readI64());
+  C.ClausesByColor.resize(R.readLength(8));
+  for (std::vector<size_t> &Group : C.ClausesByColor) {
+    Group.resize(R.readLength(8));
     for (size_t &I : Group)
       I = static_cast<size_t>(R.readU64());
   }
-  N = R.readLength(16);
-  S.Plans.resize(N);
-  for (ColorPlan &P : S.Plans) {
-    size_t M = R.readLength(88);
-    P.Clauses.resize(M);
-    for (ClausePlan &C : P.Clauses) {
-      C.ClauseIndex = static_cast<size_t>(R.readU64());
-      C.Width = static_cast<int>(R.readI64());
-      C.Site = static_cast<int>(R.readI64());
-      C.SiteX = readNm(R);
-      C.Left = static_cast<int>(R.readI64());
-      C.Target = static_cast<int>(R.readI64());
-      C.Right = static_cast<int>(R.readI64());
-      C.ColLeft = static_cast<int>(R.readI64());
-      C.ColTarget = static_cast<int>(R.readI64());
-      C.ColRight = static_cast<int>(R.readI64());
-      C.TargetTrap = static_cast<int>(R.readI64());
-    }
-    M = R.readLength(24);
-    P.Slots.resize(M);
-    for (Slot &S2 : P.Slots) {
-      S2.Qubit = static_cast<int>(R.readI64());
-      S2.Column = static_cast<int>(R.readI64());
-      S2.RestX = readNm(R);
-    }
-  }
-  N = R.readLength(16);
-  S.SlmTraps.resize(N);
-  for (Vec2 &T : S.SlmTraps) {
-    T.X = readNm(R);
-    T.Y = readNm(R);
-  }
-  N = R.readLength(24);
-  for (size_t I = 0; I < N && R.ok(); ++I) {
-    int Zone = static_cast<int>(R.readI64());
-    int Site = static_cast<int>(R.readI64());
-    int Trap = static_cast<int>(R.readI64());
-    S.ZoneSiteTrap[{Zone, Site}] = Trap;
-  }
-  S.NumColumns = static_cast<int>(R.readI64());
-  return R.ok();
 }
 
 void serializeProgram(const ProgramSections &S, BinaryWriter &W) {
+  serializeColoring(S.Coloring, W);
   const qasm::WqasmProgram &P = S.Program;
   W.writeString(P.Version);
   W.writeI64(P.NumQubits);
@@ -327,6 +230,7 @@ void serializeProgram(const ProgramSections &S, BinaryWriter &W) {
 }
 
 bool parseProgram(BinaryReader &R, ProgramSections &S) {
+  parseColoring(R, S.Coloring);
   qasm::WqasmProgram &P = S.Program;
   P.Version = R.readString();
   P.NumQubits = static_cast<int>(R.readI64());
@@ -427,38 +331,20 @@ bool keyLess(const PassCacheKey &A, const PassCacheKey &B) {
 
 // --- Lazy materialization ------------------------------------------------
 
-bool PassCache::materializeFrontLocked(FrontCell &Cell) {
-  if (Cell.Value)
+bool PassCache::materializeLocked(Cell &C) {
+  if (C.Value)
     return true;
-  if (!Cell.Blob.File)
+  if (!C.Blob.File)
     return false;
-  BinaryReader R(Cell.Blob.File->data() + Cell.Blob.Offset, Cell.Blob.Len);
-  auto S = std::make_shared<FrontHalfSections>();
-  if (!parseFront(R, *S) || R.remaining() != 0) {
-    // Checksum-valid but malformed (format bug or crafted file): drop the
-    // blob so this slot behaves as a plain miss and can be refilled.
-    Cell.Blob.File = nullptr;
-    return false;
-  }
-  Cell.Value = std::move(S);
-  ++Counts.Materializations;
-  return true;
-}
-
-bool PassCache::materializeProgramLocked(ProgramCell &Cell) {
-  if (!Cell.Front || !materializeFrontLocked(*Cell.Front))
-    return false;
-  if (Cell.Value)
-    return true;
-  if (!Cell.Blob.File)
-    return false;
-  BinaryReader R(Cell.Blob.File->data() + Cell.Blob.Offset, Cell.Blob.Len);
+  BinaryReader R(C.Blob.File->data() + C.Blob.Offset, C.Blob.Len);
   auto S = std::make_shared<ProgramSections>();
   if (!parseProgram(R, *S) || R.remaining() != 0) {
-    Cell.Blob.File = nullptr;
+    // Checksum-valid but malformed (format bug or crafted file): drop the
+    // blob so this slot behaves as a plain miss and can be refilled.
+    C.Blob.File = nullptr;
     return false;
   }
-  Cell.Value = std::move(S);
+  C.Value = std::move(S);
   ++Counts.Materializations;
   return true;
 }
@@ -473,43 +359,14 @@ Status PassCache::saveSnapshot(const std::string &Path) const {
                          ": snapshot save aborted (injected fault)");
   std::lock_guard<std::mutex> Lock(Mutex);
 
-  // Deterministic entry order: sort both tiers by key payload.
-  std::vector<const std::pair<PassCacheKey, std::shared_ptr<FrontCell>> *>
-      FrontEntries;
-  for (const auto &Bucket : FrontMap)
-    for (const auto &Entry : Bucket.second)
-      FrontEntries.push_back(&Entry);
-  std::sort(FrontEntries.begin(), FrontEntries.end(),
+  std::vector<const std::pair<const PassCacheKey, Cell> *> Entries;
+  Entries.reserve(Map.size());
+  for (const auto &Entry : Map)
+    Entries.push_back(&Entry);
+  std::sort(Entries.begin(), Entries.end(),
             [](const auto *A, const auto *B) {
               return keyLess(A->first, B->first);
             });
-  std::vector<const std::pair<PassCacheKey, std::shared_ptr<ProgramCell>> *>
-      ProgramEntries;
-  for (const auto &Bucket : ProgramMap)
-    for (const auto &Entry : Bucket.second)
-      ProgramEntries.push_back(&Entry);
-  std::sort(ProgramEntries.begin(), ProgramEntries.end(),
-            [](const auto *A, const auto *B) {
-              return keyLess(A->first, B->first);
-            });
-
-  // Front-section pool: unique cells, in first-reference order.
-  std::unordered_map<const FrontCell *, uint64_t> PoolIndex;
-  std::vector<const FrontCell *> Pool;
-  auto poolOf = [&](const FrontCell *Cell) {
-    auto It = PoolIndex.find(Cell);
-    if (It != PoolIndex.end())
-      return It->second;
-    uint64_t Idx = Pool.size();
-    PoolIndex.emplace(Cell, Idx);
-    Pool.push_back(Cell);
-    return Idx;
-  };
-  for (const auto *Entry : FrontEntries)
-    poolOf(Entry->second.get());
-  for (const auto *Entry : ProgramEntries)
-    if (Entry->second->Front)
-      poolOf(Entry->second->Front.get());
 
   BinaryWriter W;
   W.writeU64(SnapshotMagic);
@@ -519,44 +376,21 @@ Status PassCache::saveSnapshot(const std::string &Path) const {
   W.writeU64(0); // payload bytes, patched below
   W.writeU64(0); // payload checksum, patched below
 
-  // A cell that was loaded from a snapshot and never materialized is
-  // copied verbatim — the payload encoding is position-independent.
-  auto writeBlob = [&W](const LazyBlob &Blob) {
-    W.writeU64(Blob.Len);
-    if (Blob.File)
-      W.writeBytes(Blob.File->data() + Blob.Offset, Blob.Len);
-  };
-
-  W.writeU64(Pool.size());
-  for (const FrontCell *Cell : Pool) {
-    if (Cell->Value) {
+  W.writeU64(Entries.size());
+  for (const auto *Entry : Entries) {
+    writeKey(Entry->first, W);
+    const Cell &C = Entry->second;
+    if (C.Value) {
       BinaryWriter Section;
-      serializeFront(*Cell->Value, Section);
+      serializeProgram(*C.Value, Section);
       W.writeU64(Section.size());
       W.writeBytes(Section.bytes().data(), Section.size());
     } else {
-      writeBlob(Cell->Blob); // empty (len 0) for a dropped bad blob
-    }
-  }
-
-  W.writeU64(FrontEntries.size());
-  for (const auto *Entry : FrontEntries) {
-    writeKey(Entry->first, W);
-    W.writeU64(PoolIndex.at(Entry->second.get()));
-  }
-
-  W.writeU64(ProgramEntries.size());
-  for (const auto *Entry : ProgramEntries) {
-    writeKey(Entry->first, W);
-    const ProgramCell &Cell = *Entry->second;
-    W.writeU64(Cell.Front ? PoolIndex.at(Cell.Front.get()) : ~uint64_t{0});
-    if (Cell.Value) {
-      BinaryWriter Section;
-      serializeProgram(*Cell.Value, Section);
-      W.writeU64(Section.size());
-      W.writeBytes(Section.bytes().data(), Section.size());
-    } else {
-      writeBlob(Cell.Blob);
+      // Loaded and never materialized: copied verbatim, since the payload
+      // encoding is position-independent. A dropped bad blob is empty.
+      W.writeU64(C.Blob.Len);
+      if (C.Blob.File)
+        W.writeBytes(C.Blob.File->data() + C.Blob.Offset, C.Blob.Len);
     }
   }
 
@@ -601,59 +435,26 @@ Status PassCache::loadSnapshot(const std::string &Path) {
   if (fnv1a64(File->data() + SnapshotHeaderBytes, PayloadBytes) != Checksum)
     return Status::error("cache file " + Path + ": payload checksum mismatch");
 
-  // Parse the full index (keys + blob ranges) before touching the maps,
+  // Parse the full index (keys + blob ranges) before touching the map,
   // so a malformed payload inserts nothing.
   BinaryReader R(File->data() + SnapshotHeaderBytes, PayloadBytes);
-  auto blobRange = [&](LazyBlob &Blob) {
+  std::vector<std::pair<PassCacheKey, Cell>> Entries;
+  size_t Count = R.readLength(16);
+  for (size_t I = 0; I < Count && R.ok(); ++I) {
+    PassCacheKey Key;
+    if (!readKey(R, Key))
+      break;
     uint64_t Len = R.readU64();
     if (Len > R.remaining()) {
       R.fail();
-      return;
-    }
-    Blob.File = Len ? File : nullptr; // a zero-length blob stays a miss
-    Blob.Offset = SnapshotHeaderBytes + R.position();
-    Blob.Len = static_cast<size_t>(Len);
-    R.skip(static_cast<size_t>(Len));
-  };
-
-  size_t PoolCount = R.readLength(8);
-  std::vector<std::shared_ptr<FrontCell>> Pool;
-  Pool.reserve(PoolCount);
-  for (size_t I = 0; I < PoolCount && R.ok(); ++I) {
-    auto Cell = std::make_shared<FrontCell>();
-    blobRange(Cell->Blob);
-    Pool.push_back(std::move(Cell));
-  }
-
-  std::vector<std::pair<PassCacheKey, std::shared_ptr<FrontCell>>> Fronts;
-  size_t FrontCount = R.readLength(16);
-  for (size_t I = 0; I < FrontCount && R.ok(); ++I) {
-    PassCacheKey Key;
-    if (!readKey(R, Key))
-      break;
-    uint64_t Idx = R.readU64();
-    if (Idx >= Pool.size()) {
-      R.fail();
       break;
     }
-    Fronts.emplace_back(std::move(Key), Pool[Idx]);
-  }
-
-  std::vector<std::pair<PassCacheKey, std::shared_ptr<ProgramCell>>> Programs;
-  size_t ProgramCount = R.readLength(24);
-  for (size_t I = 0; I < ProgramCount && R.ok(); ++I) {
-    PassCacheKey Key;
-    if (!readKey(R, Key))
-      break;
-    uint64_t Idx = R.readU64();
-    if (Idx >= Pool.size()) {
-      R.fail();
-      break;
-    }
-    auto Cell = std::make_shared<ProgramCell>();
-    Cell->Front = Pool[Idx];
-    blobRange(Cell->Blob);
-    Programs.emplace_back(std::move(Key), std::move(Cell));
+    Cell C;
+    C.Blob.File = Len ? File : nullptr; // a zero-length blob stays a miss
+    C.Blob.Offset = SnapshotHeaderBytes + R.position();
+    C.Blob.Len = static_cast<size_t>(Len);
+    R.skip(C.Blob.Len);
+    Entries.emplace_back(std::move(Key), std::move(C));
   }
   if (!R.ok() || R.remaining() != 0)
     return Status::error("cache file " + Path + ": malformed payload index");
@@ -661,21 +462,10 @@ Status PassCache::loadSnapshot(const std::string &Path) {
   // Commit. Existing keys win: a loaded entry never replaces one already
   // inserted (in-process results are at least as fresh).
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (auto &Entry : Fronts) {
-    if (MaxEntries && NumEntries >= MaxEntries)
+  for (auto &Entry : Entries) {
+    if (MaxEntries && Map.size() >= MaxEntries)
       break;
-    if (findExact<std::shared_ptr<FrontCell>>(FrontMap, Entry.first))
-      continue;
-    FrontMap[Entry.first.hash()].push_back(std::move(Entry));
-    ++NumEntries;
-  }
-  for (auto &Entry : Programs) {
-    if (MaxEntries && NumEntries >= MaxEntries)
-      break;
-    if (findExact<std::shared_ptr<ProgramCell>>(ProgramMap, Entry.first))
-      continue;
-    ProgramMap[Entry.first.hash()].push_back(std::move(Entry));
-    ++NumEntries;
+    Map.emplace(std::move(Entry.first), std::move(Entry.second));
   }
   return Status::success();
 }

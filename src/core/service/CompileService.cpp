@@ -15,6 +15,7 @@
 
 #include "core/service/CompileService.h"
 
+#include "support/BinaryIO.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
@@ -203,13 +204,7 @@ CompileService::JobKey CompileService::makeKey(const CompileRequest &Request) {
   AddDouble(Request.DeadlineSeconds);
   AddDouble(Request.WatchdogSeconds);
   // FNV-1a over the payload; lookups still compare the words exactly.
-  uint64_t H = 1469598103934665603ull;
-  for (uint64_t W : K.Words)
-    for (int B = 0; B < 8; ++B) {
-      H ^= (W >> (8 * B)) & 0xff;
-      H *= 1099511628211ull;
-    }
-  K.Hash = H;
+  K.Hash = fnv1a64(K.Words.data(), K.Words.size() * sizeof(uint64_t));
   return K;
 }
 
@@ -444,10 +439,7 @@ void CompileService::runJob(const std::shared_ptr<Job> &J) {
                          : Out.Metrics.Diagnostic;
   Out.QueueSeconds = QueueSeconds;
   Out.CompileSeconds = CompileSeconds;
-  Out.Tier = Result.ProgramFromCache
-                 ? CacheTier::Program
-                 : (Result.FrontHalfFromCache ? CacheTier::Front
-                                              : CacheTier::None);
+  Out.Tier = Result.ProgramFromCache ? CacheTier::Program : CacheTier::None;
   resolveJob(J, std::move(Out));
 }
 
@@ -487,8 +479,6 @@ bool CompileService::resolveJob(const std::shared_ptr<Job> &J,
     Counts.TotalCompileSeconds += J->Outcome.CompileSeconds;
     if (J->Outcome.Tier == CacheTier::Program)
       ++Counts.ProgramTierHits;
-    else if (J->Outcome.Tier == CacheTier::Front)
-      ++Counts.FrontTierHits;
   }
   std::vector<Callback> Callbacks;
   {
@@ -713,7 +703,6 @@ Table CompileService::statsTable() const {
                                                     S.CompilesStarted * 1e3
                                               : 0.0)});
   T.addRow({"cache hits program tier", std::to_string(S.ProgramTierHits)});
-  T.addRow({"cache hits front tier", std::to_string(S.FrontTierHits)});
   T.addRow({"cache entries loaded from file",
             std::to_string(S.CacheEntriesLoaded)});
   return T;

@@ -68,8 +68,9 @@ enum class JobState { Queued, Running, Completed, Cancelled, Failed };
 /// Stable lower-case state name ("queued", "running", ...).
 const char *jobStateName(JobState State);
 
-/// Which PassCache tier served a Weaver job.
-enum class CacheTier { None, Front, Program };
+/// Whether a PassCache template served a Weaver job. ResultFrame carries
+/// the value, and e2ebench/metrics.py reads 2 as a template hit.
+enum class CacheTier { None = 0, Program = 2 };
 
 /// One compile job: what to compile, on which backend, at what priority.
 struct CompileRequest {
@@ -117,7 +118,7 @@ struct JobOutcome {
   double QueueSeconds = 0;
   /// Worker wall-clock seconds spent in the backend compile.
   double CompileSeconds = 0;
-  /// PassCache tier that served the compile (Weaver only).
+  /// Program when a PassCache template served the compile (Weaver only).
   CacheTier Tier = CacheTier::None;
   /// This handle attached to an already in-flight identical job.
   bool Coalesced = false;
@@ -218,7 +219,6 @@ public:
     /// Failed).
     uint64_t WatchdogTimeouts = 0;
     uint64_t CompilesStarted = 0; ///< jobs whose backend compile began
-    uint64_t FrontTierHits = 0;   ///< compiles served from the front tier
     uint64_t ProgramTierHits = 0; ///< compiles served from a template
     /// Entries warm-started from ServiceOptions::CacheFile (0 when no
     /// file was configured or the load was rejected).

@@ -111,7 +111,6 @@ StatsFrame Server::buildStats() {
       {"deadline_exceeded", S.DeadlineExceeded},
       {"failed", S.Failed},
       {"compiles_started", S.CompilesStarted},
-      {"front_tier_hits", S.FrontTierHits},
       {"program_tier_hits", S.ProgramTierHits},
       {"watchdog_timeouts", S.WatchdogTimeouts},
       {"cache_entries_loaded", S.CacheEntriesLoaded},

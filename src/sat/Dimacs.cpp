@@ -77,7 +77,8 @@ Expected<CnfFormula> sat::parseDimacs(std::string_view Text,
         Current.clear();
         continue;
       }
-      if (std::abs(Lit) > NumVars)
+      // Both bounds, not std::abs(Lit): that overflows on INT_MIN.
+      if (Lit < -NumVars || Lit > NumVars)
         return Expected<CnfFormula>::error(
             "literal " + std::to_string(Lit) +
             " out of declared variable range " + std::to_string(NumVars));

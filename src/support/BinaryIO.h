@@ -34,6 +34,10 @@
 namespace weaver {
 
 /// FNV-1a over \p Size bytes, optionally chaining from a previous hash.
+/// The default seed is the FNV offset basis 14695981039346656037 with its
+/// last digit dropped. It stays: recorded frame and program hashes in the
+/// tests were computed with it. Pass 0xcbf29ce484222325 for the standard
+/// basis.
 uint64_t fnv1a64(const void *Data, size_t Size,
                  uint64_t Seed = 1469598103934665603ull);
 

@@ -6,6 +6,7 @@
 
 #include "support/FaultInjection.h"
 
+#include "support/BinaryIO.h"
 #include "support/CancelToken.h"
 #include "support/StringUtils.h"
 
@@ -23,17 +24,6 @@ namespace fault {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// FNV-1a over the site name; mixed with the config seed so every site
-/// gets an independent, name-stable RNG stream.
-uint64_t fnv1a64(std::string_view S) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (char C : S) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 0x100000001b3ULL;
-  }
-  return H;
-}
 
 /// True when \p Site matches \p Pattern (exact, or prefix when the
 /// pattern ends in '*').
@@ -161,7 +151,13 @@ Engine::SiteState &Engine::stateFor(std::string_view Site) {
       S.Spec = &Spec;
       break;
     }
-  S.Rng = Xoshiro256(SplitMix64(Cfg.Seed ^ fnv1a64(Site)).next());
+  // FNV-1a over the site name, from the standard offset basis, is
+  // mixed with the config seed so every site gets an independent,
+  // name-stable RNG stream.
+  S.Rng = Xoshiro256(
+      SplitMix64(Cfg.Seed ^ fnv1a64(Site.data(), Site.size(),
+                                    0xcbf29ce484222325ULL))
+          .next());
   return States.emplace(std::string(Site), std::move(S)).first->second;
 }
 

@@ -426,6 +426,13 @@ TEST(NetServer, PingStatsAndMalformedDimacs) {
   ASSERT_TRUE(RB.ok()) << RB.message();
   EXPECT_EQ(RB->Code, ResponseCode::Failed);
   EXPECT_FALSE(RB->Diagnostic.empty());
+  // INT_MIN, whose magnitude does not fit an int, fails the same way.
+  Bad.RequestId = 7;
+  Bad.Dimacs = "p cnf 3 1\n-2147483648 0\n";
+  RB = C.compileSync(Bad);
+  ASSERT_TRUE(RB.ok()) << RB.message();
+  EXPECT_EQ(RB->Code, ResponseCode::Failed);
+  EXPECT_FALSE(RB->Diagnostic.empty());
 
   auto R = C.compileSync(satlibRequest(6));
   ASSERT_TRUE(R.ok()) << R.message();

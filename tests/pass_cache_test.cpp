@@ -6,7 +6,7 @@
 ///
 /// The PassCache contract: compilations through a cache are byte-identical
 /// to uncached compilations for every parameter point, hits and misses are
-/// accounted per tier, any input change invalidates the affected tiers,
+/// counted, any input other than gamma/beta invalidates the template,
 /// and one cache may be shared by every worker of a BatchCompiler batch
 /// without changing any result.
 ///
@@ -63,41 +63,38 @@ TEST(PassCache, CountsMissThenProgramHits) {
   PassCache Cache;
   WeaverResult First, Second;
   compileToText(F, sweepPoint(0.7, 0.3, 1, &Cache), &First);
-  EXPECT_FALSE(First.FrontHalfFromCache);
   EXPECT_FALSE(First.ProgramFromCache);
   compileToText(F, sweepPoint(0.5, 0.2, 1, &Cache), &Second);
-  EXPECT_TRUE(Second.FrontHalfFromCache);
   EXPECT_TRUE(Second.ProgramFromCache);
 
   PassCache::CacheStats S = Cache.stats();
   EXPECT_EQ(S.ProgramMisses, 1u);
   EXPECT_EQ(S.ProgramHits, 1u);
-  EXPECT_EQ(S.FrontMisses, 1u); // consulted only on the program miss
-  EXPECT_EQ(S.FrontHits, 0u);
-  EXPECT_EQ(Cache.size(), 2u); // one front entry + one template
+  EXPECT_EQ(Cache.size(), 1u); // one template
 }
 
-TEST(PassCache, LayersChangeReusesFrontHalfOnly) {
+TEST(PassCache, LayersChangeMissesAndMatchesCacheOff) {
   CnfFormula F = testFormula();
   PassCache Cache;
   compileToText(F, sweepPoint(0.7, 0.3, 1, &Cache));
   WeaverResult TwoLayers;
-  compileToText(F, sweepPoint(0.7, 0.3, 2, &Cache), &TwoLayers);
-  EXPECT_TRUE(TwoLayers.FrontHalfFromCache);
+  std::string Text =
+      compileToText(F, sweepPoint(0.7, 0.3, 2, &Cache), &TwoLayers);
   EXPECT_FALSE(TwoLayers.ProgramFromCache);
-  // The restored colouring and zone plan are not timed: only the three
-  // back-half passes run.
+  EXPECT_EQ(Text, compileToText(F, sweepPoint(0.7, 0.3, 2)));
+  // A miss runs the whole pipeline.
   std::vector<std::string> Names;
   for (const PassTiming &T : TwoLayers.PassTimings)
     Names.push_back(T.PassName);
   EXPECT_EQ(Names, (std::vector<std::string>{
+                       "clause-coloring", "zone-planning",
                        "shuttle-scheduling", "gate-lowering",
                        "pulse-emission"}));
 
   PassCache::CacheStats S = Cache.stats();
   EXPECT_EQ(S.ProgramMisses, 2u);
-  EXPECT_EQ(S.FrontHits, 1u);
-  EXPECT_EQ(S.FrontMisses, 1u);
+  EXPECT_EQ(S.ProgramHits, 0u);
+  EXPECT_EQ(Cache.size(), 2u); // one template per layer count
 }
 
 TEST(PassCache, TemplateHitRunsNoPass) {
@@ -166,41 +163,43 @@ TEST(PassCache, FormulaGeometryAndOptionChangesMiss) {
   CnfFormula A = testFormula(1), B = testFormula(2);
   compileToText(A, sweepPoint(0.7, 0.3, 1, &Cache));
 
-  // Different formula: both tiers miss.
-  compileToText(B, sweepPoint(0.7, 0.3, 1, &Cache));
-  EXPECT_EQ(Cache.stats().ProgramHits, 0u);
-  EXPECT_EQ(Cache.stats().FrontHits, 0u);
-
-  // Different geometry: both tiers miss (zone plan depends on it).
-  WeaverOptions Wide = sweepPoint(0.7, 0.3, 1, &Cache);
+  // Each variant of A's first compile misses, and its bytes equal a
+  // cache-off compile of the same variant.
+  auto ExpectMiss = [&](const CnfFormula &F, WeaverOptions Opt,
+                        const char *What) {
+    Opt.Cache = &Cache;
+    WeaverResult R;
+    std::string On = compileToText(F, Opt, &R);
+    EXPECT_FALSE(R.ProgramFromCache) << What;
+    Opt.Cache = nullptr;
+    EXPECT_EQ(On, compileToText(F, Opt)) << What;
+  };
+  ExpectMiss(B, sweepPoint(0.7, 0.3), "formula");
+  WeaverOptions Wide = sweepPoint(0.7, 0.3);
   Wide.Geometry.SiteSpacingNm = 25000;
-  auto R = compileWeaver(A, Wide);
-  ASSERT_TRUE(R.ok()) << R.message();
-  EXPECT_FALSE(R->FrontHalfFromCache);
-
-  // Different colouring heuristic: both tiers miss.
-  WeaverOptions FirstFit = sweepPoint(0.7, 0.3, 1, &Cache);
+  ExpectMiss(A, Wide, "geometry");
+  WeaverOptions FirstFit = sweepPoint(0.7, 0.3);
   FirstFit.UseDSatur = false;
-  R = compileWeaver(A, FirstFit);
-  ASSERT_TRUE(R.ok()) << R.message();
-  EXPECT_FALSE(R->FrontHalfFromCache);
-
-  // Different hardware: the front half (no hardware inputs) is reused,
-  // the program/stats tier is not (EPS depends on fidelities).
-  WeaverOptions Noisy = sweepPoint(0.7, 0.3, 1, &Cache);
+  ExpectMiss(A, FirstFit, "colouring heuristic");
+  WeaverOptions Noisy = sweepPoint(0.7, 0.3); // EPS depends on fidelities
   Noisy.Hw.CzFidelity = 0.9;
-  R = compileWeaver(A, Noisy);
-  ASSERT_TRUE(R.ok()) << R.message();
-  EXPECT_TRUE(R->FrontHalfFromCache);
-  EXPECT_FALSE(R->ProgramFromCache);
+  ExpectMiss(A, Noisy, "hardware");
+  EXPECT_EQ(Cache.stats().ProgramHits, 0u);
+  EXPECT_EQ(Cache.stats().ProgramMisses, 5u);
 }
 
 TEST(PassCache, CapFlushesInsteadOfGrowingUnbounded) {
   PassCache Cache(/*MaxEntries=*/2);
+  // One entry per formula, however many angle points it serves.
   compileToText(testFormula(1), sweepPoint(0.7, 0.3, 1, &Cache));
-  EXPECT_EQ(Cache.size(), 2u); // front + template for formula 1
+  compileToText(testFormula(1), sweepPoint(0.5, 0.2, 1, &Cache));
+  EXPECT_EQ(Cache.size(), 1u);
   compileToText(testFormula(2), sweepPoint(0.7, 0.3, 1, &Cache));
-  EXPECT_LE(Cache.size(), 2u);
+  EXPECT_EQ(Cache.size(), 2u);
+  // A third formula would exceed the cap: the cache flushes, then holds
+  // the new template only.
+  compileToText(testFormula(3), sweepPoint(0.7, 0.3, 1, &Cache));
+  EXPECT_EQ(Cache.size(), 1u);
   Cache.clear();
   EXPECT_EQ(Cache.size(), 0u);
 }

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -59,7 +60,7 @@ std::string compileToText(const CnfFormula &F, const WeaverOptions &Opt) {
 }
 
 /// Compiles \p F at two angle points through \p Cache, populating one
-/// front entry and one template.
+/// template.
 void populate(PassCache &Cache, const CnfFormula &F) {
   compileToText(F, sweepPoint(0.7, 0.3, &Cache));
   compileToText(F, sweepPoint(0.5, 0.2, &Cache));
@@ -250,30 +251,36 @@ TEST(PassCachePersist, WrongMagicAndVersionAreRejected) {
 }
 
 TEST(PassCachePersist, FormatOneSnapshotLoadsAsVersionErrorThenCompilesCold) {
-  // Format 1 stored lengths as micrometre doubles; format 2 stores whole
-  // nanometres. A file from before the change must be refused at the
-  // version check, never parsed, and the cache must then compile cold.
-  ASSERT_EQ(SnapshotFormatVersion, 2u);
+  // Format 1 stored lengths as micrometre doubles; format 2 also kept a
+  // pool of colourings and zone plans beside the templates; format 3 holds
+  // the templates only. A file stamped with an older version must be refused
+  // at the version check, never parsed, and the cache must then compile
+  // cold.
+  ASSERT_EQ(SnapshotFormatVersion, 3u);
   std::string DirPath = testTempDir();
   CnfFormula F = testFormula();
   PassCache Writer;
   populate(Writer, F);
-  ASSERT_FALSE(Writer.saveSnapshot(DirPath + "/v2.bin"));
-  std::vector<uint8_t> Old = readFileBytes(DirPath + "/v2.bin");
-  Old[8] = 1; // u32 format version, little-endian
-  writeFileBytes(DirPath + "/v1.bin", Old);
+  ASSERT_FALSE(Writer.saveSnapshot(DirPath + "/v3.bin"));
+  std::vector<uint8_t> Old = readFileBytes(DirPath + "/v3.bin");
+  for (int Version : {1, 2}) {
+    Old[8] = static_cast<uint8_t>(Version); // u32 version, little-endian
+    std::string Path = DirPath + "/v" + std::to_string(Version) + ".bin";
+    writeFileBytes(Path, Old);
 
-  PassCache Cache;
-  Status S = Cache.loadSnapshot(DirPath + "/v1.bin");
-  ASSERT_TRUE(S);
-  EXPECT_NE(S.message().find("format version 1 != 2"), std::string::npos)
-      << S.message();
-  EXPECT_EQ(Cache.size(), 0u);
-  EXPECT_EQ(compileToText(F, sweepPoint(0.7, 0.3, &Cache)),
-            compileToText(F, sweepPoint(0.7, 0.3, nullptr)));
-  EXPECT_EQ(Cache.stats().ProgramMisses, 1u);
-  EXPECT_EQ(Cache.stats().ProgramHits, 0u);
-  EXPECT_EQ(Cache.stats().Materializations, 0u);
+    PassCache Cache;
+    Status S = Cache.loadSnapshot(Path);
+    ASSERT_TRUE(S);
+    std::string Expected =
+        "format version " + std::to_string(Version) + " != 3";
+    EXPECT_NE(S.message().find(Expected), std::string::npos) << S.message();
+    EXPECT_EQ(Cache.size(), 0u);
+    EXPECT_EQ(compileToText(F, sweepPoint(0.7, 0.3, &Cache)),
+              compileToText(F, sweepPoint(0.7, 0.3, nullptr)));
+    EXPECT_EQ(Cache.stats().ProgramMisses, 1u);
+    EXPECT_EQ(Cache.stats().ProgramHits, 0u);
+    EXPECT_EQ(Cache.stats().Materializations, 0u);
+  }
 }
 
 TEST(PassCachePersist, FingerprintMismatchIsRejected) {
@@ -312,9 +319,9 @@ TEST(PassCachePersist, ForgedChecksumOverGarbageNeverCrashes) {
   ASSERT_FALSE(Writer.saveSnapshot(DirPath + "/good.bin"));
   std::vector<uint8_t> Good = readFileBytes(DirPath + "/good.bin");
 
-  // A few corruption shapes: zeroed payload head (kills the section
-  // pool), 0xFF-saturated tail (kills the key index), and a single flip
-  // deep in the pool (parse failure inside one blob at worst).
+  // A few corruption shapes: zeroed payload head (kills the index),
+  // 0xFF-saturated tail (kills the template blob), and a single flip in
+  // the key (the entry then matches nothing).
   for (int Shape = 0; Shape < 3; ++Shape) {
     std::vector<uint8_t> Bytes = Good;
     size_t PayloadLen = Bytes.size() - SnapshotHeaderBytes;
@@ -336,6 +343,33 @@ TEST(PassCachePersist, ForgedChecksumOverGarbageNeverCrashes) {
               compileToText(F, sweepPoint(0.7, 0.3, nullptr)))
         << "shape " << Shape;
   }
+
+  // Seeded mutants: 1-4 byte flips anywhere in the payload, resealed. A
+  // flip inside the template blob may still parse into another program,
+  // so only the outcome is pinned: the load succeeds or fails, and the
+  // compile after it succeeds.
+  std::mt19937_64 Rng(20250808);
+  size_t PayloadLen = Good.size() - SnapshotHeaderBytes;
+  std::string Path = DirPath + "/mutant.bin";
+  int Loaded = 0;
+  for (int Mutant = 0; Mutant < 200; ++Mutant) {
+    std::vector<uint8_t> Bytes = Good;
+    int Flips = 1 + static_cast<int>(Rng() % 4);
+    for (int I = 0; I < Flips; ++I)
+      Bytes[SnapshotHeaderBytes + Rng() % PayloadLen] ^=
+          static_cast<uint8_t>(1 + Rng() % 255);
+    resealChecksum(Bytes);
+    writeFileBytes(Path, Bytes);
+
+    PassCache Cache;
+    if (!Cache.loadSnapshot(Path))
+      ++Loaded;
+    auto R = compileWeaver(F, sweepPoint(0.4, 0.1, &Cache));
+    ASSERT_TRUE(R.ok()) << "mutant " << Mutant << ": " << R.message();
+    EXPECT_FALSE(qasm::printWqasm(R->Program).empty());
+  }
+  // Most flips land in the template blob, past the index.
+  EXPECT_GT(Loaded, 0);
 }
 
 // --- Concurrency ---------------------------------------------------------

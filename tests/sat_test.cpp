@@ -102,6 +102,8 @@ TEST(Dimacs, RejectsMalformedHeader) {
 
 TEST(Dimacs, RejectsOutOfRangeLiteral) {
   EXPECT_FALSE(parseDimacs("p cnf 2 1\n1 5 0\n").ok());
+  // INT_MIN has no positive counterpart in int.
+  EXPECT_FALSE(parseDimacs("p cnf 3 1\n-2147483648 0\n").ok());
 }
 
 TEST(Dimacs, RejectsUnterminatedClause) {

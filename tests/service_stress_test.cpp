@@ -141,15 +141,12 @@ TEST(ServiceStress, EveryJobResolvesExactlyOnceUnderContention) {
   EXPECT_EQ(S.Failed, 0u); // nothing was submitted after shutdown
 
   // PassCache accounting under contention (all jobs are Weaver jobs):
-  // every compile that started consulted the program tier exactly once,
-  // and the front tier is consulted exactly on program-tier misses.
+  // every compile that started looked its template up exactly once.
   pipeline::PassCache::CacheStats CS = Service.cache()->stats();
   EXPECT_EQ(CS.ProgramHits + CS.ProgramMisses, S.CompilesStarted);
-  EXPECT_EQ(CS.FrontHits + CS.FrontMisses, CS.ProgramMisses);
-  // Tier hits observed by jobs can't exceed the cache's own hit count
+  // Template hits observed by jobs can't exceed the cache's own hit count
   // (cancelled compiles may have looked up without reporting a tier).
   EXPECT_LE(S.ProgramTierHits, CS.ProgramHits);
-  EXPECT_LE(S.FrontTierHits, CS.FrontHits);
 
   // The workload genuinely exercised the interesting paths.
   EXPECT_GT(Completed, 0u);

@@ -63,7 +63,7 @@ struct Point {
 };
 
 /// Fixed workload: small enough that a full chaos run stays in seconds,
-/// varied enough that cache tiers, dedup, and angle patching all engage.
+/// varied enough that template hits, dedup, and angle patching all engage.
 std::vector<Point> workload() {
   std::vector<Point> W;
   for (int Index = 1; Index <= 3; ++Index)
