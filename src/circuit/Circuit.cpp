@@ -82,10 +82,10 @@ Circuit Circuit::withoutNonUnitary() const {
 }
 
 std::string Circuit::str() const {
-  std::string Out;
-  for (const Gate &G : Gates) {
-    appendGate(Out, G);
-    Out += '\n';
-  }
-  return Out;
+  return TextWriter::render([this](TextWriter &W) {
+    for (const Gate &G : Gates) {
+      appendGate(W, G);
+      W << '\n';
+    }
+  });
 }

@@ -130,18 +130,16 @@ bool circuit::parseGateName(std::string_view Name, GateKind &Kind) {
   return false;
 }
 
-void circuit::appendGate(std::string &Out, const Gate &G) {
-  Out += gateName(G.kind());
+void circuit::appendGate(TextWriter &W, const Gate &G) {
+  W << gateName(G.kind());
   for (unsigned I = 0, E = G.numParams(); I < E; ++I)
-    appendAll(Out, I ? ", " : "(", G.param(I));
+    W << (I ? ", " : "(") << G.param(I);
   if (G.numParams() > 0)
-    Out += ')';
+    W << ')';
   for (unsigned I = 0, E = G.numQubits(); I < E; ++I)
-    appendAll(Out, I ? ", q[" : " q[", G.qubit(I), ']');
+    W << (I ? ", q[" : " q[") << G.qubit(I) << ']';
 }
 
 std::string Gate::str() const {
-  std::string Out;
-  appendGate(Out, *this);
-  return Out;
+  return TextWriter::render([this](TextWriter &W) { appendGate(W, *this); });
 }

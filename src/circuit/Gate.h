@@ -18,6 +18,8 @@
 #ifndef WEAVER_CIRCUIT_GATE_H
 #define WEAVER_CIRCUIT_GATE_H
 
+#include "support/TextWriter.h"
+
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -154,10 +156,10 @@ private:
   std::array<double, 3> ParamStorage = {0.0, 0.0, 0.0};
 };
 
-/// Appends \p G as "rz(0.5) q[3]" / "cz q[0], q[1]" / "measure q[2]" /
+/// Writes \p G as "rz(0.5) q[3]" / "cz q[0], q[1]" / "measure q[2]" /
 /// "barrier", with no terminator. The one gate renderer: Gate::str() and
 /// every OpenQASM 3 / wQASM statement line (this text plus ";\n") use it.
-void appendGate(std::string &Out, const Gate &G);
+void appendGate(TextWriter &W, const Gate &G);
 
 } // namespace circuit
 } // namespace weaver

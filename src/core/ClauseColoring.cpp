@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 
 using namespace weaver;
 using namespace weaver::core;
@@ -50,24 +49,12 @@ ClauseColoring finalize(std::vector<int> ColorOf) {
   return R;
 }
 
-/// Marks \p Color in the bitset; returns true when it was already set.
-bool markColor(std::vector<uint64_t> &Words, int Color) {
-  size_t W = static_cast<size_t>(Color) / 64;
-  uint64_t Bit = 1ull << (Color % 64);
-  if (W >= Words.size())
-    Words.resize(W + 1, 0);
-  if (Words[W] & Bit)
-    return true;
-  Words[W] |= Bit;
-  return false;
-}
-
-/// Smallest colour index absent from the bitset.
-int firstAbsentColor(const std::vector<uint64_t> &Words) {
-  for (size_t W = 0; W < Words.size(); ++W)
-    if (~Words[W])
-      return static_cast<int>(W * 64 + __builtin_ctzll(~Words[W]));
-  return static_cast<int>(Words.size() * 64);
+/// Smallest colour index absent from the \p Words-word bitset at \p Set.
+int firstAbsentColor(const uint64_t *Set, size_t Words) {
+  for (size_t W = 0; W < Words; ++W)
+    if (~Set[W])
+      return static_cast<int>(W * 64 + __builtin_ctzll(~Set[W]));
+  return static_cast<int>(Words * 64);
 }
 
 } // namespace
@@ -129,39 +116,51 @@ ClauseColoring core::colorClausesDSatur(const CnfFormula &Formula) {
   std::vector<std::vector<size_t>> Adj = buildClauseConflictGraph(Formula);
   std::vector<int> ColorOf(N, -1);
   std::vector<int> Saturation(N, 0);
-  std::vector<std::vector<uint64_t>> NeighbourColors(N);
-
-  // Buckets[s] holds every uncoloured vertex of saturation s, keyed so the
-  // bucket minimum is the DSatur pick at that level: degree descending,
-  // then index ascending — the exact tie-break of the former linear scan.
-  auto KeyOf = [N, &Adj](size_t I) {
-    return (static_cast<uint64_t>(N - Adj[I].size()) << 32) | I;
+  // Row I of one flat bitset holds the colours of clause I's coloured
+  // neighbours in Words words; rows double when a colour outgrows them.
+  size_t Words = 1;
+  std::vector<uint64_t> NeighbourColors(N, 0);
+  // A lazy-deletion max-heap of (saturation, rank): a vertex is pushed
+  // again whenever its saturation grows, its newest entry pops first and
+  // colours it, and stale ones are skipped. The rank ~((N - degree) << 32
+  // | index) breaks ties by degree descending, then index ascending, as
+  // the former linear scan did.
+  using Entry = std::pair<int, uint64_t>;
+  auto RankOf = [N, &Adj](size_t I) {
+    return ~((static_cast<uint64_t>(N - Adj[I].size()) << 32) | I);
   };
-  std::vector<std::set<uint64_t>> Buckets(1);
+  std::vector<Entry> Heap;
   for (size_t I = 0; I < N; ++I)
-    Buckets[0].insert(KeyOf(I));
+    Heap.push_back({0, RankOf(I)});
+  std::make_heap(Heap.begin(), Heap.end());
 
-  int MaxSat = 0;
   for (size_t Step = 0; Step < N; ++Step) {
-    while (Buckets[MaxSat].empty())
-      --MaxSat;
-    auto BestIt = Buckets[MaxSat].begin();
-    size_t Best = *BestIt & 0xffffffffu;
-    Buckets[MaxSat].erase(BestIt);
+    size_t Best;
+    do {
+      std::pop_heap(Heap.begin(), Heap.end());
+      Best = ~Heap.back().second & 0xffffffffu;
+      Heap.pop_back();
+    } while (ColorOf[Best] != -1);
 
-    int Color = firstAbsentColor(NeighbourColors[Best]);
+    int Color = firstAbsentColor(&NeighbourColors[Best * Words], Words);
     ColorOf[Best] = Color;
+    if (static_cast<size_t>(Color) >= Words * 64) {
+      std::vector<uint64_t> Wider(N * Words * 2, 0);
+      for (size_t I = 0; I < N; ++I)
+        std::copy_n(&NeighbourColors[I * Words], Words, &Wider[I * Words * 2]);
+      NeighbourColors = std::move(Wider);
+      Words *= 2;
+    }
+    uint64_t Bit = 1ull << (Color % 64);
     for (size_t Nb : Adj[Best]) {
       if (ColorOf[Nb] != -1)
         continue;
-      if (markColor(NeighbourColors[Nb], Color))
+      uint64_t &Word = NeighbourColors[Nb * Words + Color / 64];
+      if (Word & Bit)
         continue; // colour already counted towards Nb's saturation
-      Buckets[Saturation[Nb]].erase(KeyOf(Nb));
-      ++Saturation[Nb];
-      if (static_cast<size_t>(Saturation[Nb]) >= Buckets.size())
-        Buckets.resize(Saturation[Nb] + 1);
-      Buckets[Saturation[Nb]].insert(KeyOf(Nb));
-      MaxSat = std::max(MaxSat, Saturation[Nb]);
+      Word |= Bit;
+      Heap.push_back({++Saturation[Nb], RankOf(Nb)});
+      std::push_heap(Heap.begin(), Heap.end());
     }
   }
   return finalize(std::move(ColorOf));

@@ -14,10 +14,11 @@
 /// The paper bounds the pass at O(N^2) (§5.5); this implementation is
 /// O((N + E) log N) over the E conflict edges: the graph is built from
 /// per-variable occurrence lists (sort/unique per clause neighbourhood)
-/// and vertex selection uses saturation buckets with per-vertex colour
-/// bitsets instead of a linear scan per step. The selection order — and
-/// therefore every colouring — is identical to the quadratic reference:
-/// maximum saturation, then maximum degree, then smallest clause index.
+/// and vertex selection pops a lazy-deletion binary heap, with the
+/// neighbour colours of all clauses in one flat bitset array, instead of
+/// a linear scan per step. The selection order — and therefore every
+/// colouring — is identical to the quadratic reference: maximum
+/// saturation, then maximum degree, then smallest clause index.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -70,6 +70,12 @@ private:
   Status globalRaman(GateKind Kind, ParamAngle Angle = {});
 
   // --- Movement ----------------------------------------------------------
+  /// Walks the bump cascade of moving \p Column to \p X: the crowded
+  /// neighbours it pushes along end Gap apart. Calls Place(column, target)
+  /// for each moved column, farthest first so no step crosses a
+  /// neighbour, and stops at the first error.
+  template <typename Fn> Status bumpCascade(int Column, int32_t X, Fn &&Place);
+  /// Emits the cascade as single-column @shuttle lines.
   Status moveColumnTo(int Column, int32_t X);
   Status shuttleRowTo(int32_t Y);
   Status transferHome(int Qubit, int Column);
@@ -249,30 +255,41 @@ Status Emitter::globalRaman(GateKind Kind, ParamAngle Angle) {
   return Status::success();
 }
 
-Status Emitter::moveColumnTo(int Column, int32_t X) {
+template <typename Fn>
+Status Emitter::bumpCascade(int Column, int32_t X, Fn &&Place) {
   assert(Column >= 0 && Column < Ctx.NumColumns &&
          "column index out of range");
-  assert(TouchedColumns.empty() &&
-         "single-column move while a staged batch is open");
   int32_t Gap = Ctx.Options.Geometry.BumpGapNm;
   if (ColX[Column] == X)
     return Status::success();
-  // A neighbour exactly Gap away stays put: exactly-Gap-spaced park
-  // targets must not displace an already-placed column.
-  if (X > ColX[Column]) {
-    if (Column + 1 < Ctx.NumColumns && ColX[Column + 1] < X + Gap)
-      if (Status S = moveColumnTo(Column + 1, X + Gap))
-        return S;
-  } else {
-    if (Column > 0 && ColX[Column - 1] > X - Gap)
-      if (Status S = moveColumnTo(Column - 1, X - Gap))
-        return S;
+  // Moving right, a column closer than Gap to its left neighbour's target
+  // is pushed to that target + Gap; a neighbour exactly Gap away stays
+  // put, so exactly-Gap-spaced park targets do not displace an
+  // already-placed column. Moving left mirrors this.
+  int Dir = X > ColX[Column] ? 1 : -1;
+  int End = Column;
+  for (int64_t T = X; End + Dir >= 0 && End + Dir < Ctx.NumColumns;
+       T += Dir * int64_t{Gap}, End += Dir)
+    if (Dir > 0 ? ColX[End + Dir] >= T + Gap : ColX[End + Dir] <= T - Gap)
+      break;
+  for (int C = End;; C -= Dir) {
+    if (Status S = Place(C, X + (C - Column) * Gap))
+      return S;
+    if (C == Column)
+      return Status::success();
   }
-  if (Status S =
-          pulse(Annotation::shuttle(/*Row=*/false, Column, X - ColX[Column])))
-    return S;
-  ColX[Column] = X;
-  return Status::success();
+}
+
+Status Emitter::moveColumnTo(int Column, int32_t X) {
+  assert(TouchedColumns.empty() &&
+         "single-column move while a staged batch is open");
+  return bumpCascade(Column, X, [&](int C, int32_t Target) {
+    if (Status S =
+            pulse(Annotation::shuttle(/*Row=*/false, C, Target - ColX[C])))
+      return S;
+    ColX[C] = Target;
+    return Status::success();
+  });
 }
 
 void Emitter::touchColumn(int Column) {
@@ -284,22 +301,11 @@ void Emitter::touchColumn(int Column) {
 }
 
 void Emitter::planColumnTo(int Column, int32_t X) {
-  assert(Column >= 0 && Column < Ctx.NumColumns &&
-         "column index out of range");
-  int32_t Gap = Ctx.Options.Geometry.BumpGapNm;
-  if (ColX[Column] == X)
-    return;
-  // Same displacement-cascade decisions as moveColumnTo — only staged
-  // instead of emitted.
-  if (X > ColX[Column]) {
-    if (Column + 1 < Ctx.NumColumns && ColX[Column + 1] < X + Gap)
-      planColumnTo(Column + 1, X + Gap);
-  } else {
-    if (Column > 0 && ColX[Column - 1] > X - Gap)
-      planColumnTo(Column - 1, X - Gap);
-  }
-  touchColumn(Column);
-  ColX[Column] = X;
+  (void)bumpCascade(Column, X, [&](int C, int32_t Target) {
+    touchColumn(C);
+    ColX[C] = Target;
+    return Status::success();
+  });
 }
 
 Status Emitter::flushColumnBatch() {

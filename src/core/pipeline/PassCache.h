@@ -31,8 +31,11 @@
 /// the first hit, so a warm start costs index deserialization, not
 /// template re-materialization. Any defect in a cache file — truncation,
 /// checksum mismatch, wrong version or fingerprint — fails the load and
-/// leaves the cache to compile cold; a hostile file can never crash the
-/// process or alias a wrong entry. Multi-process sweeps persist one
+/// leaves the cache to compile cold, and a hostile file does not crash
+/// the process. The FNV-1a checksum catches accidental corruption only:
+/// it is not a MAC, so a resealed file can parse into another program
+/// that is then served as a hit. Snapshot files are trusted like the
+/// binary. Multi-process sweeps persist one
 /// segment file per shard (same format) and compact them with
 /// mergeSnapshots(); see tools/shard_sweep.
 ///

@@ -20,9 +20,11 @@
 /// produces identical bytes.
 ///
 /// Every parse runs through the bounds-checked BinaryReader and
-/// validates enum ranges and angle-slot indices, so even a crafted
-/// checksum-valid payload can only ever produce a cache miss — never an
-/// out-of-bounds access at instantiation time.
+/// validates enum ranges and angle-slot indices, so a crafted
+/// checksum-valid payload cannot cause an out-of-bounds access at
+/// instantiation time. The checks are structural only: a resealed payload
+/// that parses can still be served as a hit with other program bytes, so
+/// a snapshot is trusted like the binary (see PassCache.h).
 ///
 //===----------------------------------------------------------------------===//
 

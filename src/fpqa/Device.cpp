@@ -17,7 +17,7 @@ using qasm::AnnotationKind;
 
 namespace {
 
-/// Packs signed cell coordinates into one hash key. Wrap-around at 2^32
+/// Packs signed cell coordinates into one table key. Wrap-around at 2^32
 /// cells can only merge far-apart cells, which the exact distance check
 /// filters out again — never a correctness issue.
 uint64_t packCell(int64_t CellX, int64_t CellY) {
@@ -32,6 +32,58 @@ int64_t cellIndex(int32_t V, int32_t CellSize) {
 
 /// Square of a length, exact in 64 bits.
 int64_t squared(int32_t V) { return int64_t{V} * V; }
+
+/// Flat open-addressing table from a square cell to the points in it (see
+/// the file comment of Device.h). Cells are at least |Distance| wide, so
+/// points closer than that sit in the same or neighbouring cells, and at
+/// most INT32_MAX, where every in-range coordinate is in cell -1 or 0.
+class CellTable {
+public:
+  CellTable(const std::vector<Vec2> &Points, int64_t Distance)
+      : CellSize(static_cast<int32_t>(std::clamp<int64_t>(
+            Distance < 0 ? -Distance : Distance, 1, INT32_MAX))) {
+    size_t Slots = 16;
+    while (Slots < 2 * Points.size())
+      Slots *= 2;
+    Keys.resize(Slots);
+    Head.assign(Slots, -1);
+    Next.resize(Points.size());
+    for (size_t I = 0; I < Points.size(); ++I) {
+      uint64_t Key = packCell(cellIndex(Points[I].X, CellSize),
+                              cellIndex(Points[I].Y, CellSize));
+      size_t S = slotOf(Key);
+      Keys[S] = Key;
+      Next[I] = Head[S];
+      Head[S] = static_cast<int>(I);
+    }
+  }
+
+  /// Calls \p Visit(J) for every point J in the 3x3 cells around \p P.
+  template <typename Fn> void forNeighbours(Vec2 P, Fn &&Visit) const {
+    int64_t CellX = cellIndex(P.X, CellSize), CellY = cellIndex(P.Y, CellSize);
+    for (int64_t DX = -1; DX <= 1; ++DX)
+      for (int64_t DY = -1; DY <= 1; ++DY)
+        for (int J = Head[slotOf(packCell(CellX + DX, CellY + DY))]; J != -1;
+             J = Next[J])
+          Visit(J);
+  }
+
+private:
+  /// The slot holding cell \p Key, or the empty one it would take:
+  /// Fibonacci hashing and linear probing, at most half the slots used.
+  size_t slotOf(uint64_t Key) const {
+    size_t Mask = Head.size() - 1;
+    size_t S = static_cast<size_t>((Key * 0x9E3779B97F4A7C15ull) >> 32) & Mask;
+    while (Head[S] != -1 && Keys[S] != Key)
+      S = (S + 1) & Mask;
+    return S;
+  }
+
+  int32_t CellSize;
+  std::vector<uint64_t> Keys; ///< packed cell coordinates per slot
+  std::vector<int> Head;      ///< slot's first point, or -1 when empty
+  std::vector<int> Next;      ///< per point: next one in its cell, or -1
+};
 
 } // namespace
 
@@ -66,16 +118,27 @@ Status FpqaDevice::apply(const Annotation &A) {
 }
 
 Status FpqaDevice::applySlm(const Annotation &A) {
-  const int64_t MinSep2 = squared(Params.MinSlmSeparationNm);
-  for (const Vec2 &P : A.TrapPositions)
+  const std::vector<Vec2> &Traps = A.TrapPositions;
+  for (const Vec2 &P : Traps)
     if (!inCoordinateRange(P.X) || !inCoordinateRange(P.Y))
       return Status::error("@slm trap coordinate outside the +-1e6 um range");
-  for (size_t I = 0; I < A.TrapPositions.size(); ++I)
-    for (size_t J = I + 1; J < A.TrapPositions.size(); ++J)
-      if (distanceSquared(A.TrapPositions[I], A.TrapPositions[J]) < MinSep2)
-        return Status::error(
-            "@slm traps " + std::to_string(I) + " and " + std::to_string(J) +
-            " closer than the minimum separation");
+  // Report the lexicographically first crowded pair (I, J), as an
+  // all-pairs scan would: the first I with a crowded J > I, and its
+  // smallest such J. A zero separation crowds nothing.
+  const int64_t MinSep2 = squared(Params.MinSlmSeparationNm);
+  CellTable Cells(Traps, Params.MinSlmSeparationNm);
+  for (size_t I = 0; MinSep2 > 0 && I < Traps.size(); ++I) {
+    size_t J = SIZE_MAX;
+    Cells.forNeighbours(Traps[I], [&](int Other) {
+      size_t K = static_cast<size_t>(Other);
+      if (K > I && K < J && distanceSquared(Traps[I], Traps[K]) < MinSep2)
+        J = K;
+    });
+    if (J != SIZE_MAX)
+      return Status::error(
+          "@slm traps " + std::to_string(I) + " and " + std::to_string(J) +
+          " closer than the minimum separation");
+  }
   if (!SlmTraps.empty())
     return Status::error("@slm layer already initialised");
   SlmTraps = A.TrapPositions;
@@ -115,8 +178,6 @@ Status FpqaDevice::applyBind(const Annotation &A) {
     return Status::error("@bind requires a non-negative qubit id");
   if (static_cast<size_t>(A.Qubit) >= Locations.size()) {
     Locations.resize(A.Qubit + 1);
-    LastIndexedPos.resize(A.Qubit + 1);
-    MovedSinceSync.resize(A.Qubit + 1, 0);
     RowSlot.resize(A.Qubit + 1, -1);
   }
   if (Locations[A.Qubit].Kind != AtomLocation::Layer::Unbound)
@@ -130,7 +191,6 @@ Status FpqaDevice::applyBind(const Annotation &A) {
                            " already holds an atom");
     SlmOccupants[A.SlmIndex] = A.Qubit;
     Locations[A.Qubit] = {AtomLocation::Layer::Slm, A.SlmIndex, -1, -1};
-    gridInsert(A.Qubit, SlmTraps[A.SlmIndex]);
     ClustersValid = false;
     ++BoundAtoms;
     return Status::success();
@@ -142,7 +202,6 @@ Status FpqaDevice::applyBind(const Annotation &A) {
     return Status::error("@bind: AOD trap already holds an atom");
   setAodOccupant(A.AodCol, A.AodRow, A.Qubit);
   Locations[A.Qubit] = {AtomLocation::Layer::Aod, -1, A.AodCol, A.AodRow};
-  gridInsert(A.Qubit, Vec2{ColumnX[A.AodCol], RowY[A.AodRow]});
   ClustersValid = false;
   ++BoundAtoms;
   return Status::success();
@@ -171,14 +230,13 @@ Status FpqaDevice::applyTransfer(const Annotation &A) {
     SlmOccupants[A.SlmIndex] = -1;
     setAodOccupant(A.AodCol, A.AodRow, SlmAtom);
     Locations[SlmAtom] = {AtomLocation::Layer::Aod, -1, A.AodCol, A.AodRow};
-    markMoved(SlmAtom);
   } else {
     // AOD -> SLM.
     eraseAodOccupant(A.AodCol, A.AodRow);
     SlmOccupants[A.SlmIndex] = AodAtom;
     Locations[AodAtom] = {AtomLocation::Layer::Slm, A.SlmIndex, -1, -1};
-    markMoved(AodAtom);
   }
+  ClustersValid = false;
   return Status::success();
 }
 
@@ -230,15 +288,12 @@ Status FpqaDevice::applyShuttle(bool Row, const int *Indices,
       return Status::error(std::string("@shuttle: ") + What +
                            " would cross or crowd its right/upper neighbour");
   }
-  // Commit. Only the atoms riding the moved rows/columns change position;
-  // a dirty mark per atom (O(1), no hashing) defers their grid re-index to
-  // the next cluster query. Shuttles of empty rows/columns touch nothing.
+  // Commit. Only the atoms riding the moved rows/columns change position,
+  // so shuttles of empty rows/columns keep the memoised clusters.
   for (size_t I = 0; I < Count; ++I) {
     int Index = Indices[I];
-    for (const auto &[Cross, Q] : Row ? RowAtoms[Index] : ColumnAtoms[Index]) {
-      (void)Cross;
-      markMoved(Q);
-    }
+    if (!(Row ? RowAtoms[Index] : ColumnAtoms[Index]).empty())
+      ClustersValid = false;
     Coords[Index] += OffsetsNm[I];
   }
   return Status::success();
@@ -293,44 +348,6 @@ void FpqaDevice::eraseAodOccupant(int Col, int Row) {
   RowSlot[RowList[Slot].second] = Slot;
   RowList.pop_back();
   RowSlot[Qubit] = -1;
-}
-
-uint64_t FpqaDevice::cellKey(Vec2 P) const {
-  return packCell(cellIndex(P.X, GridCellSize), cellIndex(P.Y, GridCellSize));
-}
-
-void FpqaDevice::gridInsert(int Qubit, Vec2 P) const {
-  Grid[cellKey(P)].push_back(Qubit);
-  LastIndexedPos[Qubit] = P;
-}
-
-void FpqaDevice::gridErase(int Qubit, Vec2 P) const {
-  auto It = Grid.find(cellKey(P));
-  assert(It != Grid.end() && "atom missing from its grid cell");
-  std::vector<int> &Cell = It->second;
-  auto Pos = std::find(Cell.begin(), Cell.end(), Qubit);
-  assert(Pos != Cell.end() && "atom missing from its grid cell");
-  *Pos = Cell.back();
-  Cell.pop_back();
-  if (Cell.empty())
-    Grid.erase(It);
-}
-
-void FpqaDevice::markMoved(int Qubit) {
-  ClustersValid = false;
-  if (!MovedSinceSync[Qubit]) {
-    MovedSinceSync[Qubit] = 1;
-    MovedList.push_back(Qubit);
-  }
-}
-
-void FpqaDevice::syncGrid() const {
-  for (int Q : MovedList) {
-    gridErase(Q, LastIndexedPos[Q]);
-    gridInsert(Q, qubitPosition(Q));
-    MovedSinceSync[Q] = 0;
-  }
-  MovedList.clear();
 }
 
 Vec2 FpqaDevice::qubitPosition(int Qubit) const {
@@ -412,72 +429,57 @@ FpqaDevice::rydbergClustersRef() const {
 }
 
 Status FpqaDevice::computeClusters() const {
-  syncGrid();
-  // Dense index over the bound atoms, in ascending qubit order.
-  std::vector<int> Qubits;
-  Qubits.reserve(BoundAtoms);
-  std::vector<int> DenseOf(Locations.size(), -1);
-  for (size_t Q = 0; Q < Locations.size(); ++Q) {
-    if (Locations[Q].Kind == AtomLocation::Layer::Unbound)
-      continue;
-    DenseOf[Q] = static_cast<int>(Qubits.size());
-    Qubits.push_back(static_cast<int>(Q));
-  }
-  size_t N = Qubits.size();
+  // The bound atoms in ascending qubit order; a dense index I stands for
+  // AtomQubits[I] from here on.
+  AtomQubits.clear();
+  AtomPositions.clear();
+  for (size_t Q = 0; Q < Locations.size(); ++Q)
+    if (Locations[Q].Kind != AtomLocation::Layer::Unbound) {
+      AtomQubits.push_back(static_cast<int>(Q));
+      AtomPositions.push_back(qubitPosition(static_cast<int>(Q)));
+    }
+  size_t N = AtomQubits.size();
   // Union-find over the proximity graph; edges come from the 3x3 cell
-  // neighbourhood (cell size == RydbergRadius, so no in-range pair can
-  // sit further apart than one cell).
-  std::vector<size_t> Parent(N);
+  // neighbourhood (cells are one Rydberg radius wide).
+  CellTable Cells(AtomPositions, Params.RydbergRadiusNm);
+  std::vector<int> Parent(N);
   for (size_t I = 0; I < N; ++I)
-    Parent[I] = I;
-  auto Find = [&](size_t X) {
+    Parent[I] = static_cast<int>(I);
+  auto Find = [&](int X) {
     while (Parent[X] != X)
       X = Parent[X] = Parent[Parent[X]];
     return X;
   };
   const int64_t Radius2 = squared(Params.RydbergRadiusNm);
-  for (size_t I = 0; I < N; ++I) {
-    Vec2 P = qubitPosition(Qubits[I]);
-    int64_t CellX = cellIndex(P.X, GridCellSize);
-    int64_t CellY = cellIndex(P.Y, GridCellSize);
-    for (int64_t DX = -1; DX <= 1; ++DX)
-      for (int64_t DY = -1; DY <= 1; ++DY) {
-        auto It = Grid.find(packCell(CellX + DX, CellY + DY));
-        if (It == Grid.end())
-          continue;
-        for (int Other : It->second) {
-          if (Other <= Qubits[I]) // consider each pair once
-            continue;
-          if (distanceSquared(P, qubitPosition(Other)) <= Radius2)
-            Parent[Find(I)] = Find(DenseOf[Other]);
-        }
-      }
-  }
+  for (size_t I = 0; I < N; ++I)
+    Cells.forNeighbours(AtomPositions[I], [&](int J) {
+      if (static_cast<size_t>(J) > I && // consider each pair once
+          distanceSquared(AtomPositions[I], AtomPositions[J]) <= Radius2)
+        Parent[Find(static_cast<int>(I))] = Find(J);
+    });
 
-  // Group members in ascending qubit order; groups form in order of their
-  // smallest member, which (clusters being disjoint) equals the reference
-  // implementation's final lexicographic cluster order.
-  std::vector<std::vector<int>> Groups;
-  std::vector<int> GroupOf(N, -1);
-  for (size_t I = 0; I < N; ++I) {
-    size_t Root = Find(I);
-    if (GroupOf[Root] == -1) {
-      GroupOf[Root] = static_cast<int>(Groups.size());
-      Groups.emplace_back();
-    }
-    Groups[GroupOf[Root]].push_back(Qubits[I]);
-  }
-
+  // GroupSlot[R] holds minus root R's member count, then its cluster's
+  // index once it has one. Clusters of two or more atoms form in order of
+  // their smallest member, members ascending, which (clusters being
+  // disjoint) equals the reference implementation's final lexicographic
+  // cluster order.
+  std::vector<int> GroupSlot(N, 0);
+  for (size_t I = 0; I < N; ++I)
+    --GroupSlot[Find(static_cast<int>(I))];
   std::vector<RydbergCluster> Clusters;
-  for (const std::vector<int> &Members : Groups) {
-    if (Members.size() < 2)
+  for (size_t I = 0; I < N; ++I) {
+    int &Slot = GroupSlot[Find(static_cast<int>(I))];
+    if (Slot == -1) // a lone atom
       continue;
-    if (Status S = validateCluster(Members))
-      return S;
-    RydbergCluster C;
-    C.Qubits = Members;
-    Clusters.push_back(std::move(C));
+    if (Slot < -1) {
+      Slot = static_cast<int>(Clusters.size());
+      Clusters.emplace_back();
+    }
+    Clusters[Slot].Qubits.push_back(AtomQubits[I]);
   }
+  for (const RydbergCluster &C : Clusters)
+    if (Status S = validateCluster(C.Qubits))
+      return S;
   ClusterCache = std::move(Clusters);
   ClustersValid = true;
   return Status::success();

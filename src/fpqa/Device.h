@@ -19,15 +19,14 @@
 /// the 3-atom equidistance check takes square roots (of exact squares). A
 /// shuttle that would leave the coordinate bound is rejected.
 ///
-/// Proximity queries run against a uniform spatial hash grid bucketed at
-/// \c RydbergRadiusNm that is maintained incrementally: a bind indexes the
-/// atom directly, and a transfer/shuttle dirty-marks exactly the atoms it
-/// moved (O(1) each), which the next query lazily re-indexes — positions
-/// are never regathered from scratch per pulse, and an atom moved many
-/// times between two pulses pays one grid update. \c rydbergClustersRef()
-/// therefore only inspects neighbouring cells (O(atoms) with bounded
-/// occupancy instead of the all-pairs O(atoms^2) scan), and its result is
-/// memoised until the next position change.
+/// Proximity queries (the Rydberg clusters, the @slm separation check)
+/// bucket their points into a flat open-addressing table of square cells,
+/// one radius (or separation) wide, built per query: a close pair sits in
+/// the same or an 8-neighbouring cell, so a query inspects O(points) pairs
+/// instead of all O(points^2). The cluster query visits every bound atom
+/// anyway, so the rebuild costs no more than an incremental index. Moves
+/// only invalidate the memoised clusters: an atom binds, transfers, or
+/// rides a moved row or column.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +38,6 @@
 #include "support/Geometry.h"
 #include "support/Status.h"
 
-#include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 namespace weaver {
@@ -64,7 +61,7 @@ struct RydbergCluster {
 class FpqaDevice {
 public:
   explicit FpqaDevice(const HardwareParams &Params = HardwareParams())
-      : Params(Params), GridCellSize(std::max(Params.RydbergRadiusNm, 1)) {}
+      : Params(Params) {}
 
   const HardwareParams &params() const { return Params; }
 
@@ -87,9 +84,10 @@ public:
   /// connected components of the "closer than RydbergRadius" graph with at
   /// least two atoms. Fails when a cluster exceeds three atoms or a 3-atom
   /// cluster is not (approximately) equidistant — the digital-computation
-  /// validity conditions of §6/§7. Queries the spatial grid and memoises
-  /// the (successful) result until an atom moves; the returned pointer is
-  /// to that memo, valid until the next position change.
+  /// validity conditions of §6/§7. Buckets the atoms into cells (see file
+  /// comment) and memoises the (successful) result until an atom moves;
+  /// the returned pointer is to that memo, valid until the next position
+  /// change.
   Expected<const std::vector<RydbergCluster> *> rydbergClustersRef() const;
 
   // --- Introspection used by codegen and tests -------------------------
@@ -119,30 +117,14 @@ private:
   void setAodOccupant(int Col, int Row, int Qubit);
   void eraseAodOccupant(int Col, int Row);
 
-  // --- Spatial hash grid (see file comment) ----------------------------
-  /// Key of the grid cell containing \p P (cells are GridCellSize-sized
-  /// squares; two atoms within RydbergRadiusNm always land in the same or
-  /// an 8-neighbouring cell).
-  uint64_t cellKey(Vec2 P) const;
-  void gridInsert(int Qubit, Vec2 P) const;
-  void gridErase(int Qubit, Vec2 P) const;
-  /// Marks \p Qubit's indexed position stale. A long shuttle cascade can
-  /// move the same atom many times between two Rydberg pulses; the dirty
-  /// mark defers the (hashing) grid update to the next cluster query, so
-  /// each moved atom re-indexes once per query instead of once per move.
-  void markMoved(int Qubit);
-  /// Re-indexes every dirty atom (erase at the last indexed position,
-  /// insert at the current one).
-  void syncGrid() const;
-
   /// Validates one candidate cluster: 2..3 members, mutually within the
   /// radius, 3-atom clusters equidistant. \p Members hold qubit ids in
   /// ascending order.
   Status validateCluster(const std::vector<int> &Members) const;
 
-  /// Syncs the grid, recomputes the cluster decomposition into
-  /// ClusterCache and sets ClustersValid; the error status (if any) is
-  /// returned without materialising a result copy.
+  /// Recomputes the cluster decomposition into ClusterCache and sets
+  /// ClustersValid; the error status (if any) is returned without
+  /// materialising a result copy.
   Status computeClusters() const;
 
   size_t countAtomsSlow() const;
@@ -166,13 +148,10 @@ private:
   std::vector<AtomLocation> Locations; ///< indexed by qubit id
   size_t BoundAtoms = 0;
 
-  int32_t GridCellSize; ///< nm, the Rydberg radius
-  /// cell -> qubits. Mutable with its bookkeeping because the lazy sync
-  /// and memoisation run inside const queries.
-  mutable std::unordered_map<uint64_t, std::vector<int>> Grid;
-  mutable std::vector<Vec2> LastIndexedPos; ///< per qubit, while in Grid
-  mutable std::vector<char> MovedSinceSync; ///< per qubit dirty flag
-  mutable std::vector<int> MovedList;       ///< dirty qubits, no duplicates
+  /// computeClusters' scratch, reused across queries: the bound atoms in
+  /// ascending qubit order and their positions.
+  mutable std::vector<int> AtomQubits;
+  mutable std::vector<Vec2> AtomPositions;
   mutable std::vector<RydbergCluster> ClusterCache;
   mutable bool ClustersValid = false;
 };

@@ -6,35 +6,34 @@
 
 #include "oq2/Export.h"
 
-#include "support/StringUtils.h"
+#include "support/TextWriter.h"
 
 using namespace weaver;
 using namespace weaver::circuit;
 
 std::string oq2::printOpenQasm2(const Circuit &C) {
-  std::string Out;
-  Out += "OPENQASM 2.0;\n";
-  Out += "include \"qelib1.inc\";\n";
-  appendAll(Out, "qreg q[", C.numQubits(), "];\n");
-  if (C.count(GateKind::Measure) > 0)
-    appendAll(Out, "creg c[", C.numQubits(), "];\n");
-  for (const Gate &G : C) {
-    if (G.kind() == GateKind::Barrier) {
-      Out += "barrier q;\n";
-      continue;
+  return TextWriter::render([&](TextWriter &W) {
+    W << "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[" << C.numQubits()
+      << "];\n";
+    if (C.count(GateKind::Measure) > 0)
+      W << "creg c[" << C.numQubits() << "];\n";
+    for (const Gate &G : C) {
+      if (G.kind() == GateKind::Barrier) {
+        W << "barrier q;\n";
+        continue;
+      }
+      if (G.kind() == GateKind::Measure) {
+        W << "measure q[" << G.qubit(0) << "] -> c[" << G.qubit(0) << "];\n";
+        continue;
+      }
+      W << gateName(G.kind());
+      for (unsigned I = 0, E = G.numParams(); I < E; ++I)
+        W << (I ? "," : "(") << G.param(I);
+      if (G.numParams() > 0)
+        W << ')';
+      for (unsigned I = 0, E = G.numQubits(); I < E; ++I)
+        W << (I ? ",q[" : " q[") << G.qubit(I) << ']';
+      W << ";\n";
     }
-    if (G.kind() == GateKind::Measure) {
-      appendAll(Out, "measure q[", G.qubit(0), "] -> c[", G.qubit(0), "];\n");
-      continue;
-    }
-    Out += gateName(G.kind());
-    for (unsigned I = 0, E = G.numParams(); I < E; ++I)
-      appendAll(Out, I ? "," : "(", G.param(I));
-    if (G.numParams() > 0)
-      Out += ')';
-    for (unsigned I = 0, E = G.numQubits(); I < E; ++I)
-      appendAll(Out, I ? ",q[" : " q[", G.qubit(I), ']');
-    Out += ";\n";
-  }
-  return Out;
+  });
 }

@@ -6,7 +6,7 @@
 
 #include "qasm/Annotation.h"
 
-#include "support/StringUtils.h"
+#include "support/TextWriter.h"
 
 using namespace weaver;
 using namespace weaver::qasm;
@@ -35,66 +35,63 @@ const char *qasm::annotationKindName(AnnotationKind Kind) {
 
 namespace {
 
-/// Appends " [v0, v1, ...]": lengths in micrometres, anything else (row
-/// and column indices) as integers.
-void appendList(std::string &Out, const std::vector<int32_t> &Vals,
-                bool Lengths) {
-  Out += " [";
+/// Writes " [v0, v1, ...]": lengths in micrometres, anything else (row and
+/// column indices) as integers.
+void writeList(TextWriter &W, const std::vector<int32_t> &Vals, bool Lengths) {
+  W << " [";
   for (size_t I = 0; I < Vals.size(); ++I) {
     if (I)
-      Out += ", ";
+      W << ", ";
     if (Lengths)
-      appendMicrons(Out, Vals[I]);
+      W.microns(Vals[I]);
     else
-      appendInt(Out, Vals[I]);
+      W << Vals[I];
   }
-  Out += ']';
+  W << ']';
 }
 
 } // namespace
 
-void qasm::appendAnnotation(std::string &Out, const Annotation &A) {
-  appendAll(Out, '@', annotationKindName(A.Kind));
+void qasm::appendAnnotation(TextWriter &W, const Annotation &A) {
+  W << '@' << annotationKindName(A.Kind);
   switch (A.Kind) {
   case AnnotationKind::Slm:
-    Out += " [";
+    W << " [";
     for (size_t I = 0; I < A.TrapPositions.size(); ++I) {
-      Out += I ? ", (" : "(";
-      appendMicrons(Out, A.TrapPositions[I].X);
-      Out += ", ";
-      appendMicrons(Out, A.TrapPositions[I].Y);
-      Out += ')';
+      W << (I ? ", (" : "(");
+      W.microns(A.TrapPositions[I].X) << ", ";
+      W.microns(A.TrapPositions[I].Y) << ')';
     }
-    Out += ']';
+    W << ']';
     break;
   case AnnotationKind::Aod:
-    appendList(Out, A.AodXs, /*Lengths=*/true);
-    appendList(Out, A.AodYs, /*Lengths=*/true);
+    writeList(W, A.AodXs, /*Lengths=*/true);
+    writeList(W, A.AodYs, /*Lengths=*/true);
     break;
   case AnnotationKind::Bind:
     if (A.BindToSlm)
-      appendAll(Out, " q[", A.Qubit, "] slm ", A.SlmIndex);
+      W << " q[" << A.Qubit << "] slm " << A.SlmIndex;
     else
-      appendAll(Out, " q[", A.Qubit, "] aod ", A.AodCol, ' ', A.AodRow);
+      W << " q[" << A.Qubit << "] aod " << A.AodCol << ' ' << A.AodRow;
     break;
   case AnnotationKind::Transfer:
-    appendAll(Out, ' ', A.SlmIndex, " (", A.AodCol, ", ", A.AodRow, ')');
+    W << ' ' << A.SlmIndex << " (" << A.AodCol << ", " << A.AodRow << ')';
     break;
   case AnnotationKind::Shuttle:
-    appendAll(Out, A.ShuttleRow ? " row " : " column ", A.ShuttleIndex, ' ');
-    appendMicrons(Out, A.Offset);
+    W << (A.ShuttleRow ? " row " : " column ") << A.ShuttleIndex << ' ';
+    W.microns(A.Offset);
     break;
   case AnnotationKind::ShuttleParallel:
-    Out += A.ShuttleRow ? " rows" : " columns";
-    appendList(Out, A.ShuttleIndices, /*Lengths=*/false);
-    appendList(Out, A.ShuttleOffsets, /*Lengths=*/true);
+    W << (A.ShuttleRow ? " rows" : " columns");
+    writeList(W, A.ShuttleIndices, /*Lengths=*/false);
+    writeList(W, A.ShuttleOffsets, /*Lengths=*/true);
     break;
   case AnnotationKind::RamanGlobal:
-    appendAll(Out, " global ", A.AngleX, ' ', A.AngleY, ' ', A.AngleZ);
+    W << " global " << A.AngleX << ' ' << A.AngleY << ' ' << A.AngleZ;
     break;
   case AnnotationKind::RamanLocal:
-    appendAll(Out, " local q[", A.Qubit, "] ", A.AngleX, ' ', A.AngleY, ' ',
-              A.AngleZ);
+    W << " local q[" << A.Qubit << "] " << A.AngleX << ' ' << A.AngleY << ' '
+      << A.AngleZ;
     break;
   case AnnotationKind::Rydberg:
     break;
@@ -102,9 +99,8 @@ void qasm::appendAnnotation(std::string &Out, const Annotation &A) {
 }
 
 std::string Annotation::str() const {
-  std::string Out;
-  appendAnnotation(Out, *this);
-  return Out;
+  return TextWriter::render(
+      [this](TextWriter &W) { appendAnnotation(W, *this); });
 }
 
 Annotation Annotation::slm(std::vector<Vec2> Traps) {

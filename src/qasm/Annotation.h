@@ -27,7 +27,7 @@
 ///
 /// Lengths (trap coordinates, AOD positions, shuttle offsets) are held as
 /// whole nanometres and written as micrometres with at most three
-/// fractional digits (appendMicrons / parseMicrons), so "7.5" is 7500 nm
+/// fractional digits (TextWriter::microns / parseMicrons), so "7.5" is 7500 nm
 /// exactly. Raman angles stay doubles in appendDouble's %.17g form.
 ///
 //===----------------------------------------------------------------------===//
@@ -36,6 +36,7 @@
 #define WEAVER_QASM_ANNOTATION_H
 
 #include "support/Geometry.h"
+#include "support/TextWriter.h"
 
 #include <string>
 #include <vector>
@@ -130,9 +131,9 @@ struct Annotation {
   static Annotation rydberg();
 };
 
-/// Appends \p A in the concrete syntax above, with no line terminator. The
-/// one annotation renderer: Annotation::str() and printWqasm use it.
-void appendAnnotation(std::string &Out, const Annotation &A);
+/// Writes \p A in the concrete syntax above, with no line terminator. The
+/// one annotation renderer: printWqasm and Annotation::str() use it.
+void appendAnnotation(TextWriter &W, const Annotation &A);
 
 } // namespace qasm
 } // namespace weaver

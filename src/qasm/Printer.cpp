@@ -6,7 +6,7 @@
 
 #include "qasm/Printer.h"
 
-#include "support/StringUtils.h"
+#include "support/TextWriter.h"
 
 using namespace weaver;
 using namespace weaver::qasm;
@@ -16,42 +16,42 @@ using circuit::GateKind;
 
 namespace {
 
-void printHeader(std::string &Out, const std::string &Version, int NumQubits,
+void printHeader(TextWriter &W, const std::string &Version, int NumQubits,
                  int NumBits) {
-  appendAll(Out, "OPENQASM ", Version, ";\n");
+  W << "OPENQASM " << Version << ";\n";
   if (NumQubits > 0)
-    appendAll(Out, "qubit[", NumQubits, "] q;\n");
+    W << "qubit[" << NumQubits << "] q;\n";
   if (NumBits > 0)
-    appendAll(Out, "bit[", NumBits, "] c;\n");
+    W << "bit[" << NumBits << "] c;\n";
 }
 
 } // namespace
 
 std::string qasm::printOpenQasm(const Circuit &C) {
-  std::string Out;
-  printHeader(Out, "3.0", C.numQubits(),
-              static_cast<int>(C.count(GateKind::Measure)));
-  for (const Gate &G : C) {
-    circuit::appendGate(Out, G);
-    Out += ";\n";
-  }
-  return Out;
+  return TextWriter::render([&](TextWriter &W) {
+    printHeader(W, "3.0", C.numQubits(),
+                static_cast<int>(C.count(GateKind::Measure)));
+    for (const Gate &G : C) {
+      circuit::appendGate(W, G);
+      W << ";\n";
+    }
+  });
 }
 
 std::string qasm::printWqasm(const WqasmProgram &Program) {
-  std::string Out;
-  printHeader(Out, Program.Version, Program.NumQubits, Program.NumBits);
-  for (const GateStatement &S : Program.Statements) {
-    for (const Annotation &A : S.Annotations) {
-      appendAnnotation(Out, A);
-      Out += '\n';
+  return TextWriter::render([&](TextWriter &W) {
+    printHeader(W, Program.Version, Program.NumQubits, Program.NumBits);
+    for (const GateStatement &S : Program.Statements) {
+      for (const Annotation &A : S.Annotations) {
+        appendAnnotation(W, A);
+        W << '\n';
+      }
+      circuit::appendGate(W, S.Gate);
+      W << ";\n";
     }
-    circuit::appendGate(Out, S.Gate);
-    Out += ";\n";
-  }
-  for (const Annotation &A : Program.TrailingAnnotations) {
-    appendAnnotation(Out, A);
-    Out += '\n';
-  }
-  return Out;
+    for (const Annotation &A : Program.TrailingAnnotations) {
+      appendAnnotation(W, A);
+      W << '\n';
+    }
+  });
 }

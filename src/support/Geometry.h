@@ -9,7 +9,7 @@
 /// project is a whole number of nanometres (1 lattice unit = 1 nm), so
 /// each HardwareParams and Layout spacing is exact, shuttle offsets cannot
 /// drift, and proximity checks compare exact squared distances. The wQASM
-/// text keeps the paper's micrometres (appendMicrons / parseMicrons).
+/// text keeps the paper's micrometres (TextWriter::microns / parseMicrons).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -49,27 +49,6 @@ bool weaver::startsWith(std::string_view S, std::string_view Prefix) {
   return S.size() >= Prefix.size() && S.substr(0, Prefix.size()) == Prefix;
 }
 
-void weaver::appendDouble(std::string &Out, double Value) {
-  // The longest %.17g rendering is 25 bytes ("-4.9406564584124654e-324").
-  char Buf[32];
-  auto R = std::to_chars(Buf, Buf + sizeof(Buf), Value,
-                         std::chars_format::general, 17);
-  Out.append(Buf, R.ptr);
-}
-
-void weaver::appendMicrons(std::string &Out, int64_t Nm) {
-  uint64_t Mag = Nm < 0 ? 0 - static_cast<uint64_t>(Nm) : Nm;
-  if (Nm < 0)
-    Out += '-';
-  appendInt(Out, static_cast<long long>(Mag / 1000));
-  if (unsigned Frac = Mag % 1000) {
-    char Digits[] = {'.', static_cast<char>('0' + Frac / 100),
-                     static_cast<char>('0' + Frac / 10 % 10),
-                     static_cast<char>('0' + Frac % 10)};
-    Out.append(Digits, Frac % 10 ? 4 : Frac % 100 ? 3 : 2);
-  }
-}
-
 Expected<int32_t> weaver::parseMicrons(std::string_view Tok) {
   size_t Sign = !Tok.empty() && Tok[0] == '-';
   size_t Dot = Tok.find('.');
@@ -96,18 +75,6 @@ Expected<int32_t> weaver::parseMicrons(std::string_view Tok) {
     return Expected<int32_t>::error("length '" + std::string(Tok) +
                                     "' exceeds 1e6 um");
   return static_cast<int32_t>(Sign ? -Nm : Nm);
-}
-
-void weaver::appendInt(std::string &Out, long long Value) {
-  char Buf[24];
-  auto R = std::to_chars(Buf, Buf + sizeof(Buf), Value);
-  Out.append(Buf, R.ptr);
-}
-
-std::string weaver::formatDouble(double Value) {
-  std::string Out;
-  appendDouble(Out, Value);
-  return Out;
 }
 
 Expected<long long> weaver::parseBoundedInt(std::string_view Tok,

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// String splitting/trimming/formatting helpers shared by the QASM front end
-/// and the benchmark table printers, plus the one numeral form per value
-/// kind the wQASM text uses: appendDouble (%.17g) for Raman angles and
-/// appendMicrons / parseMicrons for lengths.
+/// and the benchmark table printers, plus the string forms of the wQASM
+/// numerals TextWriter writes: appendDouble (%.17g) for Raman angles, and
+/// parseMicrons, which reads back TextWriter::microns' lengths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,7 @@
 #define WEAVER_SUPPORT_STRINGUTILS_H
 
 #include "support/Status.h"
+#include "support/TextWriter.h"
 
 #include <cstdint>
 #include <string>
@@ -41,38 +42,21 @@ bool startsWith(std::string_view S, std::string_view Prefix);
 /// whose AngleSlot patching relies on the exact 17-digit form. Not the
 /// shortest-round-trip overload: it would print 0.29999999999999999 as
 /// 0.3 and change every golden.
-void appendDouble(std::string &Out, double Value);
-
-/// Appends the length \p Nm (nanometres) in micrometres as an exact
-/// decimal with at most three fractional digits and no trailing zeros:
-/// 14400 -> "14.4", -900 -> "-0.9", 19732 -> "19.732", 6000 -> "6". The
-/// one length renderer of the wQASM printer; parseMicrons inverts it.
-void appendMicrons(std::string &Out, int64_t Nm);
-
-/// Parses a micrometre length into whole nanometres with integer
-/// arithmetic only: an optional '-', one or more digits, and optionally
-/// '.' followed by one to three digits. Rejects exponents, a fourth
-/// fractional digit, a leading '+', a bare '.' or '-', and magnitudes
-/// above MaxCoordinateNm (support/Geometry.h).
-Expected<int32_t> parseMicrons(std::string_view Tok);
-
-/// Appends \p Value in decimal.
-void appendInt(std::string &Out, long long Value);
-
-/// Appends each of \p Parts in order: text as is, an int through
-/// appendInt, a double through appendDouble. Wider or unsigned integers
-/// are ambiguous and do not compile, so nothing is narrowed silently.
-inline void appendPart(std::string &Out, std::string_view S) { Out += S; }
-inline void appendPart(std::string &Out, char C) { Out += C; }
-inline void appendPart(std::string &Out, int V) { appendInt(Out, V); }
-inline void appendPart(std::string &Out, double V) { appendDouble(Out, V); }
-template <typename... Ts>
-void appendAll(std::string &Out, const Ts &...Parts) {
-  (appendPart(Out, Parts), ...);
+inline void appendDouble(std::string &Out, double Value) {
+  TextWriter(Out) << Value;
 }
 
+/// Parses a micrometre length into whole nanometres (the inverse of
+/// TextWriter::microns) with integer arithmetic only: an optional '-', one
+/// or more digits, and optionally '.' followed by one to three digits.
+/// Rejects exponents, a fourth fractional digit, a leading '+', a bare '.'
+/// or '-', and magnitudes above MaxCoordinateNm (support/Geometry.h).
+Expected<int32_t> parseMicrons(std::string_view Tok);
+
 /// Returns appendDouble's rendering of \p Value.
-std::string formatDouble(double Value);
+inline std::string formatDouble(double Value) {
+  return TextWriter::render([Value](TextWriter &W) { W << Value; });
+}
 
 /// printf-style formatting into a std::string.
 std::string formatf(const char *Fmt, ...) __attribute__((format(printf, 1, 2)));

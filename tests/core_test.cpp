@@ -155,6 +155,21 @@ TEST(ClauseColoring, BucketedDSaturMatchesQuadraticReference) {
   }
   CnfFormula Awkward = awkwardFormula();
   EXPECT_EQ(colorClausesDSatur(Awkward).ColorOf, referenceDSatur(Awkward));
+  // Paper scale: 430 and 1,065 clauses.
+  for (int Vars : {100, 250}) {
+    CnfFormula F = sat::satlibInstance(Vars, 1);
+    EXPECT_EQ(colorClausesDSatur(F).ColorOf, referenceDSatur(F))
+        << "uf" << Vars;
+  }
+  // 150 clauses sharing variable 1 need 150 colours, so the neighbour
+  // colour bitsets widen past one and two 64-bit words.
+  std::vector<Clause> Clique;
+  for (int I = 0; I < 150; ++I)
+    Clique.push_back(Clause{1, 2 + I % 40, -(42 + I % 7)});
+  CnfFormula Wide(48, Clique);
+  ClauseColoring WideColoring = colorClausesDSatur(Wide);
+  EXPECT_EQ(WideColoring.numColors(), 150);
+  EXPECT_EQ(WideColoring.ColorOf, referenceDSatur(Wide));
 }
 
 TEST(ClauseColoring, ConflictGraphMatchesPairwisePredicate) {

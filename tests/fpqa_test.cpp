@@ -55,6 +55,84 @@ TEST(Device, SlmRejectsDoubleInit) {
   EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::slm({{20000, 0}}))));
 }
 
+namespace {
+
+/// The @slm diagnostic of an all-pairs scan: the lexicographically first
+/// pair closer than \p MinSepNm, or "" when no pair is.
+std::string allPairsSlmError(const std::vector<Vec2> &Traps,
+                             int32_t MinSepNm) {
+  const int64_t MinSep2 = int64_t{MinSepNm} * MinSepNm;
+  for (size_t I = 0; I < Traps.size(); ++I)
+    for (size_t J = I + 1; J < Traps.size(); ++J)
+      if (distanceSquared(Traps[I], Traps[J]) < MinSep2)
+        return "@slm traps " + std::to_string(I) + " and " +
+               std::to_string(J) + " closer than the minimum separation";
+  return "";
+}
+
+std::string slmError(const std::vector<Vec2> &Traps) {
+  FpqaDevice D;
+  Status S = D.apply(Annotation::slm(Traps));
+  return S ? S.message() : "";
+}
+
+} // namespace
+
+TEST(Device, SlmNamesTheFirstCrowdedPair) {
+  // The bucketed check reports the pair an all-pairs scan meets first:
+  // the smallest I with a crowded J > I, then its smallest such J, also
+  // with several crowded pairs, across cell borders and at negative
+  // coordinates. Exactly the minimum separation is not crowded.
+  const struct {
+    std::vector<Vec2> Traps;
+    const char *Pair;
+  } Cases[] = {
+      {{{0, 0}, {100000, 0}, {4999, 0}, {1, 0}}, "0 and 2"},
+      {{{0, 0}, {20000, 0}, {40000, 0}, {20001, 3000}, {40000, 4999}},
+       "1 and 3"},
+      {{{-1, -1}, {10000, 10000}, {0, 4998}, {-4000, -2000}}, "0 and 2"},
+      {{{0, 0}, {5000, 0}, {0, 5000}, {5000, 5000}}, nullptr}};
+  for (const auto &C : Cases) {
+    std::string Want =
+        C.Pair ? std::string("@slm traps ") + C.Pair +
+                     " closer than the minimum separation"
+               : "";
+    EXPECT_EQ(slmError(C.Traps), Want);
+    EXPECT_EQ(allPairsSlmError(C.Traps, HardwareParams().MinSlmSeparationNm),
+              Want);
+  }
+  // Seeded crowded layouts in a 60 um box.
+  Xoshiro256 Rng(20261019);
+  int Rejected = 0;
+  for (int L = 0; L < 300; ++L) {
+    std::vector<Vec2> Traps(2 + Rng.nextBelow(40));
+    for (Vec2 &T : Traps)
+      T = {static_cast<int32_t>(Rng.nextBelow(60001)) - 30000,
+           static_cast<int32_t>(Rng.nextBelow(60001)) - 30000};
+    std::string Want =
+        allPairsSlmError(Traps, HardwareParams().MinSlmSeparationNm);
+    ASSERT_EQ(slmError(Traps), Want) << "layout " << L;
+    Rejected += !Want.empty();
+  }
+  EXPECT_GT(Rejected, 100);
+  EXPECT_LT(Rejected, 300);
+}
+
+TEST(Device, SlmValidatesFiftyThousandTraps) {
+  // A 250 x 200 lattice at exactly the minimum separation validates (the
+  // all-pairs check took about a second at this size); one more trap 1 nm
+  // from trap 0 makes (0, 50000) the first crowded pair.
+  std::vector<Vec2> Traps;
+  for (int32_t I = 0; I < 50000; ++I)
+    Traps.push_back({(I % 250) * 5000, (I / 250) * 5000});
+  FpqaDevice D;
+  EXPECT_FALSE(D.apply(Annotation::slm(Traps)));
+  EXPECT_EQ(D.numSlmTraps(), 50000u);
+  Traps.push_back({1, 0});
+  EXPECT_EQ(slmError(Traps),
+            "@slm traps 0 and 50000 closer than the minimum separation");
+}
+
 TEST(Device, AodRequiresIncreasingCoordinates) {
   FpqaDevice D;
   EXPECT_TRUE(static_cast<bool>(D.apply(Annotation::aod({3000, 1000}, {0}))));
@@ -290,7 +368,7 @@ TEST(Device, RydbergRejectsOversizedCluster) {
   EXPECT_FALSE(D.rydbergClustersRef().ok());
 }
 
-// --- Grid path vs. the all-pairs reference ------------------------------
+// --- Cell-table path vs. the all-pairs reference ------------------------
 
 namespace {
 
@@ -374,7 +452,46 @@ Expected<std::vector<RydbergCluster>> referenceClusters(const FpqaDevice &D) {
   return Clusters;
 }
 
-/// Asserts that the spatial-grid cluster path and the all-pairs reference
+/// Counts the clusters of \p D's state that fail the digital-computation
+/// checks (more than three atoms, a chain, a non-equidistant triple), so a
+/// sweep can keep to the single-failure states
+/// expectClustersMatchReference requires. Qubit ids below 64, as there.
+int invalidClusterCount(const FpqaDevice &D) {
+  const HardwareParams &P = D.params();
+  std::vector<Vec2> Pos;
+  for (int Q = 0; Q < 64; ++Q)
+    if (D.isBound(Q))
+      Pos.push_back(D.qubitPosition(Q));
+  const int64_t Radius2 = int64_t{P.RydbergRadiusNm} * P.RydbergRadiusNm;
+  std::vector<size_t> Label(Pos.size());
+  for (size_t I = 0; I < Pos.size(); ++I)
+    Label[I] = I;
+  for (size_t I = 0; I < Pos.size(); ++I)
+    for (size_t J = I + 1; J < Pos.size(); ++J)
+      if (distanceSquared(Pos[I], Pos[J]) <= Radius2 && Label[J] != Label[I])
+        std::replace(Label.begin(), Label.end(), Label[J], Label[I]);
+  int Invalid = 0;
+  for (size_t Root = 0; Root < Pos.size(); ++Root) {
+    std::vector<Vec2> Members;
+    for (size_t I = 0; I < Pos.size(); ++I)
+      if (Label[I] == Root)
+        Members.push_back(Pos[I]);
+    int64_t MinD2 = INT64_MAX, MaxD2 = 0;
+    for (size_t I = 0; I < Members.size(); ++I)
+      for (size_t J = I + 1; J < Members.size(); ++J) {
+        MinD2 = std::min(MinD2, distanceSquared(Members[I], Members[J]));
+        MaxD2 = std::max(MaxD2, distanceSquared(Members[I], Members[J]));
+      }
+    Invalid += Members.size() > 3 || MaxD2 > Radius2 ||
+               (Members.size() == 3 &&
+                std::sqrt(static_cast<double>(MaxD2)) -
+                        std::sqrt(static_cast<double>(MinD2)) >
+                    P.EquidistanceToleranceNm);
+  }
+  return Invalid;
+}
+
+/// Asserts that the cell-table cluster path and the all-pairs reference
 /// agree on the current device state: same verdict, same clusters in the
 /// same order, and the same diagnostic. NOTE: diagnostic equality only
 /// holds for states with at most ONE invalid cluster — with several, the
@@ -486,9 +603,9 @@ TEST(Device, RydbergClustersSurviveFarOutCoordinates) {
 }
 
 TEST(Device, RydbergClustersTrackIncrementalMovement) {
-  // Exercises the incrementally maintained index: atoms are shuttled and
-  // transferred across grid-cell borders, and after every step the grid
-  // path must agree with the all-pairs reference recomputed from scratch.
+  // Exercises the memo's invalidation: atoms are shuttled and transferred
+  // across cell borders, and after every step the cell-table path must
+  // agree with the all-pairs reference recomputed from scratch.
   HardwareParams P;
   FpqaDevice D(P);
   ASSERT_FALSE(
@@ -516,6 +633,82 @@ TEST(Device, RydbergClustersTrackIncrementalMovement) {
   // SLM trap 2 at x = 12 is within transfer range. Compare again.
   ASSERT_FALSE(D.apply(Annotation::transfer(2, 0, 0)));
   expectClustersMatchReference(D);
+}
+
+TEST(Device, RydbergClustersMatchReferenceOverSeededStates) {
+  // 200 seeded device states near cell borders, at negative coordinates
+  // and at both ends of the coordinate range, each queried before and
+  // after a series of shuttles and transfers (the device may reject a
+  // move, which leaves the state as it was). Every state with at most one
+  // invalid cluster must match the all-pairs reference.
+  const int32_t M = MaxCoordinateNm;
+  const int32_t Anchors[] = {0, -12500, -M, M - 30000, 2500 * 3};
+  HardwareParams P;
+  P.MinSlmSeparationNm = 0; // any trap layout
+  Xoshiro256 Rng(20261019);
+  // A coordinate in about [A, A + 20000] nm: half of the time on a cell
+  // border or 1 nm off it.
+  auto Coord = [&](int32_t A) {
+    int64_t V = Rng.nextBelow(2)
+                    ? int64_t{A} + 2500 * int64_t(Rng.nextBelow(9)) +
+                          int64_t(Rng.nextBelow(3)) - 1
+                    : int64_t{A} + int64_t(Rng.nextBelow(20001));
+    return static_cast<int32_t>(std::clamp<int64_t>(V, -M, M));
+  };
+  int Checked = 0, Failing = 0;
+  for (int State = 0; State < 200; ++State) {
+    FpqaDevice D(P);
+    int32_t AX = Anchors[State % 5], AY = Anchors[State / 5 % 5];
+    std::vector<Vec2> Traps(4 + Rng.nextBelow(4));
+    for (Vec2 &T : Traps)
+      T = {Coord(AX), Coord(AY)};
+    ASSERT_FALSE(D.apply(Annotation::slm(Traps)));
+    std::vector<int32_t> Xs = {Coord(AX)}, Ys = {Coord(AY)};
+    for (int I = 0; I < 2; ++I)
+      Xs.push_back(Xs.back() + 800 + int32_t(Rng.nextBelow(4000)));
+    Ys.push_back(Ys.back() + 800 + int32_t(Rng.nextBelow(4000)));
+    ASSERT_FALSE(D.apply(Annotation::aod(Xs, Ys)));
+    int Q = 0;
+    for (size_t T = 0; T < Traps.size(); ++T) {
+      if (Rng.nextBelow(4)) {
+        ASSERT_FALSE(D.apply(Annotation::bindSlm(Q++, static_cast<int>(T))));
+      }
+    }
+    for (int C = 0; C < 3; ++C)
+      for (int R = 0; R < 2; ++R) {
+        if (Rng.nextBelow(3) == 0) {
+          ASSERT_FALSE(D.apply(Annotation::bindAod(Q++, C, R)));
+        }
+      }
+    for (int Move = 0; Move < 6; ++Move) {
+      if (invalidClusterCount(D) <= 1) {
+        expectClustersMatchReference(D);
+        ++Checked;
+        Failing += !D.rydbergClustersRef().ok();
+      }
+      int32_t Offset = Rng.nextBelow(2)
+                           ? 2500 * (int32_t(Rng.nextBelow(5)) - 2)
+                           : int32_t(Rng.nextBelow(6001)) - 3000;
+      switch (Rng.nextBelow(3)) {
+      case 0:
+        (void)D.apply(Annotation::shuttle(
+            /*Row=*/false, int(Rng.nextBelow(3)), Offset));
+        break;
+      case 1:
+        (void)D.apply(Annotation::shuttle(
+            /*Row=*/true, int(Rng.nextBelow(2)), Offset));
+        break;
+      default:
+        (void)D.apply(Annotation::transfer(int(Rng.nextBelow(Traps.size())),
+                                           int(Rng.nextBelow(3)),
+                                           int(Rng.nextBelow(2))));
+      }
+    }
+  }
+  // Both verdicts must be well represented.
+  EXPECT_GE(Checked, 600);
+  EXPECT_GE(Failing, 50);
+  EXPECT_GE(Checked - Failing, 300);
 }
 
 TEST(Device, ShuttleLeavingTheCoordinateBoundIsRejected) {

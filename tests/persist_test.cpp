@@ -347,7 +347,11 @@ TEST(PassCachePersist, ForgedChecksumOverGarbageNeverCrashes) {
   // Seeded mutants: 1-4 byte flips anywhere in the payload, resealed. A
   // flip inside the template blob may still parse into another program,
   // so only the outcome is pinned: the load succeeds or fails, and the
-  // compile after it succeeds.
+  // compile after it succeeds. Its bytes are not pinned, and cannot be:
+  // the checksum is resealable and the parser checks structure only, so
+  // some mutants serve another program as a hit (27 of these 200 in a
+  // probe). Only a keyed MAC or a revalidation on load would close that;
+  // until then snapshot files are trusted like the binary.
   std::mt19937_64 Rng(20250808);
   size_t PayloadLen = Good.size() - SnapshotHeaderBytes;
   std::string Path = DirPath + "/mutant.bin";

@@ -145,6 +145,30 @@ TEST(GoldenParity, PaperScaleUf250ByteIdentity) {
   EXPECT_TRUE(qasm::printWqasm(*Back) == Text);
 }
 
+TEST(GoldenParity, PaperScaleUf250LadderAndNoReuseByteIdentity) {
+  // The same pin for the two other emission modes: the ladder (its single
+  // @shuttle column lines are the bump cascades) and no-reuse (every
+  // colour boundary unloads and reloads through home rounds).
+  WeaverOptions Ladder;
+  Ladder.Compression = WeaverOptions::CompressionMode::Off;
+  WeaverOptions NoReuse;
+  NoReuse.ReuseAodAtoms = false;
+  const struct {
+    const char *Mode;
+    WeaverOptions Options;
+    size_t Bytes;
+    uint64_t Hash;
+  } Pins[] = {{"ladder", Ladder, 4395207u, 0x29f429a92510fb30ULL},
+              {"no-reuse", NoReuse, 2594850u, 0xc23cf488faf68d32ULL}};
+  for (const auto &Pin : Pins) {
+    auto R = compileWith(sat::satlibInstance(250, 1), Pin.Options);
+    ASSERT_TRUE(R.ok()) << Pin.Mode << ": " << R.message();
+    std::string Text = qasm::printWqasm(R->Program);
+    EXPECT_EQ(Text.size(), Pin.Bytes) << Pin.Mode;
+    EXPECT_EQ(fnv1a64(Text.data(), Text.size()), Pin.Hash) << Pin.Mode;
+  }
+}
+
 // --- PassManager --------------------------------------------------------
 
 TEST(PassManager, RecordsOneTimingPerPassInOrder) {

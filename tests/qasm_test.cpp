@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 
@@ -445,6 +447,243 @@ TEST(Printer, PreservesUnitarySemantics) {
   auto Back = parseQasmCircuit(printOpenQasm(C));
   ASSERT_TRUE(Back.ok()) << Back.message();
   EXPECT_TRUE(sim::circuitsEquivalent(C, *Back));
+}
+
+namespace pre_sink {
+
+// The renderers as they were before the printers wrote through
+// TextWriter, kept verbatim with their numeral helpers: the differential
+// reference for the sink. Calls that take a weaver type are qualified, so
+// argument-dependent lookup cannot pick the library's renderer.
+
+void appendDouble(std::string &Out, double Value) {
+  // The longest %.17g rendering is 25 bytes ("-4.9406564584124654e-324").
+  char Buf[32];
+  auto R = std::to_chars(Buf, Buf + sizeof(Buf), Value,
+                         std::chars_format::general, 17);
+  Out.append(Buf, R.ptr);
+}
+
+void appendInt(std::string &Out, long long Value) {
+  char Buf[24];
+  auto R = std::to_chars(Buf, Buf + sizeof(Buf), Value);
+  Out.append(Buf, R.ptr);
+}
+
+void appendMicrons(std::string &Out, int64_t Nm) {
+  uint64_t Mag = Nm < 0 ? 0 - static_cast<uint64_t>(Nm) : Nm;
+  if (Nm < 0)
+    Out += '-';
+  appendInt(Out, static_cast<long long>(Mag / 1000));
+  if (unsigned Frac = Mag % 1000) {
+    char Digits[] = {'.', static_cast<char>('0' + Frac / 100),
+                     static_cast<char>('0' + Frac / 10 % 10),
+                     static_cast<char>('0' + Frac % 10)};
+    Out.append(Digits, Frac % 10 ? 4 : Frac % 100 ? 3 : 2);
+  }
+}
+
+inline void appendPart(std::string &Out, std::string_view S) { Out += S; }
+inline void appendPart(std::string &Out, char C) { Out += C; }
+inline void appendPart(std::string &Out, int V) { appendInt(Out, V); }
+inline void appendPart(std::string &Out, double V) { appendDouble(Out, V); }
+template <typename... Ts>
+void appendAll(std::string &Out, const Ts &...Parts) {
+  (appendPart(Out, Parts), ...);
+}
+
+/// Appends " [v0, v1, ...]": lengths in micrometres, anything else (row
+/// and column indices) as integers.
+void appendList(std::string &Out, const std::vector<int32_t> &Vals,
+                bool Lengths) {
+  Out += " [";
+  for (size_t I = 0; I < Vals.size(); ++I) {
+    if (I)
+      Out += ", ";
+    if (Lengths)
+      appendMicrons(Out, Vals[I]);
+    else
+      appendInt(Out, Vals[I]);
+  }
+  Out += ']';
+}
+
+void appendAnnotation(std::string &Out, const Annotation &A) {
+  appendAll(Out, '@', annotationKindName(A.Kind));
+  switch (A.Kind) {
+  case AnnotationKind::Slm:
+    Out += " [";
+    for (size_t I = 0; I < A.TrapPositions.size(); ++I) {
+      Out += I ? ", (" : "(";
+      appendMicrons(Out, A.TrapPositions[I].X);
+      Out += ", ";
+      appendMicrons(Out, A.TrapPositions[I].Y);
+      Out += ')';
+    }
+    Out += ']';
+    break;
+  case AnnotationKind::Aod:
+    appendList(Out, A.AodXs, /*Lengths=*/true);
+    appendList(Out, A.AodYs, /*Lengths=*/true);
+    break;
+  case AnnotationKind::Bind:
+    if (A.BindToSlm)
+      appendAll(Out, " q[", A.Qubit, "] slm ", A.SlmIndex);
+    else
+      appendAll(Out, " q[", A.Qubit, "] aod ", A.AodCol, ' ', A.AodRow);
+    break;
+  case AnnotationKind::Transfer:
+    appendAll(Out, ' ', A.SlmIndex, " (", A.AodCol, ", ", A.AodRow, ')');
+    break;
+  case AnnotationKind::Shuttle:
+    appendAll(Out, A.ShuttleRow ? " row " : " column ", A.ShuttleIndex, ' ');
+    appendMicrons(Out, A.Offset);
+    break;
+  case AnnotationKind::ShuttleParallel:
+    Out += A.ShuttleRow ? " rows" : " columns";
+    appendList(Out, A.ShuttleIndices, /*Lengths=*/false);
+    appendList(Out, A.ShuttleOffsets, /*Lengths=*/true);
+    break;
+  case AnnotationKind::RamanGlobal:
+    appendAll(Out, " global ", A.AngleX, ' ', A.AngleY, ' ', A.AngleZ);
+    break;
+  case AnnotationKind::RamanLocal:
+    appendAll(Out, " local q[", A.Qubit, "] ", A.AngleX, ' ', A.AngleY, ' ',
+              A.AngleZ);
+    break;
+  case AnnotationKind::Rydberg:
+    break;
+  }
+}
+
+void appendGate(std::string &Out, const circuit::Gate &G) {
+  Out += gateName(G.kind());
+  for (unsigned I = 0, E = G.numParams(); I < E; ++I)
+    appendAll(Out, I ? ", " : "(", G.param(I));
+  if (G.numParams() > 0)
+    Out += ')';
+  for (unsigned I = 0, E = G.numQubits(); I < E; ++I)
+    appendAll(Out, I ? ", q[" : " q[", G.qubit(I), ']');
+}
+
+void printHeader(std::string &Out, const std::string &Version, int NumQubits,
+                 int NumBits) {
+  appendAll(Out, "OPENQASM ", Version, ";\n");
+  if (NumQubits > 0)
+    appendAll(Out, "qubit[", NumQubits, "] q;\n");
+  if (NumBits > 0)
+    appendAll(Out, "bit[", NumBits, "] c;\n");
+}
+
+std::string printWqasm(const WqasmProgram &Program) {
+  std::string Out;
+  printHeader(Out, Program.Version, Program.NumQubits, Program.NumBits);
+  for (const GateStatement &S : Program.Statements) {
+    for (const Annotation &A : S.Annotations) {
+      pre_sink::appendAnnotation(Out, A);
+      Out += '\n';
+    }
+    pre_sink::appendGate(Out, S.Gate);
+    Out += ";\n";
+  }
+  for (const Annotation &A : Program.TrailingAnnotations) {
+    pre_sink::appendAnnotation(Out, A);
+    Out += '\n';
+  }
+  return Out;
+}
+
+} // namespace pre_sink
+
+TEST(Printer, SinkMatchesThePreSinkRendererAtExtremeValues) {
+  const int32_t M = MaxCoordinateNm;
+  const std::vector<int32_t> Lengths = {M, -M, -1, 0, 1, 999, -1010, 14400};
+  const int Ints[] = {INT_MIN, -1, 0, 7, INT_MAX};
+  const double Angles[] = {-0.0,
+                           0.0,
+                           4.9406564584124654e-324,
+                           -4.9406564584124654e-324,
+                           -1.7976931348623157e308,
+                           1.7976931348623157e308,
+                           0.35,
+                           -3.141592653589793};
+
+  std::vector<Annotation> Anns;
+  std::vector<Vec2> Traps;
+  for (int32_t X : Lengths)
+    for (int32_t Y : Lengths)
+      Traps.push_back({X, Y});
+  Anns.push_back(Annotation::slm(Traps));
+  Anns.push_back(Annotation::aod(Lengths, Lengths));
+  for (int I : Ints) {
+    Anns.push_back(Annotation::bindSlm(I, -I - 1));
+    Anns.push_back(Annotation::bindAod(I, -I - 1, I));
+    Anns.push_back(Annotation::transfer(I, -I - 1, I));
+    for (int32_t L : Lengths) {
+      Anns.push_back(Annotation::shuttle(/*Row=*/true, I, L));
+      Anns.push_back(Annotation::shuttle(/*Row=*/false, I, L));
+    }
+  }
+  Anns.push_back(Annotation::shuttleParallel(
+      /*Rows=*/true, {INT_MIN, -1, 0, 7, INT_MAX, 3, 2, 1}, Lengths));
+  Anns.push_back(Annotation::shuttleParallel(/*Rows=*/false, {}, {}));
+  for (double A : Angles) {
+    Anns.push_back(Annotation::ramanGlobal(A, -A, 0.35));
+    Anns.push_back(Annotation::ramanLocal(INT_MAX, 0.0, A, -A));
+  }
+  Anns.push_back(Annotation::rydberg());
+  // Lines several times longer than the sink's chunk.
+  std::vector<Vec2> ManyTraps;
+  std::vector<int> ManyIndices;
+  std::vector<int32_t> ManyOffsets;
+  for (int I = 0; I < 12000; ++I) {
+    ManyTraps.push_back({Lengths[I % Lengths.size()], -M + I});
+    ManyIndices.push_back(I);
+    ManyOffsets.push_back(Lengths[(I * 5) % Lengths.size()]);
+  }
+  Anns.push_back(Annotation::slm(ManyTraps));
+  Anns.push_back(Annotation::shuttleParallel(/*Rows=*/false, ManyIndices,
+                                             ManyOffsets));
+
+  for (const Annotation &A : Anns) {
+    std::string Want;
+    pre_sink::appendAnnotation(Want, A);
+    ASSERT_EQ(A.str(), Want);
+  }
+  ASSERT_GT(Anns.back().str().size(), 100000u);
+
+  // Every gate kind, operands and angles at the extremes, in a program
+  // that carries every annotation above.
+  WqasmProgram P;
+  P.NumQubits = 3;
+  P.NumBits = 3;
+  Circuit C(3);
+  for (unsigned K = 0; K < circuit::NumGateKinds; ++K)
+    for (size_t V = 0; V < std::size(Angles); ++V) {
+      int Q = Ints[V % std::size(Ints)];
+      double A = Angles[V];
+      circuit::Gate G = circuit::Gate::fromStorage(
+          static_cast<GateKind>(K), {Q, -Q - 1, 2}, {A, -A, Angles[0]});
+      std::string Want;
+      pre_sink::appendGate(Want, G);
+      ASSERT_EQ(G.str(), Want);
+      P.Statements.push_back({G, {}});
+      C.append(circuit::Gate::fromStorage(static_cast<GateKind>(K),
+                                          {0, 1, 2}, {A, -A, 0.35}));
+    }
+  for (size_t I = 0; I < Anns.size(); ++I)
+    P.Statements[I % P.Statements.size()].Annotations.push_back(Anns[I]);
+  P.TrailingAnnotations = {Anns.front(), Anns.back(), Annotation::rydberg()};
+  EXPECT_TRUE(printWqasm(P) == pre_sink::printWqasm(P));
+
+  std::string Want;
+  pre_sink::printHeader(Want, "3.0", C.numQubits(),
+                        static_cast<int>(C.count(GateKind::Measure)));
+  for (const circuit::Gate &G : C) {
+    pre_sink::appendGate(Want, G);
+    Want += ";\n";
+  }
+  EXPECT_EQ(printOpenQasm(C), Want);
 }
 
 TEST(Printer, WqasmRoundTripStable) {

@@ -10,6 +10,7 @@
 #include "support/Status.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
+#include "support/TextWriter.h"
 
 #include <gtest/gtest.h>
 
@@ -254,7 +255,7 @@ TEST(StringUtils, MicronsRenderAndParseExactly) {
       {1000000000, "1000000"}, {-1000000000, "-1000000"}};
   for (const auto &[Nm, Text] : Table) {
     std::string Out;
-    appendMicrons(Out, Nm);
+    TextWriter(Out).microns(Nm);
     EXPECT_EQ(Out, Text);
     Expected<int32_t> Back = parseMicrons(Text);
     ASSERT_TRUE(Back.ok()) << Text << ": " << Back.message();
@@ -282,17 +283,23 @@ TEST(StringUtils, MicronsRoundTripSeededNanometres) {
     int64_t Nm = static_cast<int64_t>(Rng.nextBelow(Span)) -
                  static_cast<int64_t>(Span / 2);
     std::string Out;
-    appendMicrons(Out, Nm);
+    TextWriter(Out).microns(Nm);
     Expected<int32_t> Back = parseMicrons(Out);
     ASSERT_TRUE(Back.ok()) << Out << ": " << Back.message();
     ASSERT_EQ(*Back, Nm) << Out;
   }
 }
 
-TEST(StringUtils, AppendAllRendersEachPartByType) {
+TEST(TextWriter, RendersEachPartByType) {
   std::string Out = ">";
-  appendAll(Out, " q[", 3, "] ", 0.5, ' ', -7, std::string(" end"));
+  TextWriter(Out) << " q[" << 3 << "] " << 0.5 << ' ' << -7
+                  << std::string(" end");
   EXPECT_EQ(Out, "> q[3] 0.5 -7 end");
+  // Text longer than the writer's chunk keeps its place between parts.
+  std::string Long(40000, 'x');
+  Out.clear();
+  TextWriter(Out) << 'a' << Long << 'b' << Long.substr(0, 16380) << 'c';
+  EXPECT_EQ(Out, "a" + Long + "b" + Long.substr(0, 16380) + "c");
 }
 
 TEST(StringUtils, Formatf) {

@@ -13,7 +13,8 @@
 /// program (tests/data/golden_*.wqasm) must parse and pass the wChecker,
 /// and N byte-flip mutants plus N numeral-substitution mutants of each
 /// must never crash parseWqasm, or the wChecker and the pulse replay on
-/// whatever parses. Rejecting is fine, dying is not. Exit status 0 means
+/// whatever parses; whatever parses must also print, reparse and reprint
+/// to the same bytes. Rejecting is fine, dying is not. Exit status 0 means
 /// the contract held.
 ///
 //===----------------------------------------------------------------------===//
@@ -24,6 +25,7 @@
 #include "oq2/Frontend.h"
 #include "oq2/QaoaRecover.h"
 #include "qasm/Parser.h"
+#include "qasm/Printer.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -78,14 +80,22 @@ bool pipelineAccepts(const std::string &Source) {
 }
 
 /// The wQASM counterpart: parse, then run the wChecker and the pulse
-/// replay on whatever parsed. Returns whether the parser accepted.
-bool wqasmAccepts(const std::string &Source) {
+/// replay on whatever parsed, which must also print, reparse and reprint
+/// to the same bytes (else \p Failures counts it). Returns whether the
+/// parser accepted.
+bool wqasmAccepts(const std::string &Source, int &Failures) {
   Expected<qasm::WqasmProgram> P = qasm::parseWqasm(Source);
   if (!P)
     return false;
   fpqa::HardwareParams Hw;
   (void)core::checkWqasm(*P, Hw);
   (void)fpqa::analyzePulseProgram(*P, Hw);
+  std::string Text = qasm::printWqasm(*P);
+  Expected<qasm::WqasmProgram> Back = qasm::parseWqasm(Text);
+  if (!Back || qasm::printWqasm(*Back) != Text) {
+    std::fprintf(stderr, "FAIL: a parsed wQASM mutant does not round-trip\n");
+    ++Failures;
+  }
   return true;
 }
 
@@ -227,8 +237,8 @@ int main(int Argc, char **Argv) {
       flipBytes(Flipped, Rng);
       std::string Substituted = Source;
       substituteNumerals(Substituted, Spans, Rng);
-      WqasmParsed += wqasmAccepts(Flipped) ? 1 : 0;
-      WqasmParsed += wqasmAccepts(Substituted) ? 1 : 0;
+      WqasmParsed += wqasmAccepts(Flipped, Failures) ? 1 : 0;
+      WqasmParsed += wqasmAccepts(Substituted, Failures) ? 1 : 0;
       WqasmMutants += 2;
     }
   }
