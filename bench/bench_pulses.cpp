@@ -49,8 +49,7 @@ void printTable() {
               T.render().c_str());
 }
 
-/// Replays the emitted program through the zero-copy AnnotationView
-/// overload — no flattened annotation copy is materialised.
+/// Replays the emitted program's annotation array in place.
 void BM_WeaverPulseAnalysis(benchmark::State &State) {
   sat::CnfFormula F =
       sat::satlibInstance(static_cast<int>(State.range(0)), 1);
@@ -83,9 +82,9 @@ void BM_WeaverShuttleEmission(benchmark::State &State) {
   for (auto _ : State) {
     auto R = core::compileWeaver(F, core::WeaverOptions());
     if (R) {
-      for (const qasm::Annotation &A : R->Program.Statements[0].Annotations)
+      for (const qasm::Annotation &A : R->Program.annotationsOf(0))
         if (A.Kind == qasm::AnnotationKind::Aod)
-          Columns = static_cast<int64_t>(A.AodXs.size());
+          Columns = static_cast<int64_t>(A.aodXs().size());
       Annotations = R->Stats.ShuttleAnnotations;
       Pulses = R->Stats.totalPulses();
       PerBoundary =

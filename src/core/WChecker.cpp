@@ -188,22 +188,22 @@ bool Checker::matchStatement(const Gate &G) {
 CheckReport Checker::run(const Circuit *Reference,
                          const CheckOptions &Options) {
   Report.StructuralOk = true;
-  for (const qasm::GateStatement &S : Program.Statements) {
-    for (const Annotation &A : S.Annotations)
-      if (!processAnnotation(A)) {
-        Report.StructuralOk = false;
-        return Report;
-      }
-    if (!matchStatement(S.Gate)) {
+  auto ProcessAll = [&](Span<const Annotation> Range) {
+    for (const Annotation &A : Range)
+      if (!processAnnotation(A))
+        return false;
+    return true;
+  };
+  for (size_t S = 0; S < Program.Statements.size(); ++S)
+    if (!ProcessAll(Program.annotationsOf(S)) ||
+        !matchStatement(Program.Statements[S].Gate)) {
       Report.StructuralOk = false;
       return Report;
     }
+  if (!ProcessAll(Program.trailingAnnotations())) {
+    Report.StructuralOk = false;
+    return Report;
   }
-  for (const Annotation &A : Program.TrailingAnnotations)
-    if (!processAnnotation(A)) {
-      Report.StructuralOk = false;
-      return Report;
-    }
   if (!Pending.empty()) {
     Report.StructuralOk = false;
     fail("pulse stream ends with unconsumed gate pulses");

@@ -113,11 +113,14 @@ struct AngleSlot {
   enum class Param : uint8_t { Gamma, Beta };
   enum class Field : uint8_t {
     GateParam0,  ///< Statements[Statement].Gate parameter 0
-    AnnotationX, ///< Statements[Statement].Annotations[Annotation].AngleX
-    AnnotationZ, ///< Statements[Statement].Annotations[Annotation].AngleZ
+    AnnotationX, ///< annotationsOf(Statement)[Annotation].AngleX
+    AnnotationZ, ///< annotationsOf(Statement)[Annotation].AngleZ
   };
   uint32_t Statement = 0;
-  uint32_t Annotation = 0; ///< meaningful unless Field == GateParam0
+  /// Index within the statement's annotations; meaningful unless Field ==
+  /// GateParam0. Relative, not flat, so the snapshot format keeps the
+  /// per-statement lists it was written with.
+  uint32_t Annotation = 0;
   Field Where = Field::GateParam0;
   Param Dep = Param::Gamma;
   double Coeff = 0;

@@ -132,13 +132,17 @@ private:
   uint32_t BatchEpoch = 1;
   std::vector<int> TouchedColumns;
 
+  /// pulse() appends to Program.Annotations and stmt() closes the range
+  /// of annotations appended since the previous statement.
   qasm::WqasmProgram Program;
-  std::vector<Annotation> Pending; ///< annotations awaiting next statement
+  /// A parallel shuttle's indices then offsets (its payload), reused
+  /// across batches.
+  std::vector<int32_t> BatchValues;
 
-  /// Parameterised angles inside Pending, resolved to final AngleSlots
-  /// (with the flushing statement's index) by stmt().
+  /// Parameterised angles among the annotations of the open statement,
+  /// resolved to final AngleSlots (with that statement's index) by stmt().
   struct PendingAngle {
-    size_t AnnIdx;
+    size_t AnnIdx; ///< index within the open statement's annotations
     AngleSlot::Field Where;
     double Coeff;
     AngleSlot::Param Dep;
@@ -151,28 +155,24 @@ private:
   std::vector<uint32_t> QubitColumnEpoch;
   uint32_t ColumnEpoch = 0;
 
-  /// High-water annotation count of a statement flush, used to pre-size
-  /// Pending for the next boundary's movement burst.
-  size_t PendingHint = 0;
+  /// Annotations appended since the last statement.
+  size_t openAnnotations() const {
+    return Program.Annotations.size() -
+           Program.annotationsBegin(Program.Statements.size());
+  }
 };
 
 Status Emitter::pulse(Annotation A) {
   if (Status S = Replay.step(A))
     return Status::error("codegen produced an invalid instruction: " +
                          S.message());
-  Pending.push_back(std::move(A));
+  Program.Annotations.push_back(std::move(A));
   return Status::success();
 }
 
 void Emitter::stmt(const Gate &G) {
   uint32_t StmtIdx = static_cast<uint32_t>(Program.Statements.size());
-  // Hand the whole buffer to the flushing statement (O(1) swap — each
-  // annotation is only ever written once, where it ends up). The next
-  // boundary pre-sizes the fresh buffer from PendingHint, so the burst of
-  // a movement cascade does not regrow it from scratch either.
-  PendingHint = std::max(PendingHint, Pending.size());
-  Program.Statements.push_back(qasm::GateStatement{G, {}});
-  Program.Statements.back().Annotations.swap(Pending);
+  Program.addStatement(G);
   for (const PendingAngle &P : PendingAngles)
     Ctx.AngleSlots.push_back({StmtIdx, static_cast<uint32_t>(P.AnnIdx),
                               P.Where, P.Dep, P.Coeff});
@@ -207,7 +207,7 @@ Status Emitter::ramanGate(int Qubit, GateKind Kind, ParamAngle Angle) {
   }
   bool Record = Ctx.CollectAngleSlots && Angle.Parameterised;
   if (Record)
-    PendingAngles.push_back({Pending.size(), AnnField, Angle.Coeff,
+    PendingAngles.push_back({openAnnotations(), AnnField, Angle.Coeff,
                              Angle.Dep});
   if (Status S = pulse(Annotation::ramanLocal(Qubit, X, Y, Z)))
     return S;
@@ -239,7 +239,7 @@ Status Emitter::globalRaman(GateKind Kind, ParamAngle Angle) {
   }
   bool Record = Ctx.CollectAngleSlots && Angle.Parameterised;
   if (Record)
-    PendingAngles.push_back({Pending.size(), AnnField, Angle.Coeff,
+    PendingAngles.push_back({openAnnotations(), AnnField, Angle.Coeff,
                              Angle.Dep});
   if (Status S = pulse(Annotation::ramanGlobal(X, Y, Z)))
     return S;
@@ -310,29 +310,29 @@ void Emitter::planColumnTo(int Column, int32_t X) {
 
 Status Emitter::flushColumnBatch() {
   std::sort(TouchedColumns.begin(), TouchedColumns.end());
-  std::vector<int> Indices;
-  std::vector<int32_t> Offsets;
-  Indices.reserve(TouchedColumns.size());
-  Offsets.reserve(TouchedColumns.size());
-  for (int C : TouchedColumns) {
-    int32_t Delta = ColX[C] - PreBatchX[C];
-    if (Delta == 0) // a bump cancelled by a later move
-      continue;
-    Indices.push_back(C);
-    Offsets.push_back(Delta);
-  }
+  // The moved columns, then their offsets: the payload layout.
+  BatchValues.clear();
+  for (int C : TouchedColumns)
+    if (ColX[C] != PreBatchX[C]) // else a bump cancelled by a later move
+      BatchValues.push_back(C);
+  size_t Moved = BatchValues.size();
+  for (size_t I = 0; I < Moved; ++I)
+    BatchValues.push_back(ColX[BatchValues[I]] - PreBatchX[BatchValues[I]]);
   TouchedColumns.clear();
   ++BatchEpoch;
-  if (Indices.empty())
+  if (Moved == 0)
     return Status::success();
   // The whole batch is one AOD step. The device validates the endpoint
   // configuration; with start and end both ordered, the simultaneous
   // linear motion in between cannot cross columns.
-  if (Indices.size() == 1)
-    return pulse(Annotation::shuttle(/*Row=*/false, Indices[0], Offsets[0]));
-  return pulse(
-      Annotation::shuttleParallel(/*Rows=*/false, std::move(Indices),
-                                  std::move(Offsets)));
+  if (Moved == 1)
+    return pulse(
+        Annotation::shuttle(/*Row=*/false, BatchValues[0], BatchValues[1]));
+  Annotation A;
+  A.Kind = qasm::AnnotationKind::ShuttleParallel;
+  A.ShuttleRow = false;
+  A.setPayload(BatchValues.data(), BatchValues.size(), Moved);
+  return pulse(std::move(A));
 }
 
 Status Emitter::shuttleRowTo(int32_t Y) {
@@ -447,7 +447,6 @@ Status Emitter::emitHomeRounds(std::vector<Slot> Atoms) {
 Status Emitter::emitFinalUnload() {
   if (Ctx.FinalUnload.empty())
     return Status::success();
-  Pending.reserve(PendingHint);
   if (Status S = shuttleRowTo(Ctx.Options.Geometry.PickupRowYNm))
     return S;
   return emitHomeRounds(Ctx.FinalUnload);
@@ -457,7 +456,6 @@ Status Emitter::emitColorBoundary(ColorPlan &Plan,
                                   const BoundarySchedule &B) {
   if (B.Empty)
     return Status::success();
-  Pending.reserve(PendingHint);
   if (B.NeedPickupShuttle)
     if (Status S = shuttleRowTo(Ctx.Options.Geometry.PickupRowYNm))
       return S;
@@ -887,7 +885,6 @@ Status Emitter::run() {
   // can end up among the unpatched trailing annotations.
   assert(PendingAngles.empty() &&
          "parameterised angle left in trailing annotations");
-  Program.TrailingAnnotations = std::move(Pending);
   Ctx.Program = std::move(Program);
   Ctx.Stats = Replay.finish();
   Ctx.HasStats = true;

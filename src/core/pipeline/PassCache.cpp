@@ -108,11 +108,15 @@ PassCache::lookup(const PassCacheKey &Key) {
 }
 
 void PassCache::insert(PassCacheKey Key, ProgramSections Sections) {
+  // Declared before the lock, so a flushed map is destroyed after the
+  // mutex is released: other workers' lookups do not wait on freeing
+  // every template.
+  decltype(Map) Evicted;
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Map.find(Key);
   if (It == Map.end()) {
     if (MaxEntries && Map.size() >= MaxEntries)
-      Map.clear(); // also drops any mapped snapshot references
+      Evicted.swap(Map); // also drops any mapped snapshot references
     It = Map.emplace(std::move(Key), Cell()).first;
   } else if (It->second.Value) {
     return; // another worker compiled the same template first
@@ -133,8 +137,9 @@ size_t PassCache::size() const {
 }
 
 void PassCache::clear() {
+  decltype(Map) Evicted; // freed after unlocking, as in insert()
   std::lock_guard<std::mutex> Lock(Mutex);
-  Map.clear();
+  Evicted.swap(Map);
 }
 
 // --- Sections ------------------------------------------------------------
@@ -161,17 +166,13 @@ void pipeline::patchProgramAngles(qasm::WqasmProgram &Program,
   for (const AngleSlot &S : Slots) {
     double Value =
         S.Coeff * (S.Dep == AngleSlot::Param::Gamma ? Gamma : Beta);
-    qasm::GateStatement &Stmt = Program.Statements[S.Statement];
-    switch (S.Where) {
-    case AngleSlot::Field::GateParam0:
-      Stmt.Gate.setParam(0, Value);
-      break;
-    case AngleSlot::Field::AnnotationX:
-      Stmt.Annotations[S.Annotation].AngleX = Value;
-      break;
-    case AngleSlot::Field::AnnotationZ:
-      Stmt.Annotations[S.Annotation].AngleZ = Value;
-      break;
+    if (S.Where == AngleSlot::Field::GateParam0) {
+      Program.Statements[S.Statement].Gate.setParam(0, Value);
+      continue;
     }
+    qasm::Annotation &A =
+        Program.Annotations[Program.annotationsBegin(S.Statement) +
+                            S.Annotation];
+    (S.Where == AngleSlot::Field::AnnotationX ? A.AngleX : A.AngleZ) = Value;
   }
 }

@@ -152,8 +152,11 @@ public:
   };
 
   /// \p MaxEntries bounds the template count; the cache is flushed when
-  /// an insertion would exceed it (sweep working sets are far smaller, and
-  /// a uf250 template holds about 8 MB). 0 means unbounded.
+  /// an insertion would exceed it, and the flushed table is freed after
+  /// the mutex is released. Sweep working sets are far smaller. A
+  /// template of satlibInstance(250, 1) holds 3.79 MB of heap, so the
+  /// default cap's worst case at that size is about 1.9 GB. 0 means
+  /// unbounded.
   explicit PassCache(size_t MaxEntries = 512) : MaxEntries(MaxEntries) {}
 
   /// Template lookup; null on a miss.

@@ -20,7 +20,8 @@
 /// produces identical bytes.
 ///
 /// Every parse runs through the bounds-checked BinaryReader and
-/// validates enum ranges and angle-slot indices, so a crafted
+/// validates enum ranges, each annotation's lists against its kind, and
+/// angle-slot indices, so a crafted
 /// checksum-valid payload cannot cause an out-of-bounds access at
 /// instantiation time. The checks are structural only: a resealed payload
 /// that parses can still be served as a hit with other program bytes, so
@@ -76,27 +77,35 @@ int32_t readNm(BinaryReader &R) {
   return static_cast<int32_t>(V);
 }
 
-void writeNmList(const std::vector<int32_t> &Vals, BinaryWriter &W) {
+void writeNmList(Span<const int32_t> Vals, BinaryWriter &W) {
   W.writeU64(Vals.size());
   for (int32_t V : Vals)
     W.writeI64(V);
 }
 
-void readNmList(BinaryReader &R, std::vector<int32_t> &Vals) {
-  Vals.resize(R.readLength(8));
-  for (int32_t &V : Vals)
-    V = readNm(R);
+/// Reads a v3 list of \p Width-value records onto the end of \p Values;
+/// returns the record count.
+size_t readNmList(BinaryReader &R, std::vector<int32_t> &Values,
+                  size_t Width = 1) {
+  size_t N = R.readLength(8 * Width);
+  for (size_t I = 0; I < N * Width && R.ok(); ++I)
+    Values.push_back(readNm(R));
+  return N;
 }
 
+// Format v3 writes an annotation's five lists — traps, AOD xs, AOD ys,
+// shuttle indices, shuttle offsets — each in its own place around the
+// scalar fields. They come from the accessors, which are empty for every
+// other kind, so the bytes are those of the former per-list layout.
 void writeAnnotation(const qasm::Annotation &A, BinaryWriter &W) {
   W.writeU8(static_cast<uint8_t>(A.Kind));
-  W.writeU64(A.TrapPositions.size());
-  for (const Vec2 &P : A.TrapPositions) {
-    W.writeI64(P.X);
-    W.writeI64(P.Y);
+  W.writeU64(A.numTraps());
+  for (size_t I = 0; I < A.numTraps(); ++I) {
+    W.writeI64(A.trap(I).X);
+    W.writeI64(A.trap(I).Y);
   }
-  writeNmList(A.AodXs, W);
-  writeNmList(A.AodYs, W);
+  writeNmList(A.aodXs(), W);
+  writeNmList(A.aodYs(), W);
   W.writeI64(A.Qubit);
   W.writeU8(A.BindToSlm);
   W.writeI64(A.SlmIndex);
@@ -105,30 +114,31 @@ void writeAnnotation(const qasm::Annotation &A, BinaryWriter &W) {
   W.writeU8(A.ShuttleRow);
   W.writeI64(A.ShuttleIndex);
   W.writeI64(A.Offset);
-  W.writeU64(A.ShuttleIndices.size());
-  for (int I : A.ShuttleIndices)
+  W.writeU64(A.shuttleIndices().size());
+  for (int32_t I : A.shuttleIndices())
     W.writeI64(I);
-  writeNmList(A.ShuttleOffsets, W);
+  writeNmList(A.shuttleOffsets(), W);
   W.writeF64(A.AngleX);
   W.writeF64(A.AngleY);
   W.writeF64(A.AngleZ);
 }
 
-bool readAnnotation(BinaryReader &R, qasm::Annotation &A) {
+/// Reads one annotation, mapping the five v3 lists onto its payload. A
+/// list that the record's kind does not carry, or a parallel shuttle with
+/// unequal index and offset counts, fails the reader: the payload has no
+/// place for it, so the template is a miss.
+bool readAnnotation(BinaryReader &R, qasm::Annotation &A,
+                    std::vector<int32_t> &Values) {
   uint8_t Kind = R.readU8();
   if (Kind > static_cast<uint8_t>(qasm::AnnotationKind::Rydberg)) {
     R.fail();
     return false;
   }
   A.Kind = static_cast<qasm::AnnotationKind>(Kind);
-  size_t N = R.readLength(16);
-  A.TrapPositions.resize(N);
-  for (Vec2 &P : A.TrapPositions) {
-    P.X = readNm(R);
-    P.Y = readNm(R);
-  }
-  readNmList(R, A.AodXs);
-  readNmList(R, A.AodYs);
+  Values.clear();
+  size_t Traps = readNmList(R, Values, /*Width=*/2);
+  size_t Xs = readNmList(R, Values);
+  size_t Ys = readNmList(R, Values);
   A.Qubit = static_cast<int>(R.readI64());
   A.BindToSlm = R.readU8() != 0;
   A.SlmIndex = static_cast<int>(R.readI64());
@@ -137,31 +147,57 @@ bool readAnnotation(BinaryReader &R, qasm::Annotation &A) {
   A.ShuttleRow = R.readU8() != 0;
   A.ShuttleIndex = static_cast<int>(R.readI64());
   A.Offset = readNm(R);
-  N = R.readLength(8);
-  A.ShuttleIndices.resize(N);
-  for (int &I : A.ShuttleIndices)
-    I = static_cast<int>(R.readI64());
-  readNmList(R, A.ShuttleOffsets);
+  size_t Indices = R.readLength(8);
+  for (size_t I = 0; I < Indices && R.ok(); ++I)
+    Values.push_back(static_cast<int32_t>(R.readI64()));
+  size_t Offsets = readNmList(R, Values);
   A.AngleX = R.readF64();
   A.AngleY = R.readF64();
   A.AngleZ = R.readF64();
-  return R.ok();
+  if (!R.ok())
+    return false;
+  bool Fits;
+  size_t Split = 0;
+  switch (A.Kind) {
+  case qasm::AnnotationKind::Slm:
+    Fits = Values.size() == 2 * Traps;
+    break;
+  case qasm::AnnotationKind::Aod:
+    Fits = Values.size() == Xs + Ys;
+    Split = Xs;
+    break;
+  case qasm::AnnotationKind::ShuttleParallel:
+    Fits = Values.size() == Indices + Offsets && Indices == Offsets;
+    Split = Indices;
+    break;
+  default:
+    Fits = Values.empty();
+    break;
+  }
+  if (!Fits) {
+    R.fail();
+    return false;
+  }
+  A.setPayload(Values.data(), Values.size(), Split);
+  return true;
 }
 
-void writeAnnotationList(const std::vector<qasm::Annotation> &List,
-                         BinaryWriter &W) {
+void writeAnnotationList(Span<const qasm::Annotation> List, BinaryWriter &W) {
   W.writeU64(List.size());
   for (const qasm::Annotation &A : List)
     writeAnnotation(A, W);
 }
 
-bool readAnnotationList(BinaryReader &R, std::vector<qasm::Annotation> &List) {
+/// Appends one v3 annotation list to \p P's annotation array.
+bool readAnnotationList(BinaryReader &R, qasm::WqasmProgram &P,
+                        std::vector<int32_t> &Values) {
   // Minimum encoded annotation: kind + 5 empty vectors + the fixed
   // integer/double fields = 1 + 5*8 + 4*8 + 2 + 5*8 = 115 bytes.
   size_t N = R.readLength(115);
-  List.resize(N);
-  for (qasm::Annotation &A : List)
-    if (!readAnnotation(R, A))
+  size_t Begin = P.Annotations.size();
+  P.Annotations.resize(Begin + N);
+  for (size_t I = Begin; I < Begin + N; ++I)
+    if (!readAnnotation(R, P.Annotations[I], Values))
       return false;
   return R.ok();
 }
@@ -197,15 +233,16 @@ void serializeProgram(const ProgramSections &S, BinaryWriter &W) {
   W.writeI64(P.NumQubits);
   W.writeI64(P.NumBits);
   W.writeU64(P.Statements.size());
-  for (const qasm::GateStatement &St : P.Statements) {
+  for (size_t S = 0; S < P.Statements.size(); ++S) {
+    const qasm::GateStatement &St = P.Statements[S];
     W.writeU8(static_cast<uint8_t>(St.Gate.kind()));
     for (unsigned I = 0; I < 3; ++I)
       W.writeI64(I < St.Gate.numQubits() ? St.Gate.qubit(I) : 0);
     for (unsigned I = 0; I < 3; ++I)
       W.writeF64(I < St.Gate.numParams() ? St.Gate.param(I) : 0.0);
-    writeAnnotationList(St.Annotations, W);
+    writeAnnotationList(P.annotationsOf(S), W);
   }
-  writeAnnotationList(P.TrailingAnnotations, W);
+  writeAnnotationList(P.trailingAnnotations(), W);
   W.writeU64(S.AngleSlots.size());
   for (const AngleSlot &A : S.AngleSlots) {
     W.writeU32(A.Statement);
@@ -240,6 +277,7 @@ bool parseProgram(BinaryReader &R, ProgramSections &S) {
   // Minimum encoded statement: gate (49) + empty annotation list (8).
   size_t N = R.readLength(57);
   P.Statements.resize(N);
+  std::vector<int32_t> Values; // one annotation's payload, reused
   for (qasm::GateStatement &St : P.Statements) {
     uint8_t Kind = R.readU8();
     if (Kind >= circuit::NumGateKinds) {
@@ -254,10 +292,11 @@ bool parseProgram(BinaryReader &R, ProgramSections &S) {
       V = R.readF64();
     St.Gate = circuit::Gate::fromStorage(static_cast<circuit::GateKind>(Kind),
                                          Qubits, Params);
-    if (!readAnnotationList(R, St.Annotations))
+    if (!readAnnotationList(R, P, Values))
       return false;
+    St.AnnotationsEnd = P.Annotations.size();
   }
-  if (!readAnnotationList(R, P.TrailingAnnotations))
+  if (!readAnnotationList(R, P, Values))
     return false;
   N = R.readLength(18);
   S.AngleSlots.resize(N);
@@ -281,7 +320,7 @@ bool parseProgram(BinaryReader &R, ProgramSections &S) {
     const qasm::GateStatement &St = P.Statements[A.Statement];
     bool Valid = A.Where == AngleSlot::Field::GateParam0
                      ? St.Gate.numParams() >= 1
-                     : A.Annotation < St.Annotations.size();
+                     : A.Annotation < P.annotationsOf(A.Statement).size();
     if (!Valid) {
       R.fail();
       return false;

@@ -39,12 +39,12 @@ Status PulseReplayer::step(const Annotation &A) {
     // reconstruction needed and no merging with neighbouring shuttles.
     closeBatch();
     Stats.ShuttleAnnotations++;
-    Stats.ShuttleInstructions += A.ShuttleIndices.size();
+    Stats.ShuttleInstructions += A.shuttleIndices().size();
     Stats.MaxParallelShuttleWidth =
-        std::max(Stats.MaxParallelShuttleWidth, A.ShuttleIndices.size());
+        std::max(Stats.MaxParallelShuttleWidth, A.shuttleIndices().size());
     Stats.ShuttleBatches++;
     int32_t MaxOffsetNm = 0;
-    for (int32_t Offset : A.ShuttleOffsets)
+    for (int32_t Offset : A.shuttleOffsets())
       MaxOffsetNm = std::max(MaxOffsetNm, std::abs(Offset));
     Stats.Duration += Params.shuttleSeconds(MaxOffsetNm);
     break;
@@ -129,7 +129,7 @@ Expected<PulseStats>
 fpqa::analyzePulseProgram(const qasm::WqasmProgram &Program,
                           const HardwareParams &Params) {
   PulseReplayer Replay(Params);
-  for (const Annotation &A : qasm::AnnotationView(Program))
+  for (const Annotation &A : Program.Annotations)
     if (Status S = Replay.step(A))
       return Expected<PulseStats>(S);
   return Replay.finish();

@@ -99,12 +99,14 @@ Status FpqaDevice::apply(const Annotation &A) {
     return applyTransfer(A);
   case AnnotationKind::Shuttle:
     return applyShuttle(A.ShuttleRow, &A.ShuttleIndex, &A.Offset, 1);
-  case AnnotationKind::ShuttleParallel:
-    if (A.ShuttleIndices.size() != A.ShuttleOffsets.size())
+  case AnnotationKind::ShuttleParallel: {
+    Span<const int32_t> Indices = A.shuttleIndices();
+    if (Indices.size() != A.shuttleOffsets().size())
       return Status::error("@shuttle parallel form needs one offset per "
                            "index");
-    return applyShuttle(A.ShuttleRow, A.ShuttleIndices.data(),
-                        A.ShuttleOffsets.data(), A.ShuttleIndices.size());
+    return applyShuttle(A.ShuttleRow, Indices.data(),
+                        A.shuttleOffsets().data(), Indices.size());
+  }
   case AnnotationKind::RamanGlobal:
   case AnnotationKind::RamanLocal:
     return applyRaman(A);
@@ -118,10 +120,12 @@ Status FpqaDevice::apply(const Annotation &A) {
 }
 
 Status FpqaDevice::applySlm(const Annotation &A) {
-  const std::vector<Vec2> &Traps = A.TrapPositions;
-  for (const Vec2 &P : Traps)
-    if (!inCoordinateRange(P.X) || !inCoordinateRange(P.Y))
+  std::vector<Vec2> Traps(A.numTraps());
+  for (size_t I = 0; I < Traps.size(); ++I) {
+    Traps[I] = A.trap(I);
+    if (!inCoordinateRange(Traps[I].X) || !inCoordinateRange(Traps[I].Y))
       return Status::error("@slm trap coordinate outside the +-1e6 um range");
+  }
   // Report the lexicographically first crowded pair (I, J), as an
   // all-pairs scan would: the first I with a crowded J > I, and its
   // smallest such J. A zero separation crowds nothing.
@@ -141,14 +145,13 @@ Status FpqaDevice::applySlm(const Annotation &A) {
   }
   if (!SlmTraps.empty())
     return Status::error("@slm layer already initialised");
-  SlmTraps = A.TrapPositions;
+  SlmTraps = std::move(Traps);
   SlmOccupants.assign(SlmTraps.size(), -1);
   return Status::success();
 }
 
 Status FpqaDevice::applyAod(const Annotation &A) {
-  auto CheckOrdered = [&](const std::vector<int32_t> &Vals,
-                          const char *What) {
+  auto CheckOrdered = [&](Span<const int32_t> Vals, const char *What) {
     for (size_t I = 0; I < Vals.size(); ++I) {
       if (!inCoordinateRange(Vals[I]))
         return Status::error(std::string("@aod ") + What +
@@ -160,14 +163,15 @@ Status FpqaDevice::applyAod(const Annotation &A) {
     }
     return Status::success();
   };
-  if (Status S = CheckOrdered(A.AodXs, "column"))
+  Span<const int32_t> Xs = A.aodXs(), Ys = A.aodYs();
+  if (Status S = CheckOrdered(Xs, "column"))
     return S;
-  if (Status S = CheckOrdered(A.AodYs, "row"))
+  if (Status S = CheckOrdered(Ys, "row"))
     return S;
   if (!ColumnX.empty() || !RowY.empty())
     return Status::error("@aod layer already initialised");
-  ColumnX = A.AodXs;
-  RowY = A.AodYs;
+  ColumnX.assign(Xs.begin(), Xs.end());
+  RowY.assign(Ys.begin(), Ys.end());
   ColumnAtoms.assign(ColumnX.size(), {});
   RowAtoms.assign(RowY.size(), {});
   return Status::success();

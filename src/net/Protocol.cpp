@@ -123,11 +123,15 @@ std::string net::encodePing() {
 }
 
 std::string net::encodeResult(const ResultFrame &F) {
+  return encodeResult(F, F.Wqasm);
+}
+
+std::string net::encodeResult(const ResultFrame &F, std::string_view Wqasm) {
   // Fixed fields, then two length-prefixed strings: the program text is
   // copied once, into a buffer sized for it up front.
   BinaryWriter W = beginFrame(FrameType::Result,
                               /*fixed fields=*/38 + /*string lengths=*/16 +
-                                  F.Diagnostic.size() + F.Wqasm.size());
+                                  F.Diagnostic.size() + Wqasm.size());
   W.writeU64(F.RequestId);
   W.writeU8(static_cast<uint8_t>(F.Code));
   W.writeU32(F.BackoffMs);
@@ -136,7 +140,7 @@ std::string net::encodeResult(const ResultFrame &F) {
   W.writeU8(F.CacheTier);
   W.writeU64(F.Pulses);
   W.writeString(F.Diagnostic);
-  W.writeString(F.Wqasm);
+  W.writeString(Wqasm);
   return finishFrame(std::move(W));
 }
 

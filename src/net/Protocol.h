@@ -166,6 +166,10 @@ std::string encodeCancel(const CancelFrame &F);
 std::string encodeStatsRequest();
 std::string encodePing();
 std::string encodeResult(const ResultFrame &F);
+/// Encodes \p F with \p Wqasm as its program text (F.Wqasm is not read),
+/// so a finished job's text is copied once, from where it lies, into the
+/// frame. The one result encoder; the overload above forwards to it.
+std::string encodeResult(const ResultFrame &F, std::string_view Wqasm);
 std::string encodeStats(const StatsFrame &F);
 std::string encodeError(const ErrorFrame &F);
 std::string encodeGoingAway(const std::string &Reason);

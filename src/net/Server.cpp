@@ -53,18 +53,19 @@ uint32_t Server::suggestedBackoffMs() const {
   return static_cast<uint32_t>(std::min<uint64_t>(Ms, 5000));
 }
 
-ResultFrame Server::resultFromOutcome(uint64_t RequestId,
-                                      core::JobOutcome &&Outcome) {
+std::string Server::encodeOutcome(uint64_t RequestId,
+                                  const core::JobOutcome &Outcome) {
   ResultFrame R;
   R.RequestId = RequestId;
   R.QueueSeconds = Outcome.QueueSeconds;
   R.CompileSeconds = Outcome.CompileSeconds;
   R.CacheTier = static_cast<uint8_t>(Outcome.Tier);
+  std::string_view Wqasm;
   switch (Outcome.State) {
   case core::JobState::Completed:
     R.Code = ResponseCode::Ok;
     R.Pulses = Outcome.Metrics.Pulses;
-    R.Wqasm = std::move(Outcome.Wqasm);
+    Wqasm = Outcome.Wqasm;
     break;
   case core::JobState::Cancelled:
     R.Code = Outcome.DeadlineExceeded ? ResponseCode::DeadlineExceeded
@@ -76,7 +77,7 @@ ResultFrame Server::resultFromOutcome(uint64_t RequestId,
     R.Diagnostic = Outcome.Diagnostic;
     break;
   }
-  return R;
+  return encodeResult(R, Wqasm);
 }
 
 void Server::queueOrDrop(Client &C, std::string Bytes) {
@@ -93,8 +94,8 @@ void Server::queueOrDrop(Client &C, std::string Bytes) {
   ++Stats.SlowClientDrops;
 }
 
-void Server::sendResult(Client &C, const ResultFrame &R) {
-  queueOrDrop(C, encodeResult(R));
+void Server::sendResult(Client &C, std::string Frame) {
+  queueOrDrop(C, std::move(Frame));
   std::lock_guard<std::mutex> Lock(StatsMutex);
   ++Stats.ResultsSent;
 }
@@ -156,7 +157,7 @@ void Server::handleCompile(Client &C, const Frame &F) {
     R.RequestId = Req.RequestId;
     R.Code = ResponseCode::GoingAway;
     R.Diagnostic = "server is draining";
-    sendResult(C, R);
+    sendResult(C, encodeResult(R));
     return;
   }
   if (C.InFlight.count(Req.RequestId)) {
@@ -175,7 +176,7 @@ void Server::handleCompile(Client &C, const Frame &F) {
     R.Code = ResponseCode::RetryLater;
     R.BackoffMs = suggestedBackoffMs();
     R.Diagnostic = "per-connection in-flight limit reached";
-    sendResult(C, R);
+    sendResult(C, encodeResult(R));
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Stats.Shed;
     return;
@@ -193,7 +194,7 @@ void Server::handleCompile(Client &C, const Frame &F) {
       R.RequestId = Req.RequestId;
       R.Code = ResponseCode::Failed;
       R.Diagnostic = Parsed.message();
-      sendResult(C, R);
+      sendResult(C, encodeResult(R));
       return;
     }
     Job.Formula = Parsed.take();
@@ -209,10 +210,14 @@ void Server::handleCompile(Client &C, const Frame &F) {
 
   uint64_t ConnId = C.Conn.id();
   uint64_t RequestId = Req.RequestId;
+  // Runs on the worker that finished the job: the result frame is
+  // encoded there, straight from the outcome's program text, and the poll
+  // thread only routes the bytes.
   auto Cb = [this, ConnId, RequestId](const core::JobOutcome &Outcome) {
+    std::string Frame = encodeOutcome(RequestId, Outcome);
     {
       std::lock_guard<std::mutex> Lock(CompletionMutex);
-      Completions.push_back({ConnId, RequestId, Outcome});
+      Completions.push_back({ConnId, RequestId, std::move(Frame)});
     }
     if (Wake)
       Wake->notify();
@@ -233,7 +238,7 @@ void Server::handleCompile(Client &C, const Frame &F) {
     R.Code = ResponseCode::RetryLater;
     R.BackoffMs = suggestedBackoffMs();
     R.Diagnostic = "job queue full";
-    sendResult(C, R);
+    sendResult(C, encodeResult(R));
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Stats.Shed;
     return;
@@ -243,7 +248,7 @@ void Server::handleCompile(Client &C, const Frame &F) {
     R.RequestId = RequestId;
     R.Code = ResponseCode::GoingAway;
     R.Diagnostic = "service shut down";
-    sendResult(C, R);
+    sendResult(C, encodeResult(R));
     return;
   }
   }
@@ -327,7 +332,7 @@ void Server::drainCompletions() {
       continue;
     }
     C->InFlight.erase(Done.RequestId);
-    sendResult(*C, resultFromOutcome(Done.RequestId, std::move(Done.Outcome)));
+    sendResult(*C, std::move(Done.Frame));
   }
 }
 

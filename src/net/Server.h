@@ -148,11 +148,12 @@ private:
     bool Dead = false;
   };
 
-  /// One resolved job travelling from a worker thread to the poll loop.
+  /// One resolved job travelling from a worker thread to the poll loop:
+  /// its result frame, encoded on the worker.
   struct Completion {
     uint64_t ConnId = 0;
     uint64_t RequestId = 0;
-    core::JobOutcome Outcome;
+    std::string Frame;
   };
 
   void acceptPending();
@@ -163,13 +164,15 @@ private:
   void handleCompile(Client &C, const Frame &F);
   StatsFrame buildStats();
   void beginDrain();
-  void sendResult(Client &C, const ResultFrame &R);
+  /// Queues an encoded result frame on \p C and counts it sent.
+  void sendResult(Client &C, std::string Frame);
   /// Queues a frame on \p C, or marks it for disconnect on overflow.
   void queueOrDrop(Client &C, std::string Bytes);
   uint32_t suggestedBackoffMs() const;
-  /// Moves the program text out of \p Outcome, which the poll thread owns.
-  static ResultFrame resultFromOutcome(uint64_t RequestId,
-                                       core::JobOutcome &&Outcome);
+  /// The result frame of \p Outcome, its program text copied once, from
+  /// the outcome into the frame.
+  static std::string encodeOutcome(uint64_t RequestId,
+                                   const core::JobOutcome &Outcome);
 
   ServerOptions Options;
   FdHandle ListenFd;

@@ -8,6 +8,11 @@
 
 #include "support/TextWriter.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+
 using namespace weaver;
 using namespace weaver::qasm;
 
@@ -37,7 +42,7 @@ namespace {
 
 /// Writes " [v0, v1, ...]": lengths in micrometres, anything else (row and
 /// column indices) as integers.
-void writeList(TextWriter &W, const std::vector<int32_t> &Vals, bool Lengths) {
+void writeList(TextWriter &W, Span<const int32_t> Vals, bool Lengths) {
   W << " [";
   for (size_t I = 0; I < Vals.size(); ++I) {
     if (I)
@@ -57,16 +62,16 @@ void qasm::appendAnnotation(TextWriter &W, const Annotation &A) {
   switch (A.Kind) {
   case AnnotationKind::Slm:
     W << " [";
-    for (size_t I = 0; I < A.TrapPositions.size(); ++I) {
+    for (size_t I = 0; I < A.numTraps(); ++I) {
       W << (I ? ", (" : "(");
-      W.microns(A.TrapPositions[I].X) << ", ";
-      W.microns(A.TrapPositions[I].Y) << ')';
+      W.microns(A.trap(I).X) << ", ";
+      W.microns(A.trap(I).Y) << ')';
     }
     W << ']';
     break;
   case AnnotationKind::Aod:
-    writeList(W, A.AodXs, /*Lengths=*/true);
-    writeList(W, A.AodYs, /*Lengths=*/true);
+    writeList(W, A.aodXs(), /*Lengths=*/true);
+    writeList(W, A.aodYs(), /*Lengths=*/true);
     break;
   case AnnotationKind::Bind:
     if (A.BindToSlm)
@@ -83,8 +88,8 @@ void qasm::appendAnnotation(TextWriter &W, const Annotation &A) {
     break;
   case AnnotationKind::ShuttleParallel:
     W << (A.ShuttleRow ? " rows" : " columns");
-    writeList(W, A.ShuttleIndices, /*Lengths=*/false);
-    writeList(W, A.ShuttleOffsets, /*Lengths=*/true);
+    writeList(W, A.shuttleIndices(), /*Lengths=*/false);
+    writeList(W, A.shuttleOffsets(), /*Lengths=*/true);
     break;
   case AnnotationKind::RamanGlobal:
     W << " global " << A.AngleX << ' ' << A.AngleY << ' ' << A.AngleZ;
@@ -103,18 +108,46 @@ std::string Annotation::str() const {
       [this](TextWriter &W) { appendAnnotation(W, *this); });
 }
 
+Annotation::Payload::Payload(const int32_t *Values, size_t Size,
+                             size_t Split) {
+  assert(Split <= Size && "payload split past its end");
+  if (Size == 0)
+    return;
+  Block.reset(new int32_t[HeaderWords + Size]);
+  std::memcpy(Block.get(), &Size, sizeof(Size));
+  std::memcpy(Block.get() + HeaderWords / 2, &Split, sizeof(Split));
+  std::copy(Values, Values + Size, Block.get() + HeaderWords);
+}
+
+namespace {
+
+/// \p First then \p Second as one payload of \p A.
+void setTwoLists(Annotation &A, std::vector<int32_t> First,
+                 const std::vector<int32_t> &Second) {
+  size_t Split = First.size();
+  First.insert(First.end(), Second.begin(), Second.end());
+  A.setPayload(First.data(), First.size(), Split);
+}
+
+} // namespace
+
 Annotation Annotation::slm(std::vector<Vec2> Traps) {
   Annotation A;
   A.Kind = AnnotationKind::Slm;
-  A.TrapPositions = std::move(Traps);
+  std::vector<int32_t> Values;
+  Values.reserve(2 * Traps.size());
+  for (Vec2 P : Traps) {
+    Values.push_back(P.X);
+    Values.push_back(P.Y);
+  }
+  A.setPayload(Values.data(), Values.size());
   return A;
 }
 
 Annotation Annotation::aod(std::vector<int32_t> Xs, std::vector<int32_t> Ys) {
   Annotation A;
   A.Kind = AnnotationKind::Aod;
-  A.AodXs = std::move(Xs);
-  A.AodYs = std::move(Ys);
+  setTwoLists(A, std::move(Xs), Ys);
   return A;
 }
 
@@ -160,8 +193,7 @@ Annotation Annotation::shuttleParallel(bool Rows, std::vector<int> Indices,
   Annotation A;
   A.Kind = AnnotationKind::ShuttleParallel;
   A.ShuttleRow = Rows;
-  A.ShuttleIndices = std::move(Indices);
-  A.ShuttleOffsets = std::move(OffsetsNm);
+  setTwoLists(A, std::move(Indices), OffsetsNm);
   return A;
 }
 

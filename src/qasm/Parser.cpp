@@ -82,12 +82,11 @@ private:
   bool parseMeasure();
   bool parseBarrier();
   bool parseAnnotation();
-  void addStatement(const Gate &G);
 
   bool parseInt(int &Out);
   bool parseSignedNumber(double &Out);
   bool parseLength(int32_t &Out);
-  bool parseIntList(std::vector<int> &Out);
+  bool parseIntList(std::vector<int32_t> &Out);
   bool parseLengthList(std::vector<int32_t> &Out);
   bool parseRegisterRef(const RegisterMap &Regs, const char *Unit,
                         const char *Kind, int &FlatIndex);
@@ -108,7 +107,9 @@ private:
   Lexer Lex;
   Token Tok; ///< the lookahead
   WqasmProgram Program;
-  std::vector<Annotation> PendingAnnotations;
+  /// The list values of the annotation being parsed, laid out as its
+  /// payload; reused across annotations.
+  std::vector<int32_t> Values;
   std::string ErrorMessage;
 };
 
@@ -116,7 +117,6 @@ Expected<WqasmProgram> Parser::run() {
   while (!peek().is(TokenKind::EndOfFile))
     if (!parseStatement())
       return Expected<WqasmProgram>::error(ErrorMessage);
-  Program.TrailingAnnotations = std::move(PendingAnnotations);
   return std::move(Program);
 }
 
@@ -249,8 +249,8 @@ bool Parser::parseLength(int32_t &Out) {
 }
 
 // '[' v (',' v)* ']' with optional commas, shared by every bracketed
-// annotation list.
-bool Parser::parseIntList(std::vector<int> &Out) {
+// annotation list. Both append to \p Out.
+bool Parser::parseIntList(std::vector<int32_t> &Out) {
   if (!expectPunct('['))
     return false;
   while (!peek().isPunct(']')) {
@@ -432,13 +432,8 @@ bool Parser::parseGateCall(std::string_view Name) {
       if (Qubits[I] == Qubits[J])
         return fail("duplicate qubit operand in gate '" + std::string(Name) +
                     "'");
-  addStatement(Gate::fromStorage(Kind, Qubits, Params));
+  Program.addStatement(Gate::fromStorage(Kind, Qubits, Params));
   return true;
-}
-
-void Parser::addStatement(const Gate &G) {
-  Program.Statements.push_back({G, std::move(PendingAnnotations)});
-  PendingAnnotations.clear();
 }
 
 bool Parser::parseMeasure() {
@@ -456,7 +451,7 @@ bool Parser::parseMeasure() {
   }
   if (!expectPunct(';'))
     return false;
-  addStatement(Gate(GateKind::Measure, {Qubit}));
+  Program.addStatement(Gate(GateKind::Measure, {Qubit}));
   return true;
 }
 
@@ -471,17 +466,19 @@ bool Parser::parseBarrier() {
       advance();
   }
   advance(); // ';'
-  addStatement(Gate(GateKind::Barrier, {}));
+  Program.addStatement(Gate(GateKind::Barrier, {}));
   return true;
 }
 
 bool Parser::parseAnnotation() {
   std::string_view Keyword = advance().Text;
   Annotation A;
+  Values.clear();
+  size_t Split = 0; // where the payload's second list starts
   if (Keyword == "slm") {
     if (!expectPunct('['))
       return false;
-    std::vector<Vec2> Traps;
+    A.Kind = AnnotationKind::Slm;
     while (!peek().isPunct(']')) {
       if (!expectPunct('('))
         return false;
@@ -494,17 +491,19 @@ bool Parser::parseAnnotation() {
         return false;
       if (!expectPunct(')'))
         return false;
-      Traps.push_back(Vec2{X, Y});
+      Values.push_back(X);
+      Values.push_back(Y);
       if (peek().isPunct(','))
         advance();
     }
     advance(); // ']'
-    A = Annotation::slm(std::move(Traps));
   } else if (Keyword == "aod") {
-    std::vector<int32_t> Xs, Ys;
-    if (!parseLengthList(Xs) || !parseLengthList(Ys))
+    A.Kind = AnnotationKind::Aod;
+    if (!parseLengthList(Values))
       return false;
-    A = Annotation::aod(std::move(Xs), std::move(Ys));
+    Split = Values.size();
+    if (!parseLengthList(Values))
+      return false;
   } else if (Keyword == "bind") {
     int Qubit;
     if (!parseQubitRefOrIndex(Qubit))
@@ -555,14 +554,15 @@ bool Parser::parseAnnotation() {
     advance();
     if (Parallel) {
       // @shuttle rows|columns [i0, i1, ...] [off0, off1, ...]
-      std::vector<int> Indices;
-      std::vector<int32_t> Offsets;
-      if (!parseIntList(Indices) || !parseLengthList(Offsets))
+      A.Kind = AnnotationKind::ShuttleParallel;
+      A.ShuttleRow = Row;
+      if (!parseIntList(Values))
         return false;
-      if (Indices.size() != Offsets.size())
+      Split = Values.size();
+      if (!parseLengthList(Values))
+        return false;
+      if (Values.size() != 2 * Split)
         return fail("@shuttle parallel form needs one offset per index");
-      A = Annotation::shuttleParallel(Row, std::move(Indices),
-                                      std::move(Offsets));
     } else {
       int Index;
       int32_t Offset;
@@ -593,7 +593,8 @@ bool Parser::parseAnnotation() {
   } else {
     return fail("unknown annotation '@" + std::string(Keyword) + "'");
   }
-  PendingAnnotations.push_back(std::move(A));
+  A.setPayload(Values.data(), Values.size(), Split);
+  Program.Annotations.push_back(std::move(A));
   return true;
 }
 

@@ -41,17 +41,17 @@ std::string qasm::printOpenQasm(const Circuit &C) {
 std::string qasm::printWqasm(const WqasmProgram &Program) {
   return TextWriter::render([&](TextWriter &W) {
     printHeader(W, Program.Version, Program.NumQubits, Program.NumBits);
-    for (const GateStatement &S : Program.Statements) {
-      for (const Annotation &A : S.Annotations) {
+    auto PrintAll = [&](Span<const Annotation> Range) {
+      for (const Annotation &A : Range) {
         appendAnnotation(W, A);
         W << '\n';
       }
-      circuit::appendGate(W, S.Gate);
+    };
+    for (size_t S = 0; S < Program.Statements.size(); ++S) {
+      PrintAll(Program.annotationsOf(S));
+      circuit::appendGate(W, Program.Statements[S].Gate);
       W << ";\n";
     }
-    for (const Annotation &A : Program.TrailingAnnotations) {
-      appendAnnotation(W, A);
-      W << '\n';
-    }
+    PrintAll(Program.trailingAnnotations());
   });
 }

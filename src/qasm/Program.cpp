@@ -21,13 +21,6 @@ WqasmProgram WqasmProgram::fromCircuit(const circuit::Circuit &C) {
   P.NumQubits = C.numQubits();
   P.NumBits = static_cast<int>(C.count(circuit::GateKind::Measure));
   for (const circuit::Gate &G : C)
-    P.Statements.push_back(GateStatement{G, {}});
+    P.addStatement(G);
   return P;
-}
-
-size_t WqasmProgram::numAnnotations() const {
-  size_t N = TrailingAnnotations.size();
-  for (const GateStatement &S : Statements)
-    N += S.Annotations.size();
-  return N;
 }

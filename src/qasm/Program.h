@@ -11,6 +11,16 @@
 /// OpenQASM statement). Ignoring the annotations yields a plain OpenQASM
 /// program that can be retargeted to other architectures.
 ///
+/// The program is flat. Every annotation sits in one array in execution
+/// order, the order the device runs the pulse stream in, and a statement
+/// is its gate plus the end of its range: statement S owns
+/// Annotations[end(S-1), end(S)), and the annotations from the last
+/// statement's end on are the trailing ones. A statement is 48 bytes and
+/// an annotation 64; of the annotation forms only @slm, @aod and
+/// @shuttle rows|columns own a heap payload (see qasm/Annotation.h), so a
+/// copy of a program allocates its two arrays plus one block per such
+/// annotation.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WEAVER_QASM_PROGRAM_H
@@ -18,6 +28,7 @@
 
 #include "circuit/Circuit.h"
 #include "qasm/Annotation.h"
+#include "support/Span.h"
 
 #include <string>
 #include <vector>
@@ -25,11 +36,13 @@
 namespace weaver {
 namespace qasm {
 
-/// One OpenQASM statement (a gate, measurement or barrier) plus the wQASM
-/// annotations that precede it.
+/// One OpenQASM statement (a gate, measurement or barrier); the wQASM
+/// annotations that precede it are its range of WqasmProgram::Annotations.
 struct GateStatement {
   circuit::Gate Gate;
-  std::vector<Annotation> Annotations;
+  /// One past the statement's last annotation. Ends never decrease and
+  /// never exceed the annotation count.
+  size_t AnnotationsEnd = 0;
 };
 
 /// A parsed wQASM (or plain OpenQASM) program over one flat qubit register.
@@ -38,9 +51,31 @@ struct WqasmProgram {
   int NumQubits = 0;
   int NumBits = 0;
   std::vector<GateStatement> Statements;
-  /// Annotations appearing after the last statement (rare; kept for
-  /// round-trip fidelity).
-  std::vector<Annotation> TrailingAnnotations;
+  /// Every annotation in execution order (see the file comment).
+  std::vector<Annotation> Annotations;
+
+  /// Appends \p G as a statement owning every annotation appended since
+  /// the previous statement.
+  void addStatement(const circuit::Gate &G) {
+    Statements.push_back({G, Annotations.size()});
+  }
+
+  /// Index of statement \p S's first annotation; for S == the statement
+  /// count, the first trailing one.
+  size_t annotationsBegin(size_t S) const {
+    return S == 0 ? 0 : Statements[S - 1].AnnotationsEnd;
+  }
+  /// The annotations that precede statement \p S.
+  Span<const Annotation> annotationsOf(size_t S) const {
+    size_t Begin = annotationsBegin(S);
+    return {Annotations.data() + Begin, Statements[S].AnnotationsEnd - Begin};
+  }
+  /// The annotations after the last statement (rare; kept for round-trip
+  /// fidelity).
+  Span<const Annotation> trailingAnnotations() const {
+    size_t Begin = annotationsBegin(Statements.size());
+    return {Annotations.data() + Begin, Annotations.size() - Begin};
+  }
 
   /// Drops the annotations and returns the logical circuit — the
   /// "treat wQASM like regular OpenQASM" path of §4.2.
@@ -49,71 +84,7 @@ struct WqasmProgram {
   /// Wraps a circuit into an annotation-free program.
   static WqasmProgram fromCircuit(const circuit::Circuit &C);
 
-  /// Total number of annotations across all statements.
-  size_t numAnnotations() const;
-};
-
-/// Zero-copy forward range over every annotation of a program in execution
-/// order — each statement's annotations, then the trailing ones. This is
-/// the order the device executes the pulse stream in (§4.2); replay-style
-/// consumers iterate it directly instead of materialising a flattened
-/// copy of the stream.
-class AnnotationView {
-public:
-  explicit AnnotationView(const WqasmProgram &Program) : Program(&Program) {}
-
-  class Iterator {
-  public:
-    Iterator(const WqasmProgram *Program, size_t Segment, size_t Index)
-        : Program(Program), Segment(Segment), Index(Index) {
-      skipExhausted();
-    }
-
-    const Annotation &operator*() const { return segment(Segment)[Index]; }
-    const Annotation *operator->() const { return &**this; }
-
-    Iterator &operator++() {
-      ++Index;
-      skipExhausted();
-      return *this;
-    }
-
-    friend bool operator==(const Iterator &A, const Iterator &B) {
-      return A.Segment == B.Segment && A.Index == B.Index;
-    }
-    friend bool operator!=(const Iterator &A, const Iterator &B) {
-      return !(A == B);
-    }
-
-  private:
-    /// Segment \p S is statement S's annotation list; the one-past-last
-    /// segment is the trailing list.
-    const std::vector<Annotation> &segment(size_t S) const {
-      return S < Program->Statements.size()
-                 ? Program->Statements[S].Annotations
-                 : Program->TrailingAnnotations;
-    }
-    void skipExhausted() {
-      while (Segment <= Program->Statements.size() &&
-             Index >= segment(Segment).size()) {
-        ++Segment;
-        Index = 0;
-      }
-    }
-
-    const WqasmProgram *Program;
-    size_t Segment;
-    size_t Index;
-  };
-
-  Iterator begin() const { return Iterator(Program, 0, 0); }
-  Iterator end() const {
-    return Iterator(Program, Program->Statements.size() + 1, 0);
-  }
-  size_t size() const { return Program->numAnnotations(); }
-
-private:
-  const WqasmProgram *Program;
+  size_t numAnnotations() const { return Annotations.size(); }
 };
 
 } // namespace qasm

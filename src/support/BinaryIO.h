@@ -29,6 +29,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace weaver {
@@ -55,7 +56,7 @@ public:
     std::memcpy(&Bits, &V, sizeof(Bits));
     writeU64(Bits);
   }
-  void writeString(const std::string &S) {
+  void writeString(std::string_view S) {
     writeU64(S.size());
     Buf += S;
   }

@@ -384,14 +384,13 @@ TEST(WChecker, DetectsWrongRamanAngle) {
   auto R = compileWeaver(paperExample(), Opt);
   ASSERT_TRUE(R.ok());
   qasm::WqasmProgram Tampered = R->Program;
-  for (auto &S : Tampered.Statements)
-    for (auto &A : S.Annotations)
-      if (A.Kind == qasm::AnnotationKind::RamanLocal) {
-        A.AngleX += 0.1;
-        CheckReport Report = checkWqasm(Tampered, Opt.Hw);
-        EXPECT_FALSE(Report.StructuralOk);
-        return;
-      }
+  for (auto &A : Tampered.Annotations)
+    if (A.Kind == qasm::AnnotationKind::RamanLocal) {
+      A.AngleX += 0.1;
+      CheckReport Report = checkWqasm(Tampered, Opt.Hw);
+      EXPECT_FALSE(Report.StructuralOk);
+      return;
+    }
   FAIL() << "no local Raman annotation found";
 }
 
@@ -400,14 +399,20 @@ TEST(WChecker, DetectsMissingPulse) {
   auto R = compileWeaver(paperExample(), Opt);
   ASSERT_TRUE(R.ok());
   qasm::WqasmProgram Tampered = R->Program;
-  for (auto &S : Tampered.Statements)
-    if (!S.Annotations.empty() &&
-        S.Annotations.back().Kind == qasm::AnnotationKind::Rydberg) {
-      S.Annotations.pop_back();
+  auto &Stmts = Tampered.Statements;
+  for (size_t S = 0; S < Stmts.size(); ++S) {
+    size_t End = Stmts[S].AnnotationsEnd;
+    if (End > Tampered.annotationsBegin(S) &&
+        Tampered.Annotations[End - 1].Kind == qasm::AnnotationKind::Rydberg) {
+      // Drop the statement's last annotation; later ranges shift down.
+      Tampered.Annotations.erase(Tampered.Annotations.begin() + (End - 1));
+      for (size_t Later = S; Later < Stmts.size(); ++Later)
+        --Stmts[Later].AnnotationsEnd;
       CheckReport Report = checkWqasm(Tampered, Opt.Hw);
       EXPECT_FALSE(Report.StructuralOk);
       return;
     }
+  }
   FAIL() << "no Rydberg annotation found";
 }
 
@@ -416,8 +421,11 @@ TEST(WChecker, DetectsExtraLogicalGate) {
   auto R = compileWeaver(paperExample(), Opt);
   ASSERT_TRUE(R.ok());
   qasm::WqasmProgram Tampered = R->Program;
-  Tampered.Statements.push_back(
-      qasm::GateStatement{circuit::Gate(circuit::GateKind::H, {0}), {}});
+  // An extra last statement with no annotations: its range ends where
+  // the trailing annotations begin.
+  Tampered.Statements.push_back(qasm::GateStatement{
+      circuit::Gate(circuit::GateKind::H, {0}),
+      Tampered.annotationsBegin(Tampered.Statements.size())});
   CheckReport Report = checkWqasm(Tampered, Opt.Hw);
   EXPECT_FALSE(Report.StructuralOk);
 }
@@ -429,7 +437,7 @@ static qasm::WqasmProgram
 parallelShuttleProgram(std::vector<int> Indices,
                        std::vector<int32_t> Offsets) {
   qasm::WqasmProgram P;
-  P.TrailingAnnotations = {
+  P.Annotations = {
       qasm::Annotation::aod({0, 5000, 10000}, {2000}),
       qasm::Annotation::shuttleParallel(false, std::move(Indices),
                                         std::move(Offsets))};

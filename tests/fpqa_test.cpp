@@ -34,7 +34,7 @@ FpqaDevice makeLoadedDevice(const HardwareParams &P = HardwareParams()) {
 /// A program whose annotations all sit in the trailing block.
 qasm::WqasmProgram trailingProgram(std::vector<Annotation> Annotations) {
   qasm::WqasmProgram P;
-  P.TrailingAnnotations = std::move(Annotations);
+  P.Annotations = std::move(Annotations);
   return P;
 }
 
@@ -914,14 +914,10 @@ TEST(Analysis, StatementPlacementDoesNotChangeReplay) {
     for (size_t Second = First; Second <= Stream.size(); ++Second) {
       qasm::WqasmProgram Program;
       Program.NumQubits = 3;
-      Program.Statements.push_back(
-          {Gate(GateKind::H, {0}),
-           {Stream.begin(), Stream.begin() + First}});
-      Program.Statements.push_back({Gate(GateKind::H, {1}), {}});
-      Program.Statements.push_back(
-          {Gate(GateKind::X, {0}),
-           {Stream.begin() + First, Stream.begin() + Second}});
-      Program.TrailingAnnotations = {Stream.begin() + Second, Stream.end()};
+      Program.Annotations = Stream;
+      Program.Statements.push_back({Gate(GateKind::H, {0}), First});
+      Program.Statements.push_back({Gate(GateKind::H, {1}), First});
+      Program.Statements.push_back({Gate(GateKind::X, {0}), Second});
       auto Spread = analyzePulseProgram(Program, P);
       ASSERT_TRUE(Spread.ok()) << Spread.message();
       EXPECT_EQ(Spread->RamanLocalPulses, Flat->RamanLocalPulses);

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
@@ -374,6 +375,53 @@ TEST(PassCachePersist, ForgedChecksumOverGarbageNeverCrashes) {
   }
   // Most flips land in the template blob, past the index.
   EXPECT_GT(Loaded, 0);
+}
+
+TEST(PassCachePersist, ListOutsideTheRecordKindFailsThePayloadAsAMiss) {
+  // Format v3 writes five lists per annotation record; the in-memory
+  // payload only has room for the lists of the record's kind. A resealed
+  // file whose @slm record is relabelled @raman global (a Raman
+  // annotation with a trap list) must fail that template's payload, so
+  // the compile misses and runs cold — never a crash, never a hit.
+  std::string DirPath = testTempDir();
+  CnfFormula F = testFormula();
+  PassCache Writer;
+  populate(Writer, F);
+  ASSERT_FALSE(Writer.saveSnapshot(DirPath + "/good.bin"));
+  std::vector<uint8_t> Bytes = readFileBytes(DirPath + "/good.bin");
+
+  // The program's first annotation is the @slm record: the kind byte,
+  // the trap count, then each trap's x and y as i64.
+  auto Cold = compileWeaver(F, sweepPoint(0.7, 0.3, nullptr));
+  ASSERT_TRUE(Cold.ok()) << Cold.message();
+  const qasm::Annotation &Slm = Cold->Program.Annotations.front();
+  ASSERT_EQ(Slm.Kind, qasm::AnnotationKind::Slm);
+  ASSERT_GT(Slm.numTraps(), 0u);
+  BinaryWriter Record;
+  Record.writeU8(static_cast<uint8_t>(Slm.Kind));
+  Record.writeU64(Slm.numTraps());
+  for (size_t I = 0; I < Slm.numTraps(); ++I) {
+    Record.writeI64(Slm.trap(I).X);
+    Record.writeI64(Slm.trap(I).Y);
+  }
+  std::vector<uint8_t> Pattern(Record.bytes().begin(), Record.bytes().end());
+  auto At = std::search(Bytes.begin(), Bytes.end(), Pattern.begin(),
+                        Pattern.end());
+  ASSERT_NE(At, Bytes.end());
+  ASSERT_EQ(std::search(At + 1, Bytes.end(), Pattern.begin(), Pattern.end()),
+            Bytes.end());
+  *At = static_cast<uint8_t>(qasm::AnnotationKind::RamanGlobal);
+  resealChecksum(Bytes);
+  std::string Path = DirPath + "/raman-with-traps.bin";
+  writeFileBytes(Path, Bytes);
+
+  PassCache Cache;
+  ASSERT_FALSE(Cache.loadSnapshot(Path)); // the key index is intact
+  EXPECT_EQ(compileToText(F, sweepPoint(0.7, 0.3, &Cache)),
+            qasm::printWqasm(Cold->Program));
+  PassCache::CacheStats S = Cache.stats();
+  EXPECT_EQ(S.ProgramHits, 0u);
+  EXPECT_EQ(S.ProgramMisses, 1u);
 }
 
 // --- Concurrency ---------------------------------------------------------

@@ -558,9 +558,9 @@ TEST(GateLoweringPass, BoundaryShuttleEmissionIsLinearInColumns) {
     auto R = compileWeaver(F, WeaverOptions());
     ASSERT_TRUE(R.ok()) << R.message();
     size_t Columns = 0;
-    for (const qasm::Annotation &A : R->Program.Statements[0].Annotations)
+    for (const qasm::Annotation &A : R->Program.annotationsOf(0))
       if (A.Kind == qasm::AnnotationKind::Aod)
-        Columns = A.AodXs.size();
+        Columns = A.aodXs().size();
     ASSERT_GT(Columns, 0u);
     size_t Boundaries = static_cast<size_t>(R->Coloring.numColors());
     EXPECT_LE(R->Stats.ShuttleAnnotations, Columns * Boundaries)

@@ -25,6 +25,11 @@ using circuit::GateKind;
 
 namespace {
 
+/// The elements of an annotation payload list, to compare with a vector.
+std::vector<int32_t> values(Span<const int32_t> List) {
+  return {List.begin(), List.end()};
+}
+
 /// Pulls tokens until the end of input or the first error, returning the
 /// last one pulled.
 Token drain(Lexer &L) {
@@ -238,7 +243,7 @@ TEST(Parser, RejectsNonIntegerOperands) {
   }
   auto P = parseWqasm("qubit[2] q;\n@bind q[1] slm 2147483647\nh q[01];\n");
   ASSERT_TRUE(P.ok()) << P.message();
-  EXPECT_EQ(P->Statements[0].Annotations[0].SlmIndex, 2147483647);
+  EXPECT_EQ(P->annotationsOf(0)[0].SlmIndex, 2147483647);
   EXPECT_EQ(P->Statements[0].Gate.qubit(0), 1);
 }
 
@@ -295,8 +300,8 @@ TEST(Wqasm, RejectsBareQubitIndicesPastTheDeclaredCount) {
   auto P = parseWqasm("qubit[2] q;\n@bind 1 slm 0\n@raman local 1 0 0 0\n"
                       "h q[0];\n");
   ASSERT_TRUE(P.ok()) << P.message();
-  EXPECT_EQ(P->Statements[0].Annotations[0].Qubit, 1);
-  EXPECT_EQ(P->Statements[0].Annotations[1].Qubit, 1);
+  EXPECT_EQ(P->annotationsOf(0)[0].Qubit, 1);
+  EXPECT_EQ(P->annotationsOf(0)[1].Qubit, 1);
 }
 
 // --- wQASM annotations -------------------------------------------------------
@@ -316,11 +321,11 @@ TEST(Wqasm, ParsesAllAnnotationForms) {
                       "x q[0];\n");
   ASSERT_TRUE(P.ok()) << P.message();
   ASSERT_EQ(P->Statements.size(), 1u);
-  const auto &Anns = P->Statements[0].Annotations;
+  Span<const Annotation> Anns = P->annotationsOf(0);
   ASSERT_EQ(Anns.size(), 10u);
   EXPECT_EQ(Anns[0].Kind, AnnotationKind::Slm);
-  EXPECT_EQ(Anns[0].TrapPositions.size(), 2u);
-  EXPECT_EQ(Anns[1].AodXs.size(), 2u);
+  EXPECT_EQ(Anns[0].numTraps(), 2u);
+  EXPECT_EQ(Anns[1].aodXs().size(), 2u);
   EXPECT_TRUE(Anns[2].BindToSlm);
   EXPECT_FALSE(Anns[3].BindToSlm);
   EXPECT_EQ(Anns[4].SlmIndex, 1);
@@ -340,16 +345,17 @@ TEST(Wqasm, ParsesParallelShuttleForms) {
                       "@shuttle rows [1] [-4]\n"
                       "x q[0];\n");
   ASSERT_TRUE(P.ok()) << P.message();
-  const auto &Anns = P->Statements[0].Annotations;
+  Span<const Annotation> Anns = P->annotationsOf(0);
   ASSERT_EQ(Anns.size(), 2u);
   EXPECT_EQ(Anns[0].Kind, AnnotationKind::ShuttleParallel);
   EXPECT_FALSE(Anns[0].ShuttleRow);
-  EXPECT_EQ(Anns[0].ShuttleIndices, (std::vector<int>{0, 2, 3}));
-  EXPECT_EQ(Anns[0].ShuttleOffsets, (std::vector<int32_t>{5000, -1500, 2000}));
+  EXPECT_EQ(values(Anns[0].shuttleIndices()), (std::vector<int>{0, 2, 3}));
+  EXPECT_EQ(values(Anns[0].shuttleOffsets()),
+            (std::vector<int32_t>{5000, -1500, 2000}));
   EXPECT_EQ(Anns[1].Kind, AnnotationKind::ShuttleParallel);
   EXPECT_TRUE(Anns[1].ShuttleRow);
-  EXPECT_EQ(Anns[1].ShuttleIndices, (std::vector<int>{1}));
-  EXPECT_EQ(Anns[1].ShuttleOffsets, (std::vector<int32_t>{-4000}));
+  EXPECT_EQ(values(Anns[1].shuttleIndices()), (std::vector<int>{1}));
+  EXPECT_EQ(values(Anns[1].shuttleOffsets()), (std::vector<int32_t>{-4000}));
 }
 
 TEST(Wqasm, RejectsLengthsOffTheNanometreLattice) {
@@ -367,10 +373,10 @@ TEST(Wqasm, RejectsLengthsOffTheNanometreLattice) {
   auto P = parseWqasm("qubit[1] q;\n@shuttle row 0 -1000000\n"
                       "@aod [-0.001, 1000000] [19.732]\nh q[0];\n");
   ASSERT_TRUE(P.ok()) << P.message();
-  const auto &Anns = P->Statements[0].Annotations;
+  Span<const Annotation> Anns = P->annotationsOf(0);
   EXPECT_EQ(Anns[0].Offset, -1000000000);
-  EXPECT_EQ(Anns[1].AodXs, (std::vector<int32_t>{-1, 1000000000}));
-  EXPECT_EQ(Anns[1].AodYs, (std::vector<int32_t>{19732}));
+  EXPECT_EQ(values(Anns[1].aodXs()), (std::vector<int32_t>{-1, 1000000000}));
+  EXPECT_EQ(values(Anns[1].aodYs()), (std::vector<int32_t>{19732}));
 }
 
 TEST(Wqasm, RejectsParallelShuttleArityMismatch) {
@@ -382,7 +388,7 @@ TEST(Wqasm, RejectsParallelShuttleArityMismatch) {
 TEST(Wqasm, TrailingAnnotationsPreserved) {
   auto P = parseWqasm("qubit[1] q;\nh q[0];\n@shuttle row 0 1\n");
   ASSERT_TRUE(P.ok()) << P.message();
-  EXPECT_EQ(P->TrailingAnnotations.size(), 1u);
+  EXPECT_EQ(P->trailingAnnotations().size(), 1u);
 }
 
 TEST(Wqasm, RejectsUnknownAnnotation) {
@@ -406,8 +412,8 @@ TEST(Wqasm, AnnotationStrRoundTrips) {
     std::string Source = std::string("qubit[9] q;\n") + Line + "\nh q[0];\n";
     auto P = parseWqasm(Source);
     ASSERT_TRUE(P.ok()) << Line << ": " << P.message();
-    ASSERT_EQ(P->Statements[0].Annotations.size(), 1u) << Line;
-    EXPECT_EQ(P->Statements[0].Annotations[0].str(), Line);
+    ASSERT_EQ(P->annotationsOf(0).size(), 1u) << Line;
+    EXPECT_EQ(P->annotationsOf(0)[0].str(), Line);
   }
 }
 
@@ -494,8 +500,7 @@ void appendAll(std::string &Out, const Ts &...Parts) {
 
 /// Appends " [v0, v1, ...]": lengths in micrometres, anything else (row
 /// and column indices) as integers.
-void appendList(std::string &Out, const std::vector<int32_t> &Vals,
-                bool Lengths) {
+void appendList(std::string &Out, Span<const int32_t> Vals, bool Lengths) {
   Out += " [";
   for (size_t I = 0; I < Vals.size(); ++I) {
     if (I)
@@ -513,18 +518,18 @@ void appendAnnotation(std::string &Out, const Annotation &A) {
   switch (A.Kind) {
   case AnnotationKind::Slm:
     Out += " [";
-    for (size_t I = 0; I < A.TrapPositions.size(); ++I) {
+    for (size_t I = 0; I < A.numTraps(); ++I) {
       Out += I ? ", (" : "(";
-      appendMicrons(Out, A.TrapPositions[I].X);
+      appendMicrons(Out, A.trap(I).X);
       Out += ", ";
-      appendMicrons(Out, A.TrapPositions[I].Y);
+      appendMicrons(Out, A.trap(I).Y);
       Out += ')';
     }
     Out += ']';
     break;
   case AnnotationKind::Aod:
-    appendList(Out, A.AodXs, /*Lengths=*/true);
-    appendList(Out, A.AodYs, /*Lengths=*/true);
+    appendList(Out, A.aodXs(), /*Lengths=*/true);
+    appendList(Out, A.aodYs(), /*Lengths=*/true);
     break;
   case AnnotationKind::Bind:
     if (A.BindToSlm)
@@ -541,8 +546,8 @@ void appendAnnotation(std::string &Out, const Annotation &A) {
     break;
   case AnnotationKind::ShuttleParallel:
     Out += A.ShuttleRow ? " rows" : " columns";
-    appendList(Out, A.ShuttleIndices, /*Lengths=*/false);
-    appendList(Out, A.ShuttleOffsets, /*Lengths=*/true);
+    appendList(Out, A.shuttleIndices(), /*Lengths=*/false);
+    appendList(Out, A.shuttleOffsets(), /*Lengths=*/true);
     break;
   case AnnotationKind::RamanGlobal:
     appendAll(Out, " global ", A.AngleX, ' ', A.AngleY, ' ', A.AngleZ);
@@ -578,15 +583,15 @@ void printHeader(std::string &Out, const std::string &Version, int NumQubits,
 std::string printWqasm(const WqasmProgram &Program) {
   std::string Out;
   printHeader(Out, Program.Version, Program.NumQubits, Program.NumBits);
-  for (const GateStatement &S : Program.Statements) {
-    for (const Annotation &A : S.Annotations) {
+  for (size_t S = 0; S < Program.Statements.size(); ++S) {
+    for (const Annotation &A : Program.annotationsOf(S)) {
       pre_sink::appendAnnotation(Out, A);
       Out += '\n';
     }
-    pre_sink::appendGate(Out, S.Gate);
+    pre_sink::appendGate(Out, Program.Statements[S].Gate);
     Out += ";\n";
   }
-  for (const Annotation &A : Program.TrailingAnnotations) {
+  for (const Annotation &A : Program.trailingAnnotations()) {
     pre_sink::appendAnnotation(Out, A);
     Out += '\n';
   }
@@ -658,6 +663,7 @@ TEST(Printer, SinkMatchesThePreSinkRendererAtExtremeValues) {
   P.NumQubits = 3;
   P.NumBits = 3;
   Circuit C(3);
+  std::vector<circuit::Gate> Gates;
   for (unsigned K = 0; K < circuit::NumGateKinds; ++K)
     for (size_t V = 0; V < std::size(Angles); ++V) {
       int Q = Ints[V % std::size(Ints)];
@@ -667,13 +673,18 @@ TEST(Printer, SinkMatchesThePreSinkRendererAtExtremeValues) {
       std::string Want;
       pre_sink::appendGate(Want, G);
       ASSERT_EQ(G.str(), Want);
-      P.Statements.push_back({G, {}});
+      Gates.push_back(G);
       C.append(circuit::Gate::fromStorage(static_cast<GateKind>(K),
                                           {0, 1, 2}, {A, -A, 0.35}));
     }
-  for (size_t I = 0; I < Anns.size(); ++I)
-    P.Statements[I % P.Statements.size()].Annotations.push_back(Anns[I]);
-  P.TrailingAnnotations = {Anns.front(), Anns.back(), Annotation::rydberg()};
+  // Annotation I precedes statement I % (statement count).
+  for (size_t S = 0; S < Gates.size(); ++S) {
+    for (size_t I = S; I < Anns.size(); I += Gates.size())
+      P.Annotations.push_back(Anns[I]);
+    P.addStatement(Gates[S]);
+  }
+  for (const Annotation &A : {Anns.front(), Anns.back(), Annotation::rydberg()})
+    P.Annotations.push_back(A);
   EXPECT_TRUE(printWqasm(P) == pre_sink::printWqasm(P));
 
   std::string Want;
@@ -689,13 +700,12 @@ TEST(Printer, SinkMatchesThePreSinkRendererAtExtremeValues) {
 TEST(Printer, WqasmRoundTripStable) {
   WqasmProgram P;
   P.NumQubits = 2;
-  circuit::Gate H(GateKind::H, {0});
-  GateStatement S{H, {Annotation::ramanLocal(0, 0, -1.5707963267948966,
-                                             3.141592653589793)}};
-  P.Statements.push_back(S);
-  GateStatement S2{circuit::Gate(GateKind::CZ, {0, 1}),
-                   {Annotation::shuttle(true, 0, 3500), Annotation::rydberg()}};
-  P.Statements.push_back(S2);
+  P.Annotations.push_back(Annotation::ramanLocal(0, 0, -1.5707963267948966,
+                                                 3.141592653589793));
+  P.addStatement(circuit::Gate(GateKind::H, {0}));
+  P.Annotations.push_back(Annotation::shuttle(true, 0, 3500));
+  P.Annotations.push_back(Annotation::rydberg());
+  P.addStatement(circuit::Gate(GateKind::CZ, {0, 1}));
   std::string Text = printWqasm(P);
   auto Back = parseWqasm(Text);
   ASSERT_TRUE(Back.ok()) << Back.message();
@@ -703,34 +713,68 @@ TEST(Printer, WqasmRoundTripStable) {
   EXPECT_EQ(Back->numAnnotations(), 3u);
 }
 
-TEST(AnnotationView, IteratesInExecutionOrderSkippingEmptyStatements) {
+TEST(FlatProgram, StatementsOwnConsecutiveRangesInExecutionOrder) {
   WqasmProgram P;
   P.NumQubits = 2;
-  P.Statements.push_back({circuit::Gate(GateKind::H, {0}), {}});
-  P.Statements.push_back(
-      {circuit::Gate(GateKind::H, {1}),
-       {Annotation::shuttle(true, 0, 1000), Annotation::rydberg()}});
-  P.Statements.push_back({circuit::Gate(GateKind::X, {0}), {}});
-  P.Statements.push_back({circuit::Gate(GateKind::X, {1}),
-                          {Annotation::ramanGlobal(1, 2, 3)}});
-  P.TrailingAnnotations = {Annotation::shuttle(false, 1, -2000)};
+  P.addStatement(circuit::Gate(GateKind::H, {0}));
+  P.Annotations.push_back(Annotation::shuttle(true, 0, 1000));
+  P.Annotations.push_back(Annotation::rydberg());
+  P.addStatement(circuit::Gate(GateKind::H, {1}));
+  P.addStatement(circuit::Gate(GateKind::X, {0}));
+  P.Annotations.push_back(Annotation::ramanGlobal(1, 2, 3));
+  P.addStatement(circuit::Gate(GateKind::X, {1}));
+  P.Annotations.push_back(Annotation::shuttle(false, 1, -2000));
 
-  AnnotationView View(P);
-  EXPECT_EQ(View.size(), P.numAnnotations());
-  std::vector<const Annotation *> Seen;
-  for (const Annotation &A : View)
-    Seen.push_back(&A);
-  ASSERT_EQ(Seen.size(), 4u);
-  // Zero-copy: the iterator yields the program's own annotation objects.
-  EXPECT_EQ(Seen[0], &P.Statements[1].Annotations[0]);
-  EXPECT_EQ(Seen[1], &P.Statements[1].Annotations[1]);
-  EXPECT_EQ(Seen[2], &P.Statements[3].Annotations[0]);
-  EXPECT_EQ(Seen[3], &P.TrailingAnnotations[0]);
+  EXPECT_EQ(P.numAnnotations(), 4u);
+  const size_t Sizes[] = {0, 2, 0, 1};
+  for (size_t S = 0; S < std::size(Sizes); ++S)
+    EXPECT_EQ(P.annotationsOf(S).size(), Sizes[S]) << S;
+  // Zero-copy: each range is a view into the one annotation array.
+  EXPECT_EQ(P.annotationsOf(1).begin(), &P.Annotations[0]);
+  EXPECT_EQ(P.annotationsOf(3).begin(), &P.Annotations[2]);
+  ASSERT_EQ(P.trailingAnnotations().size(), 1u);
+  EXPECT_EQ(P.trailingAnnotations().begin(), &P.Annotations[3]);
+  EXPECT_EQ(printWqasm(P), "OPENQASM 3.0;\nqubit[2] q;\nh q[0];\n"
+                           "@shuttle row 0 1\n@rydberg\nh q[1];\nx q[0];\n"
+                           "@raman global 1 2 3\nx q[1];\n"
+                           "@shuttle column 1 -2\n");
 }
 
-TEST(AnnotationView, EmptyProgramYieldsNothing) {
+TEST(FlatProgram, EmptyProgramHasNoAnnotations) {
   WqasmProgram P;
-  AnnotationView View(P);
-  EXPECT_EQ(View.begin(), View.end());
-  EXPECT_EQ(View.size(), 0u);
+  EXPECT_EQ(P.numAnnotations(), 0u);
+  EXPECT_TRUE(P.trailingAnnotations().empty());
+  EXPECT_EQ(printWqasm(P), "OPENQASM 3.0;\n");
+}
+
+TEST(Annotation, PayloadHoldsOnlyTheListsOfItsKind) {
+  Annotation Slm = Annotation::slm({{1, 2}, {3, 4}});
+  EXPECT_EQ(values(Slm.payload()), (std::vector<int32_t>{1, 2, 3, 4}));
+  ASSERT_EQ(Slm.numTraps(), 2u);
+  EXPECT_EQ(Slm.trap(1), (Vec2{3, 4}));
+  EXPECT_TRUE(Slm.aodXs().empty() && Slm.shuttleOffsets().empty());
+
+  Annotation Aod = Annotation::aod({5, 6, 7}, {8});
+  EXPECT_EQ(values(Aod.payload()), (std::vector<int32_t>{5, 6, 7, 8}));
+  EXPECT_EQ(Aod.payloadSplit(), 3u);
+  EXPECT_EQ(values(Aod.aodXs()), (std::vector<int32_t>{5, 6, 7}));
+  EXPECT_EQ(values(Aod.aodYs()), (std::vector<int32_t>{8}));
+  EXPECT_EQ(Aod.numTraps(), 0u);
+  EXPECT_TRUE(Aod.shuttleIndices().empty());
+
+  Annotation Par = Annotation::shuttleParallel(true, {0, 2}, {-9, 9});
+  EXPECT_EQ(values(Par.payload()), (std::vector<int32_t>{0, 2, -9, 9}));
+  EXPECT_EQ(values(Par.shuttleIndices()), (std::vector<int32_t>{0, 2}));
+  EXPECT_EQ(values(Par.shuttleOffsets()), (std::vector<int32_t>{-9, 9}));
+  EXPECT_TRUE(Par.aodYs().empty());
+
+  // Copies own their payload; the list-free forms carry none.
+  Annotation Copy = Par;
+  EXPECT_NE(Copy.payload().data(), Par.payload().data());
+  EXPECT_EQ(Copy.str(), Par.str());
+  for (const Annotation &A :
+       {Annotation::bindSlm(0, 1), Annotation::transfer(1, 2, 3),
+        Annotation::shuttle(false, 1, 2), Annotation::ramanGlobal(1, 2, 3),
+        Annotation::rydberg(), Annotation::shuttleParallel(false, {}, {})})
+    EXPECT_TRUE(A.payload().empty()) << A.str();
 }

@@ -13,9 +13,11 @@
 /// program (tests/data/golden_*.wqasm) must parse and pass the wChecker,
 /// and N byte-flip mutants plus N numeral-substitution mutants of each
 /// must never crash parseWqasm, or the wChecker and the pulse replay on
-/// whatever parses; whatever parses must also print, reparse and reprint
-/// to the same bytes. Rejecting is fine, dying is not. Exit status 0 means
-/// the contract held.
+/// whatever parses; whatever parses must also hold the flat-program
+/// invariants (statement ends in order, each payload shaped for its kind),
+/// print the same bytes from a copy, and print, reparse and reprint to the
+/// same bytes. Rejecting is fine, dying is not. Exit status 0 means the
+/// contract held.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,14 +85,58 @@ bool pipelineAccepts(const std::string &Source) {
 /// replay on whatever parsed, which must also print, reparse and reprint
 /// to the same bytes (else \p Failures counts it). Returns whether the
 /// parser accepted.
+/// The flat-program invariants (see qasm/Program.h and qasm/Annotation.h)
+/// a parsed program must hold; returns the first one \p P breaks, or null.
+const char *brokenInvariant(const qasm::WqasmProgram &P) {
+  size_t Prev = 0;
+  for (const qasm::GateStatement &S : P.Statements) {
+    if (S.AnnotationsEnd < Prev || S.AnnotationsEnd > P.Annotations.size())
+      return "statement annotation ends decrease or pass the array";
+    Prev = S.AnnotationsEnd;
+  }
+  for (const qasm::Annotation &A : P.Annotations) {
+    size_t Size = A.payload().size(), Split = A.payloadSplit();
+    bool Fits;
+    switch (A.Kind) {
+    case qasm::AnnotationKind::Slm:
+      Fits = Size % 2 == 0;
+      break;
+    case qasm::AnnotationKind::Aod:
+      Fits = Split <= Size;
+      break;
+    case qasm::AnnotationKind::ShuttleParallel:
+      Fits = A.shuttleIndices().size() == A.shuttleOffsets().size();
+      break;
+    default:
+      Fits = Size == 0;
+      break;
+    }
+    if (!Fits)
+      return "an annotation payload does not match its kind";
+  }
+  return nullptr;
+}
+
 bool wqasmAccepts(const std::string &Source, int &Failures) {
   Expected<qasm::WqasmProgram> P = qasm::parseWqasm(Source);
   if (!P)
     return false;
+  if (const char *Broken = brokenInvariant(*P)) {
+    std::fprintf(stderr, "FAIL: a parsed wQASM mutant breaks an invariant: "
+                         "%s\n", Broken);
+    ++Failures;
+    return true;
+  }
   fpqa::HardwareParams Hw;
   (void)core::checkWqasm(*P, Hw);
   (void)fpqa::analyzePulseProgram(*P, Hw);
   std::string Text = qasm::printWqasm(*P);
+  qasm::WqasmProgram Copy = *P;
+  if (qasm::printWqasm(Copy) != Text) {
+    std::fprintf(stderr, "FAIL: a copy of a parsed wQASM mutant prints "
+                         "other bytes\n");
+    ++Failures;
+  }
   Expected<qasm::WqasmProgram> Back = qasm::parseWqasm(Text);
   if (!Back || qasm::printWqasm(*Back) != Text) {
     std::fprintf(stderr, "FAIL: a parsed wQASM mutant does not round-trip\n");
